@@ -31,7 +31,7 @@ True
 """
 
 from repro import units
-from repro.analysis.paper_model import PaperCaseStudy, figure1_rows
+from repro.analysis.paper_model import PaperCaseStudy
 from repro.campaigns import (
     CampaignResult,
     CampaignRunner,
@@ -81,7 +81,6 @@ __all__ = [
     "StrictPriorityMultiplexerAnalysis",
     "EndToEndAnalysis",
     "PaperCaseStudy",
-    "figure1_rows",
     "Network",
     "single_switch_star",
     "dual_switch_topology",

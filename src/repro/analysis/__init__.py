@@ -50,11 +50,7 @@ from repro.analysis.engines import (
     register_engine,
     resolve_engines,
 )
-from repro.analysis.paper_model import (
-    ClassBoundRow,
-    PaperCaseStudy,
-    figure1_rows,
-)
+from repro.analysis.paper_model import ClassBoundRow, PaperCaseStudy
 from repro.analysis.violations import ViolationRow, fcfs_violation_table
 from repro.analysis.baseline1553 import Baseline1553Report, baseline_1553_report
 from repro.analysis.comparison import ComparisonRow, technology_comparison
@@ -77,7 +73,6 @@ from repro.analysis.buffers import (
 __all__ = [
     "PaperCaseStudy",
     "ClassBoundRow",
-    "figure1_rows",
     "BoundEngine",
     "EngineResult",
     "EngineSpec",

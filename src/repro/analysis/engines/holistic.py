@@ -32,10 +32,8 @@ import math
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
-from repro.analysis.engines.iteration import (DEFAULT_MAX_ITERATIONS,
-                                              PortContext, RoutedFlowState,
-                                              build_ports, route_states,
-                                              run_fixed_point)
+from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
+                                              route_network, run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,24 +73,16 @@ class HolisticEngine(ScenarioBoundEngine):
 
     name = "holistic"
 
-    def __init__(self, max_iterations: int = DEFAULT_MAX_ITERATIONS) -> None:
-        self.max_iterations = int(max_iterations)
-
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
                              graph_spec: "GraphTopologySpec | None" = None
                              ) -> dict[PriorityClass, float]:
         """Per-class worst of the per-flow holistic fixed points."""
-        states = route_states(network, messages)
+        states, ports = route_network(network, messages)
         if not states:
             return {}
-        ports = build_ports(network, states)
-
-        def single_pass(contexts: list[PortContext]) -> None:
-            self._single_pass(contexts, policy)
-
-        run_fixed_point(states, ports, single_pass, self.max_iterations)
-        self._single_pass(ports, policy)
+        run_fixed_point(states, ports,
+                        lambda port: self._port_delays(port, policy))
         mapping: dict[PriorityClass, float] = {}
         for state in states:
             delay = self._end_to_end(state)
@@ -102,17 +92,15 @@ class HolisticEngine(ScenarioBoundEngine):
 
     # -- internals -----------------------------------------------------------
 
-    def _single_pass(self, ports: list[PortContext], policy: str) -> None:
-        """Refresh every member's per-hop delay from current bursts."""
-        for port in ports:
-            classes: dict[PriorityClass, list[tuple[RoutedFlowState, int]]]
-            classes = {}
-            for state, index in port.members:
-                classes.setdefault(state.priority, []).append((state, index))
-            for priority, members in classes.items():
-                delay = self._class_delay(port, priority, policy)
-                for state, index in members:
-                    state.delays[index] = delay
+    def _port_delays(self, port: PortContext, policy: str) -> None:
+        """Refresh every member's delay at one port from current bursts."""
+        classes: dict[PriorityClass, list[tuple[RoutedFlowState, int]]] = {}
+        for state, index in port.members:
+            classes.setdefault(state.priority, []).append((state, index))
+        for priority, members in classes.items():
+            delay = self._class_delay(port, priority, policy)
+            for state, index in members:
+                state.delays[index] = delay
 
     def _class_delay(self, port: PortContext, priority: PriorityClass,
                      policy: str) -> float:

@@ -1,39 +1,54 @@
-"""Shared routed-network fixed-point scaffolding of the iterative engines.
+"""The routed fixed-point core shared by every multi-hop analysis.
 
-The holistic and trajectory engines both follow the structure of
-:class:`repro.analysis.multihop.GraphPathAnalysis`: route every message
-along its deterministic shortest path, group the routed flows by
-directed output port, iterate per-hop delay bounds to a fixed point
-(each flow's burst at hop *k* is inflated by its upstream delay — the
-classic time-stopping argument), and declare flows *diverged* when the
-iteration fails to settle.  This module factors that scaffolding out so
-each engine only supplies its per-port delay rule.
+The paper bounds a flow with a per-multiplexer formula.  Extending that
+to a multi-hop route means applying a delay rule at every directed
+egress port the route crosses and inflating each flow's burst at hop
+*k* by the delay it may have accumulated upstream (``b + r * D`` — the
+classic time-stopping argument).  Delays depend on bursts, which depend
+on delays, so the per-hop bounds are iterated to a fixed point.
 
-Everything here operates on a concrete :class:`repro.topology.network.
-Network`, so the same code serves the paper's star, the dual-switch and
-tree ladders, and the arbitrary multi-hop graph topologies.
+This module is the only place that runs that loop.  It routes the flows,
+holds their per-hop state, groups them by directed port and iterates;
+:class:`~repro.analysis.multihop.GraphPathAnalysis`,
+:class:`~repro.core.endtoend.EndToEndAnalysis` and the holistic and
+trajectory engines each supply only their per-port delay rule.  The
+rules of the loop:
+
+* upstream delay accumulates hop by hop as ``(acc + delay) +
+  propagation``, and a flow has settled only when its upstream values
+  are exactly equal between two passes;
+* after :data:`MAX_ITERATIONS` passes one extra pass runs, and the flows
+  still moving are then marked *diverged* (their bursts become
+  infinite — cyclic topologies can feed their own growth below nominal
+  capacity);
+* at most ``len(states) + 1`` further passes let those infinities reach
+  every flow sharing a port with a diverged one (``inf`` is absorbing,
+  so this terminates), and the fixed point reports non-convergence.
+
+The core does not reorder flows: callers pass them in the order their
+rule sums bursts in, and every port lists its members in that order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.multiplexer import priority_of
 from repro.flows.flow import Flow
 from repro.flows.priorities import PriorityClass
-from repro.topology.network import Network
 
-__all__ = ["RoutedFlowState", "PortContext", "route_states", "build_ports",
-           "run_fixed_point", "DEFAULT_MAX_ITERATIONS"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.topology.network import Network
 
-#: Outer burst-inflation passes before a flow is declared diverged.
-DEFAULT_MAX_ITERATIONS = 16
+__all__ = ["RoutedFlowState", "PortContext", "route", "route_network",
+           "leftover_service", "run_fixed_point", "MAX_ITERATIONS"]
 
-#: Relative tolerance under which an upstream-delay update counts as
-#: settled (absolute for sub-nanosecond values).
-_TOLERANCE = 1e-12
+#: Burst-inflation passes before the divergence check.
+MAX_ITERATIONS = 16
+
+#: ``(capacity, technology delay, propagation delay)`` of a directed port.
+PortAttributes = Callable[[str, str], "tuple[float, float, float]"]
 
 
 @dataclass
@@ -43,12 +58,15 @@ class RoutedFlowState:
     flow: Flow
     priority: PriorityClass
     hops: tuple[tuple[str, str], ...]
-    #: Sum of bound delays (and propagation) accumulated before each hop.
-    upstream: list[float] = field(default_factory=list)
-    #: Current per-hop delay bound (queuing + relaying, no propagation).
-    delays: list[float] = field(default_factory=list)
     #: Propagation delay of each hop's link.
-    propagation: tuple[float, ...] = ()
+    propagation: tuple[float, ...]
+    #: Sum of bound delays (and propagation) accumulated before each hop.
+    upstream: list[float]
+    #: Current per-hop delay bound (queuing + relaying, no propagation).
+    delays: list[float]
+    #: Per-hop by-product of the delay rule (a left-over service, a
+    #: multiplexer bound...), or ``None`` where the rule keeps none.
+    details: list[Any]
     #: Set when the fixed point failed to settle for this flow; its
     #: bursts (and therefore every bound involving it) become infinite.
     diverged: bool = False
@@ -58,7 +76,7 @@ class RoutedFlowState:
         if self.diverged:
             return math.inf
         upstream = self.upstream[index]
-        if not math.isfinite(upstream):
+        if math.isinf(upstream):
             return math.inf
         return self.flow.burst + self.flow.rate * upstream
 
@@ -75,102 +93,138 @@ class PortContext:
     node: str
     toward: str
     capacity: float
-    #: ``t_techno`` of the relaying switch (0 at source stations).
+    #: ``t_techno`` of the relaying node.
     technology_delay: float
-    propagation_delay: float
-    #: ``(state, hop index)`` of every flow using this port, in flow-name
-    #: order — deterministic by construction.
+    #: ``(state, hop index)`` of every flow using this port, in the
+    #: order the flows were passed to :func:`route`.
     members: tuple[tuple[RoutedFlowState, int], ...]
 
 
-def route_states(network: Network,
-                 messages: Iterable) -> list[RoutedFlowState]:
-    """Route every message and seed the per-hop iteration state."""
-    states: list[RoutedFlowState] = []
-    for item in sorted(messages, key=lambda message: message.name):
-        flow = network.route_flow(item)
-        hops = tuple(flow.hops())
-        states.append(RoutedFlowState(
-            flow=flow,
-            priority=priority_of(flow),
-            hops=hops,
-            upstream=[0.0] * len(hops),
-            delays=[0.0] * len(hops),
-            propagation=tuple(
-                network.link(node, toward).propagation_delay
-                for node, toward in hops)))
-    return states
+def route(flows: Iterable, route_flow: Callable[[Any], Flow],
+          port: PortAttributes
+          ) -> tuple[list[RoutedFlowState], list[PortContext]]:
+    """Route every flow and group the routed hops by directed port.
 
-
-def build_ports(network: Network,
-                states: Iterable[RoutedFlowState]) -> list[PortContext]:
-    """Group routed flows by directed port, in sorted port order."""
+    ``route_flow`` turns each item into a routed :class:`Flow` and
+    ``port`` describes a directed port.  States keep the input order;
+    ports come back sorted by ``(node, toward)``.
+    """
     membership: dict[tuple[str, str], list[tuple[RoutedFlowState, int]]] = {}
-    for state in states:
-        for index, hop in enumerate(state.hops):
+    attributes: dict[tuple[str, str], tuple[float, float, float]] = {}
+    states: list[RoutedFlowState] = []
+    for item in flows:
+        flow = route_flow(item)
+        hops = tuple(flow.hops())
+        for hop in hops:
+            if hop not in attributes:
+                attributes[hop] = port(*hop)
+        state = RoutedFlowState(
+            flow=flow, priority=flow.priority, hops=hops,
+            propagation=tuple(attributes[hop][2] for hop in hops),
+            upstream=[0.0] * len(hops), delays=[0.0] * len(hops),
+            details=[None] * len(hops))
+        for index, hop in enumerate(hops):
             membership.setdefault(hop, []).append((state, index))
-    ports: list[PortContext] = []
+        states.append(state)
+    ports = []
     for node, toward in sorted(membership):
+        capacity, technology_delay, _ = attributes[(node, toward)]
+        ports.append(PortContext(
+            node=node, toward=toward, capacity=capacity,
+            technology_delay=technology_delay,
+            members=tuple(membership[(node, toward)])))
+    return states, ports
+
+
+def route_network(network: "Network", messages: Iterable
+                  ) -> tuple[list[RoutedFlowState], list[PortContext]]:
+    """:func:`route` over a :class:`Network`, flows in name order.
+
+    Stations relay nothing, so their ports carry no ``t_techno``.
+    """
+    def port(node: str, toward: str) -> tuple[float, float, float]:
         link = network.link(node, toward)
         technology_delay = (network.technology_delay(node)
                             if network.is_switch(node) else 0.0)
-        ports.append(PortContext(
-            node=node,
-            toward=toward,
-            capacity=link.capacity,
-            technology_delay=technology_delay,
-            propagation_delay=link.propagation_delay,
-            members=tuple(membership[(node, toward)])))
-    return ports
+        return link.capacity, technology_delay, link.propagation_delay
+
+    return route(sorted(messages, key=lambda message: message.name),
+                 network.route_flow, port)
 
 
-def _accumulate(states: Iterable[RoutedFlowState]) -> set[str]:
-    """Refresh upstream prefix sums; names whose upstream state moved."""
-    changed: set[str] = set()
+def leftover_service(port: PortContext, state: RoutedFlowState, index: int,
+                     policy: str) -> tuple[float, float, float]:
+    """Calculus left-over ``(rate, latency, delay)`` of a flow at a port.
+
+    Every other flow at the port is cross traffic, except that under
+    strict priority a lower-priority flow only blocks non-preemptively
+    (its largest burst); the left-over is rate-latency with ``R = C -
+    r_cross`` and ``T = (C * t_techno + blocking + b_cross) / R``, and
+    the hop delay is ``T + b / R`` for the flow's inflated burst ``b``
+    (``inf`` when the port cannot serve the flow).
+    """
+    own = state.priority.value
+    cross_burst = 0.0
+    cross_rate = 0.0
+    blocking = 0.0
+    for other, other_index in port.members:
+        if other is state:
+            continue
+        if policy != "fcfs" and other.priority.value > own:
+            blocking = max(blocking, other.burst_at(other_index))
+            continue
+        cross_burst += other.burst_at(other_index)
+        cross_rate += other.flow.rate
+    rate = port.capacity - cross_rate
+    if rate <= 0.0 or math.isinf(cross_burst) or math.isinf(blocking):
+        return rate, math.inf, math.inf
+    latency = (port.capacity * port.technology_delay + blocking
+               + cross_burst) / rate
+    burst = state.burst_at(index)
+    if math.isinf(burst) or state.flow.rate > rate:
+        return rate, latency, math.inf
+    return rate, latency, latency + burst / rate
+
+
+def _accumulate(states: Iterable[RoutedFlowState]
+                ) -> list[RoutedFlowState]:
+    """Refresh upstream prefix sums; the states whose upstream moved."""
+    moved = []
     for state in states:
         cumulative = 0.0
-        for index in range(len(state.hops)):
-            previous = state.upstream[index]
-            if not _settled(previous, cumulative):
-                state.upstream[index] = cumulative
-                changed.add(state.name)
-            cumulative += state.delays[index] + state.propagation[index]
-    return changed
-
-
-def _settled(previous: float, current: float) -> bool:
-    if previous == current:
-        return True
-    if math.isinf(previous) and math.isinf(current):
-        return True
-    return abs(current - previous) <= _TOLERANCE * max(
-        1e-9, abs(previous), abs(current))
+        upstream = []
+        for delay, propagation in zip(state.delays, state.propagation):
+            upstream.append(cumulative)
+            cumulative += delay
+            cumulative += propagation
+        if upstream != state.upstream:
+            state.upstream = upstream
+            moved.append(state)
+    return moved
 
 
 def run_fixed_point(states: list[RoutedFlowState],
                     ports: list[PortContext],
-                    single_pass: Callable[[list[PortContext]], None],
-                    max_iterations: int = DEFAULT_MAX_ITERATIONS) -> bool:
-    """Iterate ``single_pass`` + accumulation until the bounds settle.
+                    rule: Callable[[PortContext], None]) -> bool:
+    """Apply ``rule`` to every port and accumulate until settled.
 
-    Returns ``True`` when every flow settled.  Flows still moving after
-    ``max_iterations`` passes are marked diverged (their bursts become
-    infinite) and a bounded number of absorb passes propagates the
-    infinities through every port they share — mirroring
-    ``GraphPathAnalysis``'s divergence handling, so an unstable corner
-    yields ``inf`` bounds instead of looping forever.
+    ``rule`` refreshes ``delays`` (and optionally ``details``) of every
+    member of one port from the members' current bursts.  Returns
+    ``True`` when every flow settled; otherwise the flows still moving
+    are marked diverged and their infinite bursts propagated, as the
+    module docstring describes.
     """
-    moving: set[str] = set()
-    for _ in range(max_iterations):
-        single_pass(ports)
+    for _ in range(MAX_ITERATIONS + 1):
+        for port in ports:
+            rule(port)
         moving = _accumulate(states)
         if not moving:
             return True
-    for state in states:
-        if state.name in moving:
-            state.diverged = True
+    for state in moving:
+        state.diverged = True
     for _ in range(len(states) + 1):
-        single_pass(ports)
+        for port in ports:
+            rule(port)
         if not _accumulate(states):
             break
     return False

@@ -40,9 +40,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
-from repro.analysis.engines.iteration import (DEFAULT_MAX_ITERATIONS,
-                                              PortContext, RoutedFlowState,
-                                              build_ports, route_states,
+from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
+                                              leftover_service, route_network,
                                               run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
@@ -74,24 +73,17 @@ class TrajectoryEngine(ScenarioBoundEngine):
 
     name = "trajectory"
 
-    def __init__(self, max_iterations: int = DEFAULT_MAX_ITERATIONS) -> None:
-        self.max_iterations = int(max_iterations)
-
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
                              graph_spec: "GraphTopologySpec | None" = None
                              ) -> dict[PriorityClass, float]:
         """Per-class worst of the per-flow trajectory compositions."""
-        states = route_states(network, messages)
+        states, ports = route_network(network, messages)
         if not states:
             return {}
-        ports = build_ports(network, states)
         ports_by_hop = {(port.node, port.toward): port for port in ports}
-
-        def single_pass(contexts: list[PortContext]) -> None:
-            self._single_pass(contexts, policy)
-
-        run_fixed_point(states, ports, single_pass, self.max_iterations)
+        run_fixed_point(states, ports,
+                        lambda port: self._port_delays(port, policy))
         mapping: dict[PriorityClass, float] = {}
         for state in states:
             delay = self._end_to_end(state, ports_by_hop, policy)
@@ -101,41 +93,18 @@ class TrajectoryEngine(ScenarioBoundEngine):
 
     # -- upstream iteration --------------------------------------------------
 
-    def _single_pass(self, ports: list[PortContext], policy: str) -> None:
+    @staticmethod
+    def _port_delays(port: PortContext, policy: str) -> None:
         """Per-hop left-over delays used for upstream burst inflation.
 
-        The conservative per-hop form (every competitor paid at the hop)
-        keeps the fixed point monotone; the segment concatenation below
-        only sharpens the final composition, never the iterated state.
+        The iterated state uses the calculus per-hop left-over (every
+        competitor paid at the hop), which keeps the fixed point
+        monotone; the segment concatenation below only sharpens the
+        final composition, never the iterated state.
         """
-        for port in ports:
-            for state, index in port.members:
-                state.delays[index] = self._hop_delay(port, state, index,
-                                                      policy)
-
-    def _hop_delay(self, port: PortContext, state: RoutedFlowState,
-                   index: int, policy: str) -> float:
-        """Left-over delay of one flow at one hop (all competitors paid)."""
-        cross_rate = 0.0
-        cross_burst = 0.0
-        blocking = 0.0
-        for other, other_index in port.members:
-            if other is state:
-                continue
-            if policy == "fcfs" or \
-                    other.priority.value <= state.priority.value:
-                cross_rate += other.flow.rate
-                cross_burst += other.burst_at(other_index)
-            else:
-                blocking = max(blocking, other.burst_at(other_index))
-        rate = port.capacity - cross_rate
-        burst = state.burst_at(index)
-        if rate <= 0 or not math.isfinite(cross_burst) or \
-                not math.isfinite(burst) or state.flow.rate > rate:
-            return math.inf
-        latency = (port.capacity * port.technology_delay
-                   + blocking + cross_burst) / rate
-        return latency + burst / rate
+        for state, index in port.members:
+            state.delays[index] = leftover_service(port, state, index,
+                                                   policy)[2]
 
     # -- final composition ---------------------------------------------------
 

@@ -24,7 +24,9 @@ frame length bounded by the flow's burst)::
 
 Cross-traffic bursts at an inner port are the *output* bursts of their
 upstream hops, ``b + r * D_upstream``; those depend on delays which
-depend on bursts, so the analysis iterates to a fixed point (Cruz's
+depend on bursts, so the per-port left-over rule above is iterated to a
+fixed point by the routed fixed-point core shared with every other
+multi-hop analysis (:mod:`repro.analysis.engines.iteration`; Cruz's
 time-stopping argument: a converged finite fixed point is a valid
 bound).  Cyclic topologies — the ring family — can diverge even below
 nominal capacity; when the iteration does not settle, the flows still
@@ -47,7 +49,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from repro.core.multiplexer import priority_of
+from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
+                                              leftover_service, route,
+                                              run_fixed_point)
 from repro.errors import ConfigurationError, EmptyAggregateError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
@@ -57,9 +61,6 @@ from repro.topology.routing import RoutingEngine
 
 __all__ = ["GraphPathAnalysis", "MultiHopAnalysisResult", "PathFlowBound",
            "HopServiceBound", "PortBacklogBound"]
-
-#: Default cap on the burst-propagation fixed-point iteration.
-DEFAULT_MAX_ITERATIONS = 16
 
 
 @dataclass(frozen=True)
@@ -166,32 +167,6 @@ class MultiHopAnalysisResult:
                 f"no flow of class {priority.name} was analysed") from None
 
 
-@dataclass
-class _RoutedFlow:
-    """Mutable per-flow working state of the fixed-point iteration."""
-
-    flow: Flow
-    priority: PriorityClass
-    hops: list[tuple[str, str]]
-    #: Cumulative delay bound *before* each hop (inflates the burst).
-    upstream: list[float]
-    #: Last computed per-hop delay bounds.
-    delays: list[float]
-    #: Per-hop (rate, latency) of the left-over service.
-    services: list[tuple[float, float]]
-    #: Set when the fixed point could not settle this flow.
-    diverged: bool = False
-
-    def burst_at(self, hop_index: int) -> float:
-        """The flow's burst bound entering hop ``hop_index``."""
-        if self.diverged:
-            return math.inf
-        upstream = self.upstream[hop_index]
-        if math.isinf(upstream):
-            return math.inf
-        return self.flow.burst + self.flow.rate * upstream
-
-
 class GraphPathAnalysis:
     """Left-over-service end-to-end analysis over a graph topology.
 
@@ -202,20 +177,16 @@ class GraphPathAnalysis:
     policy:
         ``"fcfs"`` or ``"strict-priority"`` — must match the simulator
         cell being validated against.
-    max_iterations:
-        Cap on the burst-propagation fixed point.
     """
 
     def __init__(self, spec: GraphTopologySpec,
-                 policy: str = "strict-priority",
-                 max_iterations: int = DEFAULT_MAX_ITERATIONS) -> None:
+                 policy: str = "strict-priority") -> None:
         if policy not in ("fcfs", "strict-priority"):
             raise ConfigurationError(
                 f"policy must be 'fcfs' or 'strict-priority', "
                 f"got {policy!r}")
         self.spec = spec.validated()
         self.policy = policy
-        self.max_iterations = int(max_iterations)
         self.engine = RoutingEngine(spec, weight="hops")
 
     # -- public entry ------------------------------------------------------
@@ -223,21 +194,21 @@ class GraphPathAnalysis:
     def analyze(self, flows: Iterable[Flow | Message]
                 ) -> MultiHopAnalysisResult:
         """Bound every flow end to end and every port's backlog."""
-        routed = self._routed(flows)
-        if not routed:
+        states, ports = route(sorted(flows, key=lambda item: item.name),
+                              self.engine.route_flow, self._port)
+        if not states:
             raise EmptyAggregateError("no flow to analyse")
-        ports = self._port_membership(routed)
-        converged = self._fixed_point(routed, ports)
+        converged = run_fixed_point(states, ports, self._leftover)
 
         flow_bounds = []
-        for state in routed:
+        for state in states:
             hops = []
             for index, (node, toward) in enumerate(state.hops):
-                rate, latency = state.services[index]
+                rate, latency = state.details[index]
                 hops.append(HopServiceBound(
                     node=node, toward=toward, rate=rate, latency=latency,
                     delay=state.delays[index],
-                    propagation=self.spec.edge(node, toward).latency))
+                    propagation=state.propagation[index]))
             flow_bounds.append(PathFlowBound(
                 name=state.flow.name, priority=state.priority,
                 path=tuple(state.flow.path),
@@ -246,121 +217,28 @@ class GraphPathAnalysis:
                 delay=self._end_to_end(state, hops),
                 hops=tuple(hops)))
 
-        port_bounds, class_backlogs = self._backlogs(routed, ports)
+        port_bounds, class_backlogs = self._backlogs(ports)
         return MultiHopAnalysisResult(
             flows=tuple(flow_bounds), ports=tuple(port_bounds),
             converged=converged, class_backlogs=class_backlogs)
 
-    # -- construction ------------------------------------------------------
+    # -- the per-port rule -------------------------------------------------
 
-    def _routed(self, flows: Iterable[Flow | Message]) -> list[_RoutedFlow]:
-        routed = []
-        for item in flows:
-            flow = self.engine.route_flow(item)
-            hops = flow.hops()
-            routed.append(_RoutedFlow(
-                flow=flow, priority=priority_of(flow), hops=hops,
-                upstream=[0.0] * len(hops), delays=[0.0] * len(hops),
-                services=[(math.inf, 0.0)] * len(hops)))
-        routed.sort(key=lambda state: state.flow.name)
-        return routed
+    def _port(self, node: str, toward: str) -> tuple[float, float, float]:
+        link = self.spec.edge(node, toward)
+        return link.rate, self.spec.technology_delay(node), link.latency
 
-    def _port_membership(self, routed: list[_RoutedFlow]
-                         ) -> dict[tuple[str, str],
-                                   list[tuple[_RoutedFlow, int]]]:
-        ports: dict[tuple[str, str], list[tuple[_RoutedFlow, int]]] = {}
-        for state in routed:
-            for index, hop in enumerate(state.hops):
-                ports.setdefault(hop, []).append((state, index))
-        return ports
-
-    # -- the fixed point ---------------------------------------------------
-
-    def _fixed_point(self, routed: list[_RoutedFlow],
-                     ports: dict[tuple[str, str],
-                                 list[tuple[_RoutedFlow, int]]]) -> bool:
-        for _iteration in range(self.max_iterations):
-            self._single_pass(ports)
-            if not self._accumulate(routed):
-                return True
-        # The iteration did not settle (a cyclic dependency feeding its
-        # own growth).  Everything still moving is conservatively
-        # unstable; re-iterate so the infinite bursts propagate to every
-        # flow sharing a port with a diverged one (inf is absorbing, so
-        # this terminates within one pass per flow).
-        self._single_pass(ports)
-        moving = self._accumulate(routed)
-        if not moving:
-            return True
-        for state in routed:
-            if state.flow.name in moving:
-                state.diverged = True
-        for _iteration in range(len(routed) + 1):
-            self._single_pass(ports)
-            if not self._accumulate(routed):
-                break
-        return False
-
-    def _single_pass(self, ports: dict[tuple[str, str],
-                                       list[tuple[_RoutedFlow, int]]]
-                     ) -> None:
-        for (node, toward) in sorted(ports):
-            members = ports[(node, toward)]
-            link = self.spec.edge(node, toward)
-            latency0 = self.spec.technology_delay(node)
-            for state, hop_index in members:
-                rate, latency = self._leftover(
-                    state, hop_index, members, link.rate, latency0)
-                state.services[hop_index] = (rate, latency)
-                burst = state.burst_at(hop_index)
-                if rate <= 0.0 or math.isinf(latency) or \
-                        math.isinf(burst) or state.flow.rate > rate:
-                    state.delays[hop_index] = math.inf
-                else:
-                    state.delays[hop_index] = latency + burst / rate
-
-    def _leftover(self, state: _RoutedFlow, hop_index: int,
-                  members: list[tuple[_RoutedFlow, int]],
-                  capacity: float, latency0: float
-                  ) -> tuple[float, float]:
-        """Left-over (rate, latency) of one flow at one port."""
-        own = state.priority.value
-        cross_burst = 0.0
-        cross_rate = 0.0
-        blocking = 0.0
-        for other, other_index in members:
-            if other is state:
-                continue
-            if self.policy == "strict-priority" and \
-                    other.priority.value > own:
-                # Lower priority: one frame can block non-preemptively.
-                blocking = max(blocking, other.burst_at(other_index))
-                continue
-            cross_burst += other.burst_at(other_index)
-            cross_rate += other.flow.rate
-        rate = capacity - cross_rate
-        if rate <= 0.0 or math.isinf(cross_burst) or math.isinf(blocking):
-            return rate, math.inf
-        return rate, (capacity * latency0 + blocking + cross_burst) / rate
-
-    def _accumulate(self, routed: list[_RoutedFlow]) -> set[str]:
-        """Refresh upstream delay vectors; return the names that moved."""
-        changed = set()
-        for state in routed:
-            cumulative = 0.0
-            upstream = []
-            for index, (node, toward) in enumerate(state.hops):
-                upstream.append(cumulative)
-                cumulative += state.delays[index]
-                cumulative += self.spec.edge(node, toward).latency
-            if upstream != state.upstream:
-                changed.add(state.flow.name)
-                state.upstream = upstream
-        return changed
+    def _leftover(self, port: PortContext) -> None:
+        """Left-over service and delay of every flow at one port."""
+        for state, index in port.members:
+            rate, latency, delay = leftover_service(port, state, index,
+                                                    self.policy)
+            state.details[index] = (rate, latency)
+            state.delays[index] = delay
 
     # -- results -----------------------------------------------------------
 
-    def _end_to_end(self, state: _RoutedFlow,
+    def _end_to_end(self, state: RoutedFlowState,
                     hops: list[HopServiceBound]) -> float:
         """Concatenated (pay-bursts-only-once) end-to-end delay bound.
 
@@ -382,11 +260,11 @@ class GraphPathAnalysis:
             + state.flow.burst / min_rate \
             + sum(hop.propagation for hop in hops)
 
-    def _backlogs(self, routed: list[_RoutedFlow],
-                  ports: dict[tuple[str, str],
-                              list[tuple[_RoutedFlow, int]]]
+    def _backlogs(self, ports: list[PortContext]
                   ) -> tuple[list[PortBacklogBound],
                              dict[PriorityClass, float]]:
+        members_at = {(port.node, port.toward): port.members
+                      for port in ports}
         port_bounds = []
         class_backlogs: dict[PriorityClass, float] = {}
         # Every directed port of the topology gets a bound: the simulator
@@ -396,7 +274,7 @@ class GraphPathAnalysis:
                      for node, successors in self.spec.successors().items()
                      for successor in successors}
         for (node, toward) in sorted(all_ports):
-            members = ports.get((node, toward), [])
+            members = members_at.get((node, toward), ())
             link = self.spec.edge(node, toward)
             latency0 = self.spec.technology_delay(node)
             total_rate = sum(member.flow.rate for member, _ in members)
@@ -416,7 +294,8 @@ class GraphPathAnalysis:
         return port_bounds, class_backlogs
 
     def _class_port_backlogs(self,
-                             members: list[tuple[_RoutedFlow, int]],
+                             members: tuple[tuple[RoutedFlowState, int],
+                                            ...],
                              capacity: float, latency0: float
                              ) -> dict[PriorityClass, float]:
         """Per-class queue bounds at one port.

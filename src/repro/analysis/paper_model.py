@@ -23,7 +23,6 @@ those bounds; its qualitative findings are:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from repro import units
@@ -38,7 +37,7 @@ from repro.errors import ConfigurationError, EmptyAggregateError
 from repro.flows.message_set import MessageSet
 from repro.flows.priorities import PriorityClass
 
-__all__ = ["ClassBoundRow", "PaperCaseStudy", "figure1_rows"]
+__all__ = ["ClassBoundRow", "PaperCaseStudy"]
 
 #: Default link capacity of the paper: 10 Mbps.
 DEFAULT_CAPACITY = units.mbps(10)
@@ -170,35 +169,6 @@ class PaperCaseStudy:
                 analysis.class_bounds_from_aggregates(
                     self.aggregates()).items()}
 
-    def fcfs_class_bounds(self) -> dict[PriorityClass, float]:
-        """Deprecated spelling of :meth:`class_bounds` (``'fcfs'``).
-
-        .. deprecated::
-            Use ``class_bounds('fcfs')``, or the engine registry
-            (``repro.analysis.engines.get_engine('calculus')``) when the
-            bound should be comparable across competing engines.
-        """
-        warnings.warn(
-            "PaperCaseStudy.fcfs_class_bounds() is deprecated; use "
-            "PaperCaseStudy.class_bounds('fcfs') or the bound-engine "
-            "registry (repro.analysis.engines)",
-            DeprecationWarning, stacklevel=2)
-        return self.class_bounds("fcfs")
-
-    def priority_class_bounds(self) -> dict[PriorityClass, float]:
-        """Deprecated spelling of :meth:`class_bounds` (strict priority).
-
-        .. deprecated::
-            Use ``class_bounds('strict-priority')``, or the engine
-            registry (``repro.analysis.engines.get_engine('calculus')``).
-        """
-        warnings.warn(
-            "PaperCaseStudy.priority_class_bounds() is deprecated; use "
-            "PaperCaseStudy.class_bounds('strict-priority') or the "
-            "bound-engine registry (repro.analysis.engines)",
-            DeprecationWarning, stacklevel=2)
-        return self.class_bounds("strict-priority")
-
     def class_deadlines(self) -> dict[PriorityClass, float | None]:
         """The binding (smallest) deadline of every class present in the set."""
         return self.message_set.class_deadlines()
@@ -275,23 +245,3 @@ class PaperCaseStudy:
         return (row is not None and row.priority_stable
                 and row.priority_bound < row.fcfs_bound)
 
-
-def figure1_rows(message_set: MessageSet,
-                 capacity: float = DEFAULT_CAPACITY,
-                 technology_delay: float = DEFAULT_TECHNOLOGY_DELAY
-                 ) -> list[ClassBoundRow]:
-    """Deprecated wrapper around :meth:`PaperCaseStudy.figure1_rows`.
-
-    .. deprecated::
-        Construct a :class:`PaperCaseStudy` and call its
-        ``figure1_rows()`` method, or go through the bound-engine
-        registry (``repro.analysis.engines``) for policy-parametric,
-        cross-engine-comparable bounds.
-    """
-    warnings.warn(
-        "repro.analysis.figure1_rows() is deprecated; use "
-        "PaperCaseStudy(message_set).figure1_rows() or the bound-engine "
-        "registry (repro.analysis.engines)",
-        DeprecationWarning, stacklevel=2)
-    return PaperCaseStudy(message_set, capacity=capacity,
-                          technology_delay=technology_delay).figure1_rows()

@@ -18,17 +18,21 @@ transmission term is added.
 Because a flow's burst grows as it accumulates jitter upstream (a token
 bucket ``(b, r)`` delayed by at most ``D`` is constrained by
 ``(b + r D, r)`` downstream), the analysis optionally propagates bursts hop
-by hop (``burst_propagation=True``, the default).  Disabling it reproduces
-the paper's simpler single-hop accounting where original source bursts are
-used everywhere.
+by hop (``burst_propagation=True``, the default): the multiplexer formula
+is the per-port rule of the routed fixed-point core shared with every
+other multi-hop analysis (:mod:`repro.analysis.engines.iteration`), which
+iterates it until the inflated bursts settle.  Disabling it runs the rule
+once with the original source bursts everywhere, reproducing the paper's
+simpler single-hop accounting.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
+from repro.analysis.engines.iteration import (PortContext, route,
+                                              run_fixed_point)
 from repro.core.multiplexer import (
     FcfsMultiplexerAnalysis,
     MultiplexerBound,
@@ -194,8 +198,8 @@ class EndToEndAnalysis:
 
     # -- public API ---------------------------------------------------------
 
-    def analyze(self, flows: Iterable[Flow | Message],
-                *, max_iterations: int = 16) -> NetworkAnalysisResult:
+    def analyze(self, flows: Iterable[Flow | Message]
+                ) -> NetworkAnalysisResult:
         """Compute the end-to-end bound of every flow.
 
         Messages are routed automatically through the network; flows that
@@ -208,114 +212,60 @@ class EndToEndAnalysis:
         UnstableSystemError
             If some multiplexing point is overloaded.
         """
-        routed = self._route(flows)
-        if not routed:
-            return NetworkAnalysisResult(policy=self.policy)
-
-        # Upstream delay accumulated by each flow before each hop index.
-        upstream_delay: dict[str, list[float]] = {
-            flow.name: [0.0] * len(flow.hops()) for flow in routed}
-
-        hop_bounds: dict[str, list[HopBound]] = {}
-        for _ in range(max_iterations if self.burst_propagation else 1):
-            hop_bounds = self._single_pass(routed, upstream_delay)
-            new_upstream = self._accumulate_upstream(routed, hop_bounds)
-            if new_upstream == upstream_delay:
-                break
-            upstream_delay = new_upstream
+        states, ports = route(flows, self._route_flow, self._port)
+        if self.burst_propagation:
+            run_fixed_point(states, ports, self._port_bounds)
+        else:
+            for port in ports:
+                self._port_bounds(port)
 
         result = NetworkAnalysisResult(policy=self.policy)
-        for flow in routed:
-            result.flow_bounds.append(
-                FlowBound(flow=flow, hops=tuple(hop_bounds[flow.name])))
+        for state in states:
+            result.flow_bounds.append(FlowBound(flow=state.flow, hops=tuple(
+                HopBound(node=node, toward=toward,
+                         queuing_delay=bound.delay,
+                         propagation_delay=propagation,
+                         multiplexer_bound=bound)
+                for (node, toward), propagation, bound
+                in zip(state.hops, state.propagation, state.details))))
         return result
 
-    # -- internals ------------------------------------------------------------
+    # -- the per-port rule ----------------------------------------------------
 
-    def _route(self, flows: Iterable[Flow | Message]) -> list[Flow]:
-        routed: list[Flow] = []
-        for flow in flows:
-            if isinstance(flow, Message):
-                routed.append(self.network.route_flow(flow))
-            elif isinstance(flow, Flow):
-                routed.append(flow if flow.path
-                              else self.network.route_flow(flow))
-            else:
-                raise InvalidFlowError(
-                    f"cannot analyse a {type(flow).__name__}")
-        return routed
+    def _route_flow(self, flow: Flow | Message) -> Flow:
+        if not isinstance(flow, (Flow, Message)):
+            raise InvalidFlowError(
+                f"cannot analyse a {type(flow).__name__}")
+        return self.network.route_flow(flow)
 
-    def _multiplexer(self, node: str, toward: str):
-        """The analysis object for the egress port of ``node`` toward ``toward``."""
+    def _port(self, node: str, toward: str) -> tuple[float, float, float]:
         link = self.network.link(node, toward)
         if self.network.is_switch(node):
             technology_delay = self.network.technology_delay(node)
         else:
             technology_delay = self.station_technology_delay
-        if self.policy == "fcfs":
-            return FcfsMultiplexerAnalysis(
-                capacity=link.capacity, technology_delay=technology_delay)
-        return StrictPriorityMultiplexerAnalysis(
-            capacity=link.capacity, technology_delay=technology_delay)
+        return link.capacity, technology_delay, link.propagation_delay
 
-    def _single_pass(self, routed: Sequence[Flow],
-                     upstream_delay: dict[str, list[float]]
-                     ) -> dict[str, list[HopBound]]:
-        """Compute every hop bound given the current upstream-delay estimates."""
-        # Group (flow, hop index) pairs by directed hop.
-        per_port: dict[tuple[str, str], list[tuple[Flow, int]]] = defaultdict(list)
-        for flow in routed:
-            for index, (node, toward) in enumerate(flow.hops()):
-                per_port[(node, toward)].append((flow, index))
+    def _port_bounds(self, port: PortContext) -> None:
+        """The paper's multiplexer bound of every flow at one port.
 
-        # Per-port effective flow descriptions (burst possibly inflated).
-        port_bounds: dict[tuple[str, str], dict[str, MultiplexerBound]] = {}
-        for (node, toward), members in per_port.items():
-            multiplexer = self._multiplexer(node, toward)
-            effective = [
-                _EffectiveFlow.from_flow(
-                    flow,
-                    extra_burst=(flow.rate * upstream_delay[flow.name][index]
-                                 if self.burst_propagation else 0.0))
-                for flow, index in members]
-            if self.policy == "fcfs":
-                bound = multiplexer.bound(effective)
-                port_bounds[(node, toward)] = {
-                    flow.name: bound for flow, __ in members}
-            else:
-                class_bounds = multiplexer.class_bounds(effective)
-                port_bounds[(node, toward)] = {
-                    flow.name: class_bounds[flow.priority]
-                    for flow, __ in members}
-
-        hop_bounds: dict[str, list[HopBound]] = {}
-        for flow in routed:
-            bounds: list[HopBound] = []
-            for node, toward in flow.hops():
-                link = self.network.link(node, toward)
-                mux_bound = port_bounds[(node, toward)][flow.name]
-                bounds.append(HopBound(
-                    node=node, toward=toward,
-                    queuing_delay=mux_bound.delay,
-                    propagation_delay=link.propagation_delay,
-                    multiplexer_bound=mux_bound))
-            hop_bounds[flow.name] = bounds
-        return hop_bounds
-
-    @staticmethod
-    def _accumulate_upstream(routed: Sequence[Flow],
-                             hop_bounds: dict[str, list[HopBound]]
-                             ) -> dict[str, list[float]]:
-        """Upstream delay of every flow before each of its hops."""
-        upstream: dict[str, list[float]] = {}
-        for flow in routed:
-            acc = 0.0
-            delays = []
-            for hop in hop_bounds[flow.name]:
-                delays.append(acc)
-                acc += hop.total
-            upstream[flow.name] = delays
-        return upstream
+        Members keep the input flow order, so the multiplexer sums their
+        (possibly inflated) bursts in that order.  The FCFS multiplexer
+        reports its single bound under every class present.
+        """
+        analysis = (FcfsMultiplexerAnalysis if self.policy == "fcfs"
+                    else StrictPriorityMultiplexerAnalysis)
+        bounds = analysis(
+            capacity=port.capacity, technology_delay=port.technology_delay
+        ).class_bounds([_EffectiveFlow(name=state.name,
+                                       burst=state.burst_at(index),
+                                       rate=state.flow.rate,
+                                       priority=state.priority)
+                        for state, index in port.members])
+        for state, index in port.members:
+            bound = bounds[state.priority]
+            state.details[index] = bound
+            state.delays[index] = bound.delay
 
 
 @dataclass(frozen=True)
@@ -326,8 +276,3 @@ class _EffectiveFlow:
     burst: float
     rate: float
     priority: PriorityClass
-
-    @classmethod
-    def from_flow(cls, flow: Flow, extra_burst: float = 0.0) -> "_EffectiveFlow":
-        return cls(name=flow.name, burst=flow.burst + extra_burst,
-                   rate=flow.rate, priority=flow.priority)

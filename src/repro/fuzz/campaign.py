@@ -59,6 +59,7 @@ from repro.reporting import (
     yes_no,
 )
 from repro.store import ResultStore, canonical_json
+from repro.topology.graph import GraphTopologySpec
 from repro.topology.network import Network
 
 __all__ = [
@@ -569,21 +570,17 @@ def _evaluate_cell(cell: FuzzCell) -> FuzzOutcome:
     return outcome
 
 
-def _star_for_stations(stations: Sequence[str], capacity: float,
-                       technology_delay: float) -> Network:
-    """A star over arbitrary station names (replicas use ``-rk`` suffixes,
-    which the canonical builders do not know about)."""
-    return star_for_stations(stations, capacity, technology_delay)
-
-
-def _measure(cell: FuzzCell, runner: CampaignRunner
-             ) -> tuple[tuple[CampaignRow, ...], tuple[FuzzBoundRow, ...],
-                        tuple[FuzzPortRow, ...], int, int]:
+def _measure(cell: FuzzCell, runner: CampaignRunner) -> tuple[
+        tuple[tuple[CampaignRow, ...], tuple[FuzzBoundRow, ...],
+              tuple[FuzzPortRow, ...], int, int],
+        tuple[list, Network, GraphTopologySpec | None]]:
     """One full evaluation of a cell through the given campaign runner.
 
-    Returns ``(campaign_rows, bound_rows, port_rows, events_processed,
-    frames_dropped)``; everything is deterministic given the cell spec.
-    Legacy cells simulate on the shared star and compare against the
+    Returns ``((campaign_rows, bound_rows, port_rows, events_processed,
+    frames_dropped), (wire_messages, network, graph_spec))``: the
+    measurement, deterministic given the cell spec, and the inputs it
+    lowered the scenario to.  Legacy cells simulate on the shared star
+    (replicas use ``-rk`` station suffixes) and compare against the
     single-point wire-level bound; ``"graph"`` cells simulate on their
     routed topology and compare against the per-path and per-port bounds
     of :class:`GraphPathAnalysis`.
@@ -600,9 +597,9 @@ def _measure(cell: FuzzCell, runner: CampaignRunner
             scenario.technology_delay)
         network = graph_spec.to_network()
     else:
-        network = _star_for_stations(message_set.stations(),
-                                     scenario.capacity,
-                                     scenario.technology_delay)
+        network = star_for_stations(message_set.stations(),
+                                    scenario.capacity,
+                                    scenario.technology_delay)
     wire_messages = wire_level_messages(message_set)
 
     bound_rows: list[FuzzBoundRow] = []
@@ -651,34 +648,27 @@ def _measure(cell: FuzzCell, runner: CampaignRunner
             port_rows.append(FuzzPortRow(
                 policy=policy, node=node, toward=toward,
                 backlog_bound=bound_bits, observed_bits=observed))
-    return campaign_rows, tuple(bound_rows), tuple(port_rows), events, dropped
+    measurement = (campaign_rows, tuple(bound_rows), tuple(port_rows),
+                   events, dropped)
+    return measurement, (wire_messages, network, graph_spec)
 
 
 def _engine_rows(cell: FuzzCell, bound_rows: Iterable[FuzzBoundRow],
-                 engines: tuple[str, ...]) -> tuple[FuzzEngineRow, ...]:
+                 engines: tuple[str, ...],
+                 lowered: tuple[list, Network, GraphTopologySpec | None]
+                 ) -> tuple[FuzzEngineRow, ...]:
     """Bounds of every non-default engine against the cell's sim floor.
 
     The ``calculus`` engine *is* the floor of ``bound_rows`` (verified
     byte-identical by the cross-validation suite), so only the other
-    requested engines are evaluated here — on exactly the network the
-    simulator ran.
+    requested engines are evaluated here — on exactly the messages and
+    network :func:`_measure` lowered and simulated.
     """
     extra = [name for name in engines if name != DEFAULT_ENGINE]
     if not extra:
         return ()
     scenario = cell.scenario
-    message_set = scenario.workload.build()
-    wire_messages = wire_level_messages(message_set)
-    graph_spec = None
-    if scenario.topology.kind == "graph":
-        graph_spec = scenario.topology.build_graph(
-            scenario.workload.total_stations, scenario.capacity,
-            scenario.technology_delay)
-        network = graph_spec.to_network()
-    else:
-        network = star_for_stations(message_set.stations(),
-                                    scenario.capacity,
-                                    scenario.technology_delay)
+    wire_messages, network, graph_spec = lowered
     rows: list[FuzzEngineRow] = []
     floor = list(bound_rows)
     for name in extra:
@@ -747,13 +737,13 @@ def _compute_cell(cell: FuzzCell,
                   engines: tuple[str, ...] = DEFAULT_ENGINES) -> FuzzOutcome:
     """Evaluate one cell twice and check every invariant."""
     started = time.perf_counter()
-    first = _measure(cell, _memoized_runner())
+    first, lowered = _measure(cell, _memoized_runner())
     # Second evaluation from scratch: a fresh naive runner (no shared
     # cache, no arithmetic replication shortcuts) and a fresh simulator.
     # Byte-equality of the two measurements checks determinism *and* the
     # memoized-equals-naive contract in one comparison.
-    second = _measure(cell, CampaignRunner(memoize=False))
-    engine_rows = _engine_rows(cell, first[1], engines)
+    second, _ = _measure(cell, CampaignRunner(memoize=False))
+    engine_rows = _engine_rows(cell, first[1], engines, lowered)
     violations = _invariant_violations(first[0], first[1], first[2],
                                        engine_rows)
     first_json = canonical_json(_measurement_payload(*first))

@@ -33,11 +33,10 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro import units
-from repro.analysis.engines import DEFAULT_ENGINES, get_engine, resolve_engines
-from repro.analysis.multihop import GraphPathAnalysis
+from repro.analysis.engines import (DEFAULT_ENGINE, DEFAULT_ENGINES,
+                                   get_engine, resolve_engines)
 from repro.analysis.validation import star_for_message_set, wire_level_messages
 from repro.campaigns.scenario import TopologySpec
-from repro.core.endtoend import EndToEndAnalysis
 from repro.errors import ConfigurationError
 from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.exec import ExecPolicy, ExecutionReport, ParallelExecutor
@@ -489,39 +488,40 @@ class SimulationCampaign:
             labels=[_cell_label(cell) for cell in cells])
         result = MonteCarloResult(outcomes=report.ordered_results())
         result.exec_report = report
-        result.rows = self._aggregate(result.outcomes)
-        result.engine_rows = self._aggregate_engines(result.rows)
+        bounds = {factor: self._bounds_for(factor)
+                  for factor in self.size_factors}
+        result.rows = self._aggregate(result.outcomes, bounds)
+        result.engine_rows = self._aggregate_engines(result.rows, bounds)
         result.elapsed = time.perf_counter() - started
         return result
 
     # -- aggregation ---------------------------------------------------------
 
-    def _bounds_for(self, factor: int) -> dict[str, dict[PriorityClass, float]]:
-        """Analytic per-class bounds for one size factor, per policy."""
+    def _bounds_for(self, factor: int) -> dict[str, dict[str, dict]]:
+        """``{engine: {policy: {class: bound}}}`` for one size factor.
+
+        The factor's workload and network are lowered once; ``calculus``
+        (which the canonical rows validate) and every selected engine
+        bound them through the registry.
+        """
         context = self._context()
         message_set = _workload(context, factor)
-        analysis_messages = wire_level_messages(message_set)
-        bounds: dict[str, dict[PriorityClass, float]] = {}
+        messages = wire_level_messages(message_set)
         graph_spec = _graph_spec(context, factor)
         if graph_spec is not None:
-            for policy in self.policies:
-                analytic = GraphPathAnalysis(
-                    graph_spec, policy=policy).analyze(analysis_messages)
-                bounds[policy] = {
-                    cls: bound.delay
-                    for cls, bound in analytic.worst_per_class().items()}
-            return bounds
-        network = star_for_message_set(message_set, capacity=self.capacity,
-                                       technology_delay=self.technology_delay)
-        for policy in self.policies:
-            analysis = EndToEndAnalysis(network, policy=policy)
-            analytic = analysis.analyze(analysis_messages)
-            bounds[policy] = {
-                cls: bound.total_delay
-                for cls, bound in analytic.worst_per_class().items()}
-        return bounds
+            network = graph_spec.to_network()
+        else:
+            network = star_for_message_set(
+                message_set, capacity=self.capacity,
+                technology_delay=self.technology_delay)
+        return {name: {policy: get_engine(name).network_class_bounds(
+                           messages, policy, network=network,
+                           graph_spec=graph_spec)
+                       for policy in self.policies}
+                for name in dict.fromkeys(DEFAULT_ENGINES + self.engines)}
 
-    def _aggregate(self, outcomes: Iterable[CellOutcome]
+    def _aggregate(self, outcomes: Iterable[CellOutcome],
+                   bounds_per_factor: dict[int, dict]
                    ) -> list[MonteCarloRow]:
         """Fold the per-cell outcomes into per-configuration rows."""
         grouped: dict[tuple, list[CellOutcome]] = {}
@@ -529,8 +529,6 @@ class SimulationCampaign:
             cell = outcome.cell
             key = (cell.size_factor, cell.scenario, cell.policy)
             grouped.setdefault(key, []).append(outcome)
-        bounds_per_factor = {factor: self._bounds_for(factor)
-                             for factor in self.size_factors}
         rows: list[MonteCarloRow] = []
         for factor in self.size_factors:
             for scenario in self.scenarios:
@@ -538,7 +536,8 @@ class SimulationCampaign:
                     group = grouped.get((factor, scenario, policy), [])
                     if not group:
                         continue
-                    bounds = bounds_per_factor[factor][policy]
+                    bounds = bounds_per_factor[factor][
+                        DEFAULT_ENGINE][policy]
                     for cls in sorted(bounds):
                         samples = sum(
                             outcome.samples_per_class.get(cls, 0)
@@ -564,30 +563,8 @@ class SimulationCampaign:
                             samples=samples))
         return rows
 
-    def _engine_bounds_for(self, factor: int
-                           ) -> dict[str, dict[str, dict]]:
-        """``{engine: {policy: {class: bound}}}`` for one size factor."""
-        context = self._context()
-        message_set = _workload(context, factor)
-        analysis_messages = wire_level_messages(message_set)
-        graph_spec = _graph_spec(context, factor)
-        if graph_spec is not None:
-            network = graph_spec.to_network()
-        else:
-            network = star_for_message_set(
-                message_set, capacity=self.capacity,
-                technology_delay=self.technology_delay)
-        bounds: dict[str, dict[str, dict]] = {}
-        for name in self.engines:
-            engine = get_engine(name)
-            bounds[name] = {
-                policy: engine.network_class_bounds(
-                    analysis_messages, policy, network=network,
-                    graph_spec=graph_spec)
-                for policy in self.policies}
-        return bounds
-
-    def _aggregate_engines(self, rows: Iterable[MonteCarloRow]
+    def _aggregate_engines(self, rows: Iterable[MonteCarloRow],
+                           bounds_per_factor: dict[int, dict]
                            ) -> list[MonteCarloEngineRow]:
         """Validate every selected engine against the aggregated worsts.
 
@@ -597,8 +574,6 @@ class SimulationCampaign:
         """
         if self.engines == DEFAULT_ENGINES:
             return []
-        bounds_per_factor = {factor: self._engine_bounds_for(factor)
-                             for factor in self.size_factors}
         engine_rows: list[MonteCarloEngineRow] = []
         for row in rows:
             per_engine = bounds_per_factor[row.size_factor]

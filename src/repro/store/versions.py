@@ -192,18 +192,16 @@ def environment_token() -> str:
     """Digest of the compute environment the results depend on.
 
     A numpy upgrade can legitimately move floating-point results, so the
-    interpreter version and the numeric dependencies' versions are mixed
-    into every subsystem token — otherwise a store (or a CI cache) warmed
+    interpreter version and numpy's version are mixed into every
+    subsystem token — otherwise a store (or a CI cache) warmed
     under one environment would satisfy lookups under another and mask
     real drift.
     """
     import platform
 
-    import networkx
     import numpy
     parts = [f"python={platform.python_version()}",
-             f"numpy={numpy.__version__}",
-             f"networkx={networkx.__version__}"]
+             f"numpy={numpy.__version__}"]
     digest = hashlib.sha256("\n".join(parts).encode("utf-8"))
     return digest.hexdigest()
 

@@ -6,8 +6,8 @@ store-and-forward switches by full-duplex point-to-point links (no CSMA/CD,
 no collisions).  This package models that physical layout and computes the
 routes flows take through it.
 
-* :class:`~repro.topology.network.Network` — the topology graph (built on
-  networkx) with typed nodes (stations / switches) and attributed links
+* :class:`~repro.topology.network.Network` — the topology graph (a plain
+  adjacency map) with typed nodes (stations / switches) and attributed links
   (capacity, propagation delay), plus shortest-path routing,
 * :mod:`~repro.topology.builders` — canonical layouts used by the
   experiments: single-switch star (the paper's implicit architecture),

@@ -20,8 +20,6 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable
 
-import networkx as nx
-
 from repro.errors import InvalidTopologyError, RoutingError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
@@ -86,7 +84,8 @@ class Network:
 
     def __init__(self, name: str = "network") -> None:
         self.name = name
-        self._graph = nx.Graph()
+        #: ``{node: {neighbour: link}}``, both in insertion order.
+        self._adjacency: dict[str, dict[str, Link]] = {}
         self._kinds: dict[str, NodeKind] = {}
         self._technology_delay: dict[str, float] = {}
 
@@ -114,7 +113,7 @@ class Network:
             raise InvalidTopologyError("node name must not be empty")
         if name in self._kinds:
             raise InvalidTopologyError(f"duplicate node name {name!r}")
-        self._graph.add_node(name)
+        self._adjacency[name] = {}
         self._kinds[name] = kind
 
     def add_link(self, node_a: str, node_b: str, capacity: float,
@@ -123,12 +122,13 @@ class Network:
         for node in (node_a, node_b):
             if node not in self._kinds:
                 raise InvalidTopologyError(f"unknown node {node!r}")
-        if self._graph.has_edge(node_a, node_b):
+        if node_b in self._adjacency[node_a]:
             raise InvalidTopologyError(
                 f"link {node_a!r}-{node_b!r} already exists")
         link = Link(node_a=node_a, node_b=node_b, capacity=capacity,
                     propagation_delay=propagation_delay)
-        self._graph.add_edge(node_a, node_b, link=link)
+        self._adjacency[node_a][node_b] = link
+        self._adjacency[node_b][node_a] = link
         return link
 
     # -- inspection ---------------------------------------------------------
@@ -169,27 +169,37 @@ class Network:
 
     def link(self, node_a: str, node_b: str) -> Link:
         """The link between two adjacent nodes."""
-        data = self._graph.get_edge_data(node_a, node_b)
-        if data is None:
+        link = self._adjacency.get(node_a, {}).get(node_b)
+        if link is None:
             raise InvalidTopologyError(
                 f"no link between {node_a!r} and {node_b!r}")
-        return data["link"]
+        return link
 
     def links(self) -> list[Link]:
-        """Every link in the topology."""
-        return [data["link"] for __, __, data in self._graph.edges(data=True)]
+        """Every link in the topology, each once.
+
+        Links come in node insertion order, then neighbour insertion
+        order; the simulator builds its transmitters in this order.
+        """
+        links = []
+        visited: set[str] = set()
+        for node, neighbours in self._adjacency.items():
+            links.extend(link for neighbour, link in neighbours.items()
+                         if neighbour not in visited)
+            visited.add(node)
+        return links
 
     def neighbors(self, node: str) -> list[str]:
         """Sorted neighbours of ``node``."""
         if node not in self._kinds:
             raise InvalidTopologyError(f"unknown node {node!r}")
-        return sorted(self._graph.neighbors(node))
+        return sorted(self._adjacency[node])
 
     def degree(self, node: str) -> int:
         """Number of links attached to ``node``."""
         if node not in self._kinds:
             raise InvalidTopologyError(f"unknown node {node!r}")
-        return self._graph.degree(node)
+        return len(self._adjacency[node])
 
     # -- routing -----------------------------------------------------------
 
@@ -214,11 +224,15 @@ class Network:
             via=self.is_switch))
 
     def route_flow(self, flow: Flow | Message) -> Flow:
-        """Attach a route to a flow (or wrap a message into a routed flow)."""
+        """Attach a route to a flow (or wrap a message into a routed flow).
+
+        A flow that already carries a path keeps it.
+        """
         if isinstance(flow, Message):
             flow = Flow(message=flow)
-        path = self.route(flow.source, flow.destination)
-        return flow.with_path(path)
+        if flow.path:
+            return flow
+        return flow.with_path(self.route(flow.source, flow.destination))
 
     def route_flows(self, flows: Iterable[Flow | Message]) -> list[Flow]:
         """Route every flow of an iterable."""
@@ -242,7 +256,15 @@ class Network:
         """
         if not self._kinds:
             raise InvalidTopologyError("the topology has no node")
-        if not nx.is_connected(self._graph):
+        start = next(iter(self._adjacency))
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            for neighbour in self._adjacency[frontier.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        if len(reached) != len(self._adjacency):
             raise InvalidTopologyError("the topology is not connected")
         for station in self.stations:
             if self.degree(station) != 1:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro import Message, MessageSet, PaperCaseStudy, PriorityClass, units
-from repro.analysis import figure1_rows
 from repro.errors import EmptyAggregateError
 
 
@@ -54,45 +53,6 @@ class TestFigure1OnTheRealCase:
         assert deadlines[PriorityClass.URGENT] == pytest.approx(units.ms(3))
         assert deadlines[PriorityClass.PERIODIC] == pytest.approx(units.ms(20))
         assert deadlines[PriorityClass.BACKGROUND] is None
-
-    def test_convenience_wrapper_matches_the_class(self, real_case, study):
-        with pytest.warns(DeprecationWarning):
-            wrapper_rows = figure1_rows(real_case)
-        class_rows = study.figure1_rows()
-        assert [r.fcfs_bound for r in wrapper_rows] == \
-            [r.fcfs_bound for r in class_rows]
-
-
-class TestDeprecatedSurface:
-    """The pre-engine entry points keep working, warn, and stay
-    bit-identical to the policy-parametric surface they now wrap."""
-
-    def test_fcfs_class_bounds_warns_and_matches(self, real_case):
-        study = PaperCaseStudy(real_case)
-        with pytest.warns(DeprecationWarning, match="fcfs_class_bounds"):
-            legacy = study.fcfs_class_bounds()
-        assert legacy == study.class_bounds("fcfs")
-
-    def test_priority_class_bounds_warns_and_matches(self, real_case):
-        study = PaperCaseStudy(real_case)
-        with pytest.warns(DeprecationWarning,
-                          match="priority_class_bounds"):
-            legacy = study.priority_class_bounds()
-        assert legacy == study.class_bounds("strict-priority")
-
-    def test_figure1_rows_wrapper_warns_and_matches(self, real_case):
-        with pytest.warns(DeprecationWarning, match="figure1_rows"):
-            wrapper_rows = figure1_rows(real_case)
-        assert wrapper_rows == PaperCaseStudy(real_case).figure1_rows()
-
-    def test_new_surface_does_not_warn(self, real_case):
-        import warnings as _warnings
-        study = PaperCaseStudy(real_case)
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("error", DeprecationWarning)
-            study.class_bounds("fcfs")
-            study.class_bounds("strict-priority")
-            study.figure1_rows()
 
 
 class TestScalingBehaviour:
