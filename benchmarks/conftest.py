@@ -2,8 +2,13 @@
 
 Every benchmark regenerates one exhibit of the paper (see DESIGN.md's
 experiment index) on the seeded synthetic case study, prints the rows the
-paper reports and writes them to ``benchmarks/results/`` as both a text
-table and a CSV file, so they can be inspected or re-plotted afterwards.
+paper reports and writes them as both a text table and a CSV file, so
+they can be inspected or re-plotted afterwards.
+
+The tables land in the committed ``benchmarks/results/`` only when
+``REPRO_BENCH_UPDATE=1`` is set (the CI jobs that publish the benchmark
+trajectory set it); otherwise they go to a session temporary directory,
+so a plain test run leaves the working tree clean.
 """
 
 from __future__ import annotations
@@ -33,8 +38,12 @@ def _isolated_result_store(tmp_path_factory) -> None:
     """Keep benchmark runs from touching the checkout's result store."""
     os.environ[STORE_DIR_ENV] = str(tmp_path_factory.mktemp("repro-store"))
 
-#: Where the benchmark harness drops its tables and CSV files.
+#: Where the benchmark harness drops its tables and CSV files when
+#: :data:`UPDATE_ENV` is ``1``.
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
+
+#: Opt-in switch for rewriting the committed ``benchmarks/results/``.
+UPDATE_ENV = "REPRO_BENCH_UPDATE"
 
 
 @pytest.fixture(scope="session")
@@ -51,7 +60,10 @@ def small_case() -> MessageSet:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
+def results_dir(tmp_path_factory) -> Path:
+    """``benchmarks/results/`` if ``REPRO_BENCH_UPDATE=1``, else a tmp dir."""
+    if os.environ.get(UPDATE_ENV) != "1":
+        return tmp_path_factory.mktemp("bench-results")
     RESULTS_DIR.mkdir(exist_ok=True)
     return RESULTS_DIR
 

@@ -11,6 +11,12 @@ the same three-method surface:
 * ``class_bounds(scenario, policy)`` — per-priority-class worst-case
   delay bounds as an :class:`EngineResult`.
 
+``class_bounds`` also takes an optional ``inputs=`` — the
+:func:`scenario_inputs` lowering of the scenario — so a caller that
+evaluates several engines and policies on one scenario (the campaign
+runner's ``--engine`` sweep) lowers it once and every evaluation shares
+one :class:`~repro.topology.network.Network` and its route cache.
+
 Engines additionally expose ``network_class_bounds(messages, policy,
 network=..., graph_spec=...)`` for callers that already hold a concrete
 routed network (the fuzz and simulation layers), so the engine's math is
@@ -35,6 +41,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.flows.messages import Message
     from repro.topology.graph import GraphTopologySpec
     from repro.topology.network import Network
+
+    #: ``(wire messages, network, graph spec)`` — one lowered scenario.
+    ScenarioInputs = tuple[list[Message], Network, GraphTopologySpec | None]
 
 __all__ = [
     "EngineClassBound",
@@ -164,9 +173,15 @@ class BoundEngine(Protocol):
         """Whether the engine can bound ``scenario``."""
         ...  # pragma: no cover - protocol stub
 
-    def class_bounds(self, scenario: "Scenario",
-                     policy: str) -> EngineResult:
-        """Per-class worst-case delay bounds for one scenario/policy."""
+    def class_bounds(self, scenario: "Scenario", policy: str,
+                     inputs: "ScenarioInputs | None" = None
+                     ) -> EngineResult:
+        """Per-class worst-case delay bounds for one scenario/policy.
+
+        ``inputs`` is the scenario's :func:`scenario_inputs` lowering
+        when the caller already holds it; engines that do not use it
+        ignore it.
+        """
         ...  # pragma: no cover - protocol stub
 
 
@@ -176,8 +191,7 @@ def present_classes(messages: Iterable) -> list[PriorityClass]:
     return sorted({priority_of(message) for message in messages})
 
 
-def scenario_inputs(scenario: "Scenario"
-                    ) -> "tuple[list[Message], Network, GraphTopologySpec | None]":
+def scenario_inputs(scenario: "Scenario") -> "ScenarioInputs":
     """``(wire messages, network, graph spec)`` behind one scenario.
 
     This is the shared scenario-to-network lowering of every engine:
@@ -216,10 +230,17 @@ class ScenarioBoundEngine:
         """Every shipped engine handles every registered topology kind."""
         return True
 
-    def class_bounds(self, scenario: "Scenario",
-                     policy: str) -> EngineResult:
-        """Per-class bounds of one scenario/policy cell."""
-        wire_messages, network, graph_spec = scenario_inputs(scenario)
+    def class_bounds(self, scenario: "Scenario", policy: str,
+                     inputs: "ScenarioInputs | None" = None
+                     ) -> EngineResult:
+        """Per-class bounds of one scenario/policy cell.
+
+        The scenario is lowered here unless ``inputs`` already carries
+        its :func:`scenario_inputs`.
+        """
+        if inputs is None:
+            inputs = scenario_inputs(scenario)
+        wire_messages, network, graph_spec = inputs
         mapping = self.network_class_bounds(
             wire_messages, policy, network=network, graph_spec=graph_spec)
         return EngineResult.from_mapping(self.name, policy, mapping)

@@ -31,6 +31,7 @@ from repro.errors import EmptyAggregateError, UnstableSystemError
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.engines.base import ScenarioInputs
     from repro.campaigns.scenario import Scenario
     from repro.flows.messages import Message
     from repro.topology.graph import GraphTopologySpec
@@ -44,9 +45,15 @@ class CalculusEngine(ScenarioBoundEngine):
 
     name = "calculus"
 
-    def class_bounds(self, scenario: "Scenario",
-                     policy: str) -> EngineResult:
-        """Scenario-level bounds, identical to the campaign runner's rows."""
+    def class_bounds(self, scenario: "Scenario", policy: str,
+                     inputs: "ScenarioInputs | None" = None
+                     ) -> EngineResult:
+        """Scenario-level bounds, identical to the campaign runner's rows.
+
+        These are the scenario-level closed forms on the unsized
+        workload, not a bound on the lowered network, so ``inputs`` is
+        not used.
+        """
         from repro.core.multiplexer import aggregate_flows
 
         message_set = scenario.workload.build()

@@ -98,20 +98,20 @@ class HolisticEngine(ScenarioBoundEngine):
         for state, index in port.members:
             classes.setdefault(state.priority, []).append((state, index))
         for priority, members in classes.items():
-            delay = self._class_delay(port, priority, policy)
+            delay = self._class_delay(port, priority.value, policy)
             for state, index in members:
                 state.delays[index] = delay
 
-    def _class_delay(self, port: PortContext, priority: PriorityClass,
+    def _class_delay(self, port: PortContext, level: int,
                      policy: str) -> float:
-        """Busy-period delay of class ``priority`` at one port."""
+        """Busy-period delay of the class at priority ``level``."""
         work = 0.0
         rate = 0.0
         blocking = 0.0
         for state, index in port.members:
-            if policy == "fcfs" or state.priority.value <= priority.value:
+            if policy == "fcfs" or state.level <= level:
                 work += state.burst_at(index)
-                rate += state.flow.rate
+                rate += state.rate
             else:
                 blocking = max(blocking, state.burst_at(index))
         queuing = _busy_period(work + blocking, rate, port.capacity)

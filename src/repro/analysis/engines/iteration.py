@@ -27,6 +27,19 @@ rules of the loop:
 
 The core does not reorder flows: callers pass them in the order their
 rule sums bursts in, and every port lists its members in that order.
+Float addition is not associative, so a rule that summed the same
+members in another order (or subtracted its own term from a port total)
+would move bounds in the last bits and break the byte-identical
+goldens; every rule therefore accumulates in member order.
+
+The flows' token-bucket parameters and priority levels are copied onto
+each :class:`RoutedFlowState` once, when :func:`route` builds it.  The
+rules run once per member pair per pass, so they read those plain
+fields instead of going through ``Flow`` → ``Message`` properties and
+the priority enum on every access.  The copies are equal to the
+values the properties return, so every sum is unchanged.  Bursts only
+move between passes, so :func:`port_leftovers` also computes each
+member's inflated burst once per port rather than once per member pair.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.network import Network
 
 __all__ = ["RoutedFlowState", "PortContext", "route", "route_network",
-           "leftover_service", "run_fixed_point", "MAX_ITERATIONS"]
+           "port_leftovers", "run_fixed_point", "MAX_ITERATIONS"]
 
 #: Burst-inflation passes before the divergence check.
 MAX_ITERATIONS = 16
@@ -57,6 +70,14 @@ class RoutedFlowState:
 
     flow: Flow
     priority: PriorityClass
+    #: The flow's name, token-bucket rate ``r`` (bits per second) and
+    #: burst ``b`` (bits), and ``priority.value`` (0 = most urgent):
+    #: copies of the frozen flow's values, so the per-port rules read
+    #: plain attributes in their inner loops.
+    name: str
+    rate: float
+    burst: float
+    level: int
     hops: tuple[tuple[str, str], ...]
     #: Propagation delay of each hop's link.
     propagation: tuple[float, ...]
@@ -78,12 +99,7 @@ class RoutedFlowState:
         upstream = self.upstream[index]
         if math.isinf(upstream):
             return math.inf
-        return self.flow.burst + self.flow.rate * upstream
-
-    @property
-    def name(self) -> str:
-        """The routed flow's (message's) unique name."""
-        return self.flow.name
+        return self.burst + self.rate * upstream
 
 
 @dataclass(frozen=True)
@@ -119,7 +135,9 @@ def route(flows: Iterable, route_flow: Callable[[Any], Flow],
             if hop not in attributes:
                 attributes[hop] = port(*hop)
         state = RoutedFlowState(
-            flow=flow, priority=flow.priority, hops=hops,
+            flow=flow, priority=flow.priority, name=flow.name,
+            rate=flow.rate, burst=flow.burst, level=flow.priority.value,
+            hops=hops,
             propagation=tuple(attributes[hop][2] for hop in hops),
             upstream=[0.0] * len(hops), delays=[0.0] * len(hops),
             details=[None] * len(hops))
@@ -152,38 +170,48 @@ def route_network(network: "Network", messages: Iterable
                  network.route_flow, port)
 
 
-def leftover_service(port: PortContext, state: RoutedFlowState, index: int,
-                     policy: str) -> tuple[float, float, float]:
-    """Calculus left-over ``(rate, latency, delay)`` of a flow at a port.
+def port_leftovers(port: PortContext, policy: str
+                   ) -> list[tuple[float, float, float]]:
+    """Calculus left-over ``(rate, latency, delay)`` of every port member.
 
-    Every other flow at the port is cross traffic, except that under
-    strict priority a lower-priority flow only blocks non-preemptively
-    (its largest burst); the left-over is rate-latency with ``R = C -
-    r_cross`` and ``T = (C * t_techno + blocking + b_cross) / R``, and
-    the hop delay is ``T + b / R`` for the flow's inflated burst ``b``
-    (``inf`` when the port cannot serve the flow).
+    For each member, every other flow at the port is cross traffic,
+    except that under strict priority a lower-priority flow only blocks
+    non-preemptively (its largest burst); the left-over is rate-latency
+    with ``R = C - r_cross`` and ``T = (C * t_techno + blocking +
+    b_cross) / R``, and the hop delay is ``T + b / R`` for the flow's
+    inflated burst ``b`` (``inf`` when the port cannot serve the flow).
+    Results follow ``port.members``.  Bursts cannot change while a rule
+    runs, so each member's is computed once; the cross sums still add
+    the other members in member order.
     """
-    own = state.priority.value
-    cross_burst = 0.0
-    cross_rate = 0.0
-    blocking = 0.0
-    for other, other_index in port.members:
-        if other is state:
+    members = port.members
+    bursts = [state.burst_at(index) for state, index in members]
+    fifo = policy == "fcfs"
+    leftovers = []
+    for (state, _), burst in zip(members, bursts):
+        own = state.level
+        cross_burst = 0.0
+        cross_rate = 0.0
+        blocking = 0.0
+        for (other, _), other_burst in zip(members, bursts):
+            if other is state:
+                continue
+            if not fifo and other.level > own:
+                blocking = max(blocking, other_burst)
+                continue
+            cross_burst += other_burst
+            cross_rate += other.rate
+        rate = port.capacity - cross_rate
+        if rate <= 0.0 or math.isinf(cross_burst) or math.isinf(blocking):
+            leftovers.append((rate, math.inf, math.inf))
             continue
-        if policy != "fcfs" and other.priority.value > own:
-            blocking = max(blocking, other.burst_at(other_index))
-            continue
-        cross_burst += other.burst_at(other_index)
-        cross_rate += other.flow.rate
-    rate = port.capacity - cross_rate
-    if rate <= 0.0 or math.isinf(cross_burst) or math.isinf(blocking):
-        return rate, math.inf, math.inf
-    latency = (port.capacity * port.technology_delay + blocking
-               + cross_burst) / rate
-    burst = state.burst_at(index)
-    if math.isinf(burst) or state.flow.rate > rate:
-        return rate, latency, math.inf
-    return rate, latency, latency + burst / rate
+        latency = (port.capacity * port.technology_delay + blocking
+                   + cross_burst) / rate
+        if math.isinf(burst) or state.rate > rate:
+            leftovers.append((rate, latency, math.inf))
+        else:
+            leftovers.append((rate, latency, latency + burst / rate))
+    return leftovers
 
 
 def _accumulate(states: Iterable[RoutedFlowState]

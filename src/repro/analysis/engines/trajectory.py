@@ -41,7 +41,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              leftover_service, route_network,
+                                              port_leftovers, route_network,
                                               run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
@@ -102,9 +102,9 @@ class TrajectoryEngine(ScenarioBoundEngine):
         monotone; the segment concatenation below only sharpens the
         final composition, never the iterated state.
         """
-        for state, index in port.members:
-            state.delays[index] = leftover_service(port, state, index,
-                                                   policy)[2]
+        for (state, index), (_, _, delay) in zip(
+                port.members, port_leftovers(port, policy)):
+            state.delays[index] = delay
 
     # -- final composition ---------------------------------------------------
 
@@ -136,19 +136,19 @@ class TrajectoryEngine(ScenarioBoundEngine):
             total_latency += segment_latency
             slowest_segment = min(slowest_segment, segment_rate)
             start = stop + 1
-        if state.flow.rate > slowest_segment:
+        if state.rate > slowest_segment:
             return math.inf
 
         # Store-and-forward: each relaying hop re-serialises the burst.
         packetisation = 0.0
         for leftover in leftovers[:-1]:
             local_rate = leftover.rate - sum(
-                other.flow.rate for other, _ in leftover.members)
+                other.rate for other, _ in leftover.members)
             if local_rate <= 0:
                 return math.inf
-            packetisation += state.flow.burst / local_rate
+            packetisation += state.burst / local_rate
         propagation = sum(state.propagation)
-        return (total_latency + state.flow.burst / slowest_segment
+        return (total_latency + state.burst / slowest_segment
                 + packetisation + propagation)
 
     def _hop_leftover(self, port: PortContext, state: RoutedFlowState,
@@ -158,17 +158,17 @@ class TrajectoryEngine(ScenarioBoundEngine):
         higher_burst = 0.0
         blocking = 0.0
         companions: list[tuple[RoutedFlowState, int]] = []
+        level = state.level
         for other, other_index in port.members:
             if other is state:
                 continue
-            if policy == "fcfs" or \
-                    other.priority.value == state.priority.value:
+            if policy == "fcfs" or other.level == level:
                 companions.append((other, other_index))
-            elif other.priority.value < state.priority.value:
+            elif other.level < level:
                 burst = other.burst_at(other_index)
                 if not math.isfinite(burst):
                     return None
-                higher_rate += other.flow.rate
+                higher_rate += other.rate
                 higher_burst += burst
             else:
                 blocking = max(blocking, other.burst_at(other_index))
@@ -195,8 +195,7 @@ class TrajectoryEngine(ScenarioBoundEngine):
         rate = min(leftover.rate for leftover in segment)
         latency = sum(leftover.latency for leftover in segment)
         entrance = segment[0]
-        companion_rate = sum(other.flow.rate
-                             for other, _ in entrance.members)
+        companion_rate = sum(other.rate for other, _ in entrance.members)
         companion_burst = 0.0
         for other, other_index in entrance.members:
             burst = other.burst_at(other_index)

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              leftover_service, route,
+                                              port_leftovers, route,
                                               run_fixed_point)
 from repro.errors import ConfigurationError, EmptyAggregateError
 from repro.flows.flow import Flow
@@ -210,7 +210,7 @@ class GraphPathAnalysis:
                     delay=state.delays[index],
                     propagation=state.propagation[index]))
             flow_bounds.append(PathFlowBound(
-                name=state.flow.name, priority=state.priority,
+                name=state.name, priority=state.priority,
                 path=tuple(state.flow.path),
                 switches=sum(1 for node in state.flow.path
                              if self.spec.is_switch(node)),
@@ -230,9 +230,8 @@ class GraphPathAnalysis:
 
     def _leftover(self, port: PortContext) -> None:
         """Left-over service and delay of every flow at one port."""
-        for state, index in port.members:
-            rate, latency, delay = leftover_service(port, state, index,
-                                                    self.policy)
+        for (state, index), (rate, latency, delay) in zip(
+                port.members, port_leftovers(port, self.policy)):
             state.details[index] = (rate, latency)
             state.delays[index] = delay
 
@@ -252,12 +251,11 @@ class GraphPathAnalysis:
         if any(math.isinf(hop.delay) for hop in hops):
             return math.inf
         min_rate = min(hop.rate for hop in hops)
-        if min_rate <= 0.0 or state.flow.rate > min_rate:
+        if min_rate <= 0.0 or state.rate > min_rate:
             return math.inf
-        packetisation = sum(state.flow.burst / hop.rate
-                            for hop in hops[:-1])
+        packetisation = sum(state.burst / hop.rate for hop in hops[:-1])
         return sum(hop.latency for hop in hops) + packetisation \
-            + state.flow.burst / min_rate \
+            + state.burst / min_rate \
             + sum(hop.propagation for hop in hops)
 
     def _backlogs(self, ports: list[PortContext]
@@ -277,7 +275,7 @@ class GraphPathAnalysis:
             members = members_at.get((node, toward), ())
             link = self.spec.edge(node, toward)
             latency0 = self.spec.technology_delay(node)
-            total_rate = sum(member.flow.rate for member, _ in members)
+            total_rate = sum(member.rate for member, _ in members)
             total_burst = sum(member.burst_at(index)
                               for member, index in members)
             if total_rate > link.rate or math.isinf(total_burst):
@@ -309,16 +307,17 @@ class GraphPathAnalysis:
                          key=lambda priority: priority.value)
         backlogs: dict[PriorityClass, float] = {}
         for priority in present:
+            level = priority.value
             own_burst = own_rate = 0.0
             cross_burst = cross_rate = 0.0
             blocking = 0.0
             for member, index in members:
-                if self.policy == "fcfs" or member.priority is priority:
+                if self.policy == "fcfs" or member.level == level:
                     own_burst += member.burst_at(index)
-                    own_rate += member.flow.rate
-                elif member.priority.value < priority.value:
+                    own_rate += member.rate
+                elif member.level < level:
                     cross_burst += member.burst_at(index)
-                    cross_rate += member.flow.rate
+                    cross_rate += member.rate
                 else:
                     blocking = max(blocking, member.burst_at(index))
             rate = capacity - cross_rate

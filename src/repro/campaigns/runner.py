@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Iterable
 
 from repro.analysis.engines import (DEFAULT_ENGINES, EngineSpec, get_engine,
-                                    resolve_engines)
+                                    resolve_engines, scenario_inputs)
 from repro.campaigns.cache import (
     AnalysisCache,
     CacheStats,
@@ -473,17 +473,19 @@ class CampaignRunner:
         calculus bounds); a non-default selection evaluates each engine
         — including ``calculus``, so the comparison table is complete —
         through the :class:`~repro.analysis.engines.base.BoundEngine`
-        scenario interface.
+        scenario interface.  The scenario is lowered once and every
+        engine × policy evaluation shares that network and its routes.
         """
         if self.engines == DEFAULT_ENGINES:
             return []
+        inputs = scenario_inputs(scenario)
         rows: list[CampaignEngineRow] = []
         for name in self.engines:
             engine = get_engine(name)
             if not engine.supports(scenario):
                 continue
             for policy in scenario.policies:
-                result = engine.class_bounds(scenario, policy)
+                result = engine.class_bounds(scenario, policy, inputs=inputs)
                 for bound in result.bounds:
                     rows.append(CampaignEngineRow(
                         scenario=scenario.name,

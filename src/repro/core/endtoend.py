@@ -259,7 +259,7 @@ class EndToEndAnalysis:
             capacity=port.capacity, technology_delay=port.technology_delay
         ).class_bounds([_EffectiveFlow(name=state.name,
                                        burst=state.burst_at(index),
-                                       rate=state.flow.rate,
+                                       rate=state.rate,
                                        priority=state.priority)
                         for state, index in port.members])
         for state, index in port.members:

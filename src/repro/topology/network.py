@@ -11,7 +11,10 @@ Routing picks the lexicographically smallest shortest path (hop count),
 so route choice is deterministic by value even on cyclic graph
 topologies where several shortest paths tie; for the single-switch star
 used by the paper the route is trivially ``station → switch → station``.
-Intermediate hops are always switches — stations never relay.
+Intermediate hops are always switches — stations never relay.  Routes
+are computed once per destination (a shared
+:class:`~repro.topology.routing.DestinationRouter`) and the cache is
+dropped whenever a node or link is added.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Iterable
 from repro.errors import InvalidTopologyError, RoutingError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
-from repro.topology.routing import lexicographic_shortest_path
+from repro.topology.routing import DestinationRouter
 
 __all__ = ["NodeKind", "Link", "Network"]
 
@@ -88,6 +91,9 @@ class Network:
         self._adjacency: dict[str, dict[str, Link]] = {}
         self._kinds: dict[str, NodeKind] = {}
         self._technology_delay: dict[str, float] = {}
+        #: Per-destination route cache; ``None`` until the first route
+        #: and again after every topology change.
+        self._router: DestinationRouter | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -115,6 +121,7 @@ class Network:
             raise InvalidTopologyError(f"duplicate node name {name!r}")
         self._adjacency[name] = {}
         self._kinds[name] = kind
+        self._router = None
 
     def add_link(self, node_a: str, node_b: str, capacity: float,
                  propagation_delay: float = 0.0) -> Link:
@@ -129,6 +136,7 @@ class Network:
                     propagation_delay=propagation_delay)
         self._adjacency[node_a][node_b] = link
         self._adjacency[node_b][node_a] = link
+        self._router = None
         return link
 
     # -- inspection ---------------------------------------------------------
@@ -218,10 +226,12 @@ class Network:
         for node in (source, destination):
             if node not in self._kinds:
                 raise RoutingError(f"unknown node {node!r}")
-        successors = {name: self.neighbors(name) for name in self._kinds}
-        return list(lexicographic_shortest_path(
-            sorted(self._kinds), successors, source, destination,
-            via=self.is_switch))
+        if self._router is None:
+            self._router = DestinationRouter(
+                {name: sorted(neighbours)
+                 for name, neighbours in self._adjacency.items()},
+                via=frozenset(self.switches).__contains__)
+        return list(self._router.path(source, destination))
 
     def route_flow(self, flow: Flow | Message) -> Flow:
         """Attach a route to a flow (or wrap a message into a routed flow).

@@ -14,8 +14,12 @@ minimal-cost paths, pick the one whose node-name sequence is smallest.
 :func:`lexicographic_shortest_path` implements it with a backward
 Dijkstra (exact distances to the destination) followed by a greedy
 forward walk that always takes the smallest next hop still on a shortest
-path; :class:`RoutingEngine` wraps it for :class:`GraphTopologySpec`
-objects and adds ECMP enumeration plus reachability diagnostics.
+path.  The backward Dijkstra depends only on the destination, so
+:class:`DestinationRouter` memoizes it per destination over one fixed
+graph: every later route toward that destination costs one greedy walk.
+Both routing front ends share it — :class:`RoutingEngine` (for
+:class:`GraphTopologySpec` objects, adding ECMP enumeration plus
+reachability diagnostics) and :class:`~repro.topology.network.Network`.
 
 Two structural rules are enforced during the search:
 
@@ -28,18 +32,30 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import RoutingError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
 from repro.topology.graph import GraphLink, GraphTopologySpec
 
-__all__ = ["RoutingEngine", "lexicographic_shortest_path",
+__all__ = ["DestinationRouter", "RoutingEngine",
+           "lexicographic_shortest_path", "predecessor_map",
            "shortest_path_dag_costs"]
 
 #: Default cap on the number of equal-cost paths ECMP enumeration returns.
 DEFAULT_ECMP_LIMIT = 64
+
+
+def predecessor_map(nodes: Iterable[str],
+                    successors: Mapping[str, Iterable[str]]
+                    ) -> dict[str, list[str]]:
+    """The reversed adjacency, each list in sorted node order."""
+    predecessors: dict[str, list[str]] = defaultdict(list)
+    for node in sorted(nodes):
+        for successor in successors.get(node, ()):
+            predecessors[successor].append(node)
+    return predecessors
 
 
 def shortest_path_dag_costs(nodes: Iterable[str],
@@ -47,6 +63,8 @@ def shortest_path_dag_costs(nodes: Iterable[str],
                             destination: str,
                             cost: Callable[[str, str], float] | None = None,
                             via: Callable[[str], bool] | None = None,
+                            predecessors: Mapping[str, Sequence[str]]
+                            | None = None,
                             ) -> dict[str, float]:
     """Exact minimal cost from every node to ``destination``.
 
@@ -55,14 +73,14 @@ def shortest_path_dag_costs(nodes: Iterable[str],
     is always allowed); nodes that cannot reach the destination are
     absent from the returned mapping.  Costs are combined with plain
     float addition in a fixed order, so equal inputs give bit-equal
-    distances everywhere.
+    distances everywhere.  ``predecessors`` may carry the
+    :func:`predecessor_map` of the graph; callers computing many
+    destinations build it once.
     """
     if cost is None:
         cost = _unit_cost
-    predecessors: dict[str, list[str]] = defaultdict(list)
-    for node in sorted(nodes):
-        for successor in successors.get(node, ()):
-            predecessors[successor].append(node)
+    if predecessors is None:
+        predecessors = predecessor_map(nodes, successors)
 
     distances: dict[str, float] = {}
     queue: list[tuple[float, str]] = [(0.0, destination)]
@@ -117,9 +135,9 @@ def lexicographic_shortest_path(nodes: Iterable[str],
         remaining = distances[node]
         candidates = [
             successor for successor in successors.get(node, ())
-            if (successor == destination or via is None or via(successor))
-            and successor in distances
-            and cost(node, successor) + distances[successor] == remaining]
+            if successor in distances
+            and cost(node, successor) + distances[successor] == remaining
+            and (successor == destination or via is None or via(successor))]
         # Dijkstra computed ``remaining`` as the minimum of exactly these
         # sums, so at least one candidate matches bit-for-bit.
         node = min(candidates)
@@ -129,6 +147,64 @@ def lexicographic_shortest_path(nodes: Iterable[str],
 
 def _unit_cost(_source: str, _target: str) -> float:
     return 1.0
+
+
+class DestinationRouter:
+    """Lexicographic shortest paths over one fixed graph, cached.
+
+    Each destination's :func:`shortest_path_dag_costs` runs once, on
+    first use, and each ``(source, destination)`` pair's greedy walk
+    runs once; repeated routes are dictionary lookups.  The graph must
+    not change while the router lives — owners whose graph can grow
+    (:class:`~repro.topology.network.Network`) drop their router on
+    every mutation.
+
+    Parameters
+    ----------
+    successors:
+        Directed adjacency ``{node: neighbours}`` over every node.
+    cost / via:
+        As in :func:`lexicographic_shortest_path`.
+    """
+
+    def __init__(self, successors: Mapping[str, Sequence[str]],
+                 cost: Callable[[str, str], float] | None = None,
+                 via: Callable[[str], bool] | None = None) -> None:
+        self.nodes = tuple(sorted(successors))
+        self.successors = successors
+        self.cost = cost if cost is not None else _unit_cost
+        self.via = via
+        self._predecessors = predecessor_map(self.nodes, successors)
+        self._distances: dict[str, dict[str, float]] = {}
+        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
+
+    def distances_to(self, destination: str) -> dict[str, float]:
+        """Minimal cost from every node that can reach ``destination``."""
+        distances = self._distances.get(destination)
+        if distances is None:
+            distances = self._distances[destination] = \
+                shortest_path_dag_costs(self.nodes, self.successors,
+                                        destination, cost=self.cost,
+                                        via=self.via,
+                                        predecessors=self._predecessors)
+        return distances
+
+    def path(self, source: str, destination: str) -> tuple[str, ...]:
+        """The lexicographically smallest minimal-cost path.
+
+        Raises
+        ------
+        RoutingError
+            If no path exists from ``source`` to ``destination``.
+        """
+        path = self._paths.get((source, destination))
+        if path is None:
+            path = self._paths[(source, destination)] = \
+                lexicographic_shortest_path(
+                    self.nodes, self.successors, source, destination,
+                    cost=self.cost, via=self.via,
+                    distances=self.distances_to(destination))
+        return path
 
 
 class RoutingEngine:
@@ -156,9 +232,11 @@ class RoutingEngine:
         spec.validated(connected=False)
         self.spec = spec
         self.weight = weight
-        self._successors = spec.successors()
-        self._nodes = tuple(sorted(self._successors))
-        self._distance_cache: dict[str, dict[str, float]] = {}
+        self._relay_allowed = frozenset(spec.switches).__contains__
+        self._router = DestinationRouter(
+            spec.successors(),
+            cost=None if weight == "hops" else self.cost,
+            via=self._relay_allowed)
 
     # -- cost model --------------------------------------------------------
 
@@ -178,21 +256,11 @@ class RoutingEngine:
 
     # -- routing -----------------------------------------------------------
 
-    def _relay_allowed(self, node: str) -> bool:
-        return self.spec.is_switch(node)
-
-    def _distances_to(self, destination: str) -> dict[str, float]:
-        if destination not in self._distance_cache:
-            self._distance_cache[destination] = shortest_path_dag_costs(
-                self._nodes, self._successors, destination,
-                cost=self.cost, via=self._relay_allowed)
-        return self._distance_cache[destination]
-
     def has_route(self, source: str, destination: str) -> bool:
         """True when at least one route exists."""
         self.spec.node(source), self.spec.node(destination)
         return source == destination \
-            or source in self._distances_to(destination)
+            or source in self._router.distances_to(destination)
 
     def shortest_path(self, source: str, destination: str) -> tuple[str, ...]:
         """The lexicographically smallest minimal-cost route.
@@ -203,10 +271,7 @@ class RoutingEngine:
         forwarding tables the simulator builds.
         """
         self.spec.node(source), self.spec.node(destination)
-        return lexicographic_shortest_path(
-            self._nodes, self._successors, source, destination,
-            cost=self.cost, via=self._relay_allowed,
-            distances=self._distances_to(destination))
+        return self._router.path(source, destination)
 
     def ecmp_paths(self, source: str, destination: str,
                    limit: int | None = DEFAULT_ECMP_LIMIT
@@ -221,7 +286,8 @@ class RoutingEngine:
         self.spec.node(source), self.spec.node(destination)
         if source == destination:
             return ((source,),)
-        distances = self._distances_to(destination)
+        distances = self._router.distances_to(destination)
+        successors = self._router.successors
         if source not in distances:
             raise RoutingError(
                 f"no path between {source!r} and {destination!r}")
@@ -234,7 +300,7 @@ class RoutingEngine:
                 paths.append(tuple(prefix))
                 return
             remaining = distances[node]
-            for successor in self._successors.get(node, ()):
+            for successor in successors.get(node, ()):
                 if successor != destination and not self._relay_allowed(
                         successor):
                     continue
@@ -285,7 +351,7 @@ class RoutingEngine:
         problems = []
         end_systems = self.spec.end_systems
         for source in end_systems:
-            distances = self._distances_to(source)
+            distances = self._router.distances_to(source)
             for other in end_systems:
                 if other != source and other not in distances:
                     problems.append(

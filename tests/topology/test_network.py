@@ -129,6 +129,33 @@ class TestRouting:
         assert isinstance(flow, Flow)
         assert flow.path == ("a", "sw", "c")
 
+    def test_topology_changes_drop_cached_routes(self):
+        """Routes are cached per destination; every mutation drops them."""
+        network = Network("cache")
+        for name in ("sw-a", "sw-c", "sw-d"):
+            network.add_switch(name)
+        for station, switch in (("a", "sw-a"), ("b", "sw-d")):
+            network.add_station(station)
+            network.add_link(station, switch, capacity=units.mbps(10))
+        network.add_link("sw-a", "sw-c", capacity=units.mbps(10))
+        network.add_link("sw-c", "sw-d", capacity=units.mbps(10))
+        assert network.route("a", "b") == ["a", "sw-a", "sw-c", "sw-d", "b"]
+
+        # An equal-length detour through a smaller switch name now wins.
+        network.add_switch("sw-b")
+        network.add_link("sw-a", "sw-b", capacity=units.mbps(10))
+        network.add_link("sw-b", "sw-d", capacity=units.mbps(10))
+        assert network.route("a", "b") == ["a", "sw-a", "sw-b", "sw-d", "b"]
+
+        # A newly attached station is reachable at once.
+        network.add_station("c")
+        network.add_link("c", "sw-d", capacity=units.mbps(10))
+        assert network.route("a", "c") == ["a", "sw-a", "sw-b", "sw-d", "c"]
+
+        # A shortcut link shortens the cached route.
+        network.add_link("sw-a", "sw-d", capacity=units.mbps(10))
+        assert network.route("a", "b") == ["a", "sw-a", "sw-d", "b"]
+
     def test_route_flows_routes_every_flow(self):
         network = small_network()
         messages = [

@@ -262,6 +262,32 @@ def test_diamond_tie_breaks_via_the_smaller_switch_name():
         ("station-00", "sw-a", "sw-c", "sw-d", "station-05"))
 
 
+#: Seeded families for the Network/RoutingEngine agreement check: the
+#: cyclic ones are where equal-length routes tie and the tie-break rule
+#: decides.
+AGREEMENT_SPECS = (
+    [diamond_graph_spec(count) for count in (4, 7, 12)]
+    + [ring_graph_spec(count, switch_count=switches)
+       for count, switches in ((6, 3), (9, 4), (12, 6))]
+    + [random_graph_spec(count, switch_count=switches, extra_links=extra,
+                         seed=seed)
+       for seed in range(8)
+       for count, switches, extra in ((7, 4, 2), (10, 6, 4))])
+
+
+@pytest.mark.parametrize(
+    "spec", AGREEMENT_SPECS,
+    ids=[f"{spec.name}-{len(spec.end_systems)}es-{index}"
+         for index, spec in enumerate(AGREEMENT_SPECS)])
+def test_network_and_routing_engine_pick_the_same_route(spec):
+    """Both routing front ends apply one lexicographic rule."""
+    network = spec.to_network()
+    engine = RoutingEngine(spec)
+    for source, destination in permutations(spec.end_systems, 2):
+        assert network.route(source, destination) == \
+            list(engine.shortest_path(source, destination))
+
+
 def test_lexicographic_helper_handles_source_equals_destination():
     assert lexicographic_shortest_path(
         ("a",), {"a": ()}, "a", "a") == ("a",)
