@@ -22,7 +22,7 @@ def main() -> None:
     network = star_for_message_set(message_set)
     print(f"Topology: {len(network.stations)} stations around "
           f"{len(network.switches)} switch, "
-          f"{len(network.links())} full-duplex 10 Mbps links\n")
+          f"{len(network.spec.links)} full-duplex 10 Mbps links\n")
 
     # Raw simulation results for the strict-priority policy -----------------
     simulator = EthernetNetworkSimulator(network, message_set.messages,

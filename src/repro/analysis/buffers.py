@@ -86,9 +86,7 @@ def buffer_requirements(message_set: MessageSet,
         aggregate = TokenBucketArrivalCurve(
             bucket=sum(f.burst for f in members),
             token_rate=sum(f.rate for f in members))
-        service = RateLatencyServiceCurve(rate=link.capacity, delay=latency) \
-            if latency > 0 else RateLatencyServiceCurve(rate=link.capacity,
-                                                        delay=0.0)
+        service = RateLatencyServiceCurve(rate=link.rate, delay=latency)
         requirements.append(PortBufferRequirement(
             node=node, toward=toward, flow_count=len(members),
             backlog_bits=backlog_bound(aggregate, service)))

@@ -15,7 +15,7 @@ the same three-method surface:
 :func:`scenario_inputs` lowering of the scenario — so a caller that
 evaluates several engines and policies on one scenario (the campaign
 runner's ``--engine`` sweep) lowers it once and every evaluation shares
-one :class:`~repro.topology.network.Network` and its route cache.
+one :class:`~repro.topology.network.Network` and its routing engine.
 
 Engines additionally expose ``network_class_bounds(messages, policy,
 network=..., graph_spec=...)`` for callers that already hold a concrete

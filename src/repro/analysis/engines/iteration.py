@@ -164,7 +164,7 @@ def route_network(network: "Network", messages: Iterable
         link = network.link(node, toward)
         technology_delay = (network.technology_delay(node)
                             if network.is_switch(node) else 0.0)
-        return link.capacity, technology_delay, link.propagation_delay
+        return link.rate, technology_delay, link.latency
 
     return route(sorted(messages, key=lambda message: message.name),
                  network.route_flow, port)

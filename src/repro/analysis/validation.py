@@ -31,6 +31,7 @@ from repro.flows.message_set import MessageSet
 from repro.flows.messages import Message
 from repro.flows.priorities import PriorityClass
 from repro.topology.builders import single_switch_star
+from repro.topology.graph import GraphLink, GraphNode, GraphTopologySpec
 from repro.topology.network import Network
 
 __all__ = [
@@ -108,14 +109,13 @@ def star_for_stations(stations: "list[str] | tuple[str, ...]",
     network behind every fuzz cell and the star path of the bound
     engines.
     """
-    network = Network(name=f"fuzz-star-{len(stations)}")
-    network.add_switch("switch-0", technology_delay=technology_delay)
-    for station in stations:
-        network.add_station(station)
-        network.add_link(station, "switch-0", capacity=capacity,
-                         propagation_delay=0.0)
-    network.validate()
-    return network
+    nodes = [GraphNode("switch-0", "switch",
+                       technology_delay=float(technology_delay))]
+    nodes.extend(GraphNode(station, "end-system") for station in stations)
+    links = tuple(GraphLink(station, "switch-0", rate=capacity)
+                  for station in stations)
+    return GraphTopologySpec(name=f"fuzz-star-{len(stations)}",
+                             nodes=tuple(nodes), links=links).to_network()
 
 
 def validate_bounds(message_set: MessageSet,

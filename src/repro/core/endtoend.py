@@ -244,7 +244,7 @@ class EndToEndAnalysis:
             technology_delay = self.network.technology_delay(node)
         else:
             technology_delay = self.station_technology_delay
-        return link.capacity, technology_delay, link.propagation_delay
+        return link.rate, technology_delay, link.latency
 
     def _port_bounds(self, port: PortContext) -> None:
         """The paper's multiplexer bound of every flow at one port.

@@ -118,7 +118,6 @@ class EthernetNetworkSimulator:
         if scenario not in ("synchronized", "staggered", "random"):
             raise ConfigurationError(
                 f"unknown scenario {scenario!r}")
-        network.validate()
         self.network = network
         self.policy = policy
         self.scenario = scenario
@@ -163,16 +162,15 @@ class EthernetNetworkSimulator:
                 technology_delay=self.network.technology_delay(name),
                 trace=self.trace)
 
-        # One transmitter per direction of every link.
-        for link in self.network.links():
-            for upstream, downstream in ((link.node_a, link.node_b),
-                                         (link.node_b, link.node_a)):
+        # One transmitter per directed edge of the topology.
+        for link in self.network.spec.links:
+            for upstream, downstream in link.directions:
                 receiver = self._receiver_for(downstream)
                 transmitter = LinkTransmitter(
                     simulator=self.simulator,
                     name=f"{upstream}->{downstream}",
-                    capacity=link.capacity,
-                    propagation_delay=link.propagation_delay,
+                    capacity=link.rate,
+                    propagation_delay=link.latency,
                     queue=self._make_queue(),
                     deliver=receiver,
                     trace=self.trace)

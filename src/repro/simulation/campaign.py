@@ -50,7 +50,7 @@ from repro.reporting import (
     yes_no,
 )
 from repro.store import ResultStore
-from repro.topology.graph import GraphTopologySpec, graph_spec_from_network
+from repro.topology.graph import GraphTopologySpec
 from repro.workloads import RealCaseParameters, generate_real_case
 
 __all__ = [
@@ -624,9 +624,9 @@ def _graph_spec(context: dict, factor: int) -> GraphTopologySpec | None:
         return topology.build_graph(
             stations, capacity=context["capacity"],
             technology_delay=context["technology_delay"])
-    return graph_spec_from_network(topology.build(
+    return topology.build(
         stations, capacity=context["capacity"],
-        technology_delay=context["technology_delay"]))
+        technology_delay=context["technology_delay"]).spec
 
 
 def _workload(context: dict, factor: int) -> MessageSet:

@@ -3,25 +3,25 @@
 The paper's implicit architecture is a **single-switch star**: every station
 is attached to one Full-Duplex Switched Ethernet switch by a 10 Mbps link.
 The builders below create that layout plus two natural extensions (dual
-switch and tree) used by the scalability/ablation experiments.
+switch and tree) used by the scalability/ablation experiments.  Each one
+declares a :class:`~repro.topology.graph.GraphTopologySpec` and returns
+its :class:`~repro.topology.network.Network` view.
 """
 
 from __future__ import annotations
 
 from repro import units
 from repro.errors import InvalidTopologyError
+from repro.topology.graph import (
+    DEFAULT_TECHNOLOGY_DELAY,
+    GraphLink,
+    GraphNode,
+    GraphTopologySpec,
+    _station_name,
+)
 from repro.topology.network import Network
 
 __all__ = ["single_switch_star", "dual_switch_topology", "tree_topology"]
-
-#: Default switch relaying-delay bound (t_techno): 16 µs, a typical
-#: store-and-forward figure for a small frame at 100 Mbps plus switching
-#: fabric latency; the sensitivity experiment sweeps it.
-DEFAULT_TECHNOLOGY_DELAY = units.us(16)
-
-
-def _station_name(index: int) -> str:
-    return f"station-{index:02d}"
 
 
 def single_switch_star(station_count: int,
@@ -37,15 +37,16 @@ def single_switch_star(station_count: int,
     if station_count < 2:
         raise InvalidTopologyError(
             f"a star needs at least 2 stations, got {station_count}")
-    network = Network(name=f"star-{station_count}")
-    network.add_switch(switch_name, technology_delay=technology_delay)
+    nodes = [GraphNode(switch_name, "switch",
+                       technology_delay=float(technology_delay))]
+    links = []
     for index in range(station_count):
         station = _station_name(index)
-        network.add_station(station)
-        network.add_link(station, switch_name, capacity=capacity,
-                         propagation_delay=propagation_delay)
-    network.validate()
-    return network
+        nodes.append(GraphNode(station, "end-system"))
+        links.append(GraphLink(station, switch_name, rate=capacity,
+                               latency=propagation_delay))
+    return GraphTopologySpec(name=f"star-{station_count}", nodes=tuple(nodes),
+                             links=tuple(links)).to_network()
 
 
 def dual_switch_topology(stations_per_switch: int,
@@ -64,19 +65,20 @@ def dual_switch_topology(stations_per_switch: int,
             f"need at least 1 station per switch, got {stations_per_switch}")
     if backbone_capacity is None:
         backbone_capacity = capacity
-    network = Network(name=f"dual-{2 * stations_per_switch}")
-    network.add_switch("switch-0", technology_delay=technology_delay)
-    network.add_switch("switch-1", technology_delay=technology_delay)
-    network.add_link("switch-0", "switch-1", capacity=backbone_capacity,
-                     propagation_delay=propagation_delay)
+    nodes = [GraphNode(name, "switch",
+                       technology_delay=float(technology_delay))
+             for name in ("switch-0", "switch-1")]
+    links = [GraphLink("switch-0", "switch-1", rate=backbone_capacity,
+                       latency=propagation_delay)]
     for index in range(2 * stations_per_switch):
         station = _station_name(index)
         switch = "switch-0" if index < stations_per_switch else "switch-1"
-        network.add_station(station)
-        network.add_link(station, switch, capacity=capacity,
-                         propagation_delay=propagation_delay)
-    network.validate()
-    return network
+        nodes.append(GraphNode(station, "end-system"))
+        links.append(GraphLink(station, switch, rate=capacity,
+                               latency=propagation_delay))
+    return GraphTopologySpec(name=f"dual-{2 * stations_per_switch}",
+                             nodes=tuple(nodes),
+                             links=tuple(links)).to_network()
 
 
 def tree_topology(leaf_switches: int, stations_per_leaf: int,
@@ -99,19 +101,22 @@ def tree_topology(leaf_switches: int, stations_per_leaf: int,
             f"need at least one station per leaf, got {stations_per_leaf}")
     if backbone_capacity is None:
         backbone_capacity = capacity
-    network = Network(name=f"tree-{leaf_switches}x{stations_per_leaf}")
-    network.add_switch("core", technology_delay=technology_delay)
+    technology_delay = float(technology_delay)
+    nodes = [GraphNode("core", "switch", technology_delay=technology_delay)]
+    links = []
     index = 0
     for leaf in range(leaf_switches):
         leaf_name = f"leaf-{leaf}"
-        network.add_switch(leaf_name, technology_delay=technology_delay)
-        network.add_link(leaf_name, "core", capacity=backbone_capacity,
-                         propagation_delay=propagation_delay)
+        nodes.append(GraphNode(leaf_name, "switch",
+                               technology_delay=technology_delay))
+        links.append(GraphLink(leaf_name, "core", rate=backbone_capacity,
+                               latency=propagation_delay))
         for __ in range(stations_per_leaf):
             station = _station_name(index)
-            network.add_station(station)
-            network.add_link(station, leaf_name, capacity=capacity,
-                             propagation_delay=propagation_delay)
+            nodes.append(GraphNode(station, "end-system"))
+            links.append(GraphLink(station, leaf_name, rate=capacity,
+                                   latency=propagation_delay))
             index += 1
-    network.validate()
-    return network
+    return GraphTopologySpec(name=f"tree-{leaf_switches}x{stations_per_leaf}",
+                             nodes=tuple(nodes),
+                             links=tuple(links)).to_network()

@@ -1,9 +1,8 @@
-"""Arbitrary multi-hop topologies as declarative, fingerprintable specs.
+"""The topology model: declarative, fingerprintable graph specs.
 
-The legacy builders (:mod:`repro.topology.builders`) cover the paper's
-own shapes — star, dual switch, tree.  A :class:`GraphTopologySpec`
-generalises them to any directed graph of typed nodes (**end systems**
-and **switches**) joined by attributed links (rate in bits per second,
+A :class:`GraphTopologySpec` is the one description of a switched
+network: a directed graph of typed nodes (**end systems** and
+**switches**) joined by attributed links (rate in bits per second,
 propagation latency in seconds, optional port numbers).  The spec is a
 frozen dataclass of scalars and tuples, so the content-addressed result
 store can fingerprint it directly (``repro.store.fingerprint``) and two
@@ -19,38 +18,42 @@ Specs come from three places:
   :func:`ring_graph_spec`, :func:`star_graph_spec` and the seeded
   :func:`random_graph_spec`, used by the campaign registry and the fuzz
   generator,
-* **legacy networks** — :func:`graph_spec_from_network` re-expresses an
-  existing :class:`~repro.topology.network.Network`, which the golden
-  equivalence tests use to prove the two representations agree.
+* **the paper's shapes** — :mod:`repro.topology.builders` (star, dual
+  switch, tree) build specs too.
 
 :meth:`GraphTopologySpec.problems` returns *every* structural diagnostic
 (unknown endpoints, duplicate links, port clashes, end systems that
 relay, unreachable end-system pairs...);
 :meth:`GraphTopologySpec.validated` turns the first one into an
-:class:`~repro.errors.InvalidTopologyError`.  A valid spec whose links
-are full duplex converts to a legacy :class:`Network` via
-:meth:`GraphTopologySpec.to_network`, so the discrete-event simulator
-and the end-to-end analysis run on graph topologies unchanged.
+:class:`~repro.errors.InvalidTopologyError`.  Both are computed once per
+spec.  A valid, connected spec whose links are full duplex is viewed as
+a :class:`~repro.topology.network.Network` via
+:meth:`GraphTopologySpec.to_network`, which the discrete-event simulator
+and the end-to-end analyses consume.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro import units
 from repro.errors import ConfigurationError, InvalidTopologyError
 
+if TYPE_CHECKING:
+    from repro.topology.network import Network
+
 __all__ = [
     "GraphNode", "GraphLink", "GraphTopologySpec",
     "diamond_graph_spec", "ring_graph_spec", "star_graph_spec",
-    "random_graph_spec", "graph_spec_from_network", "load_topology_file",
+    "random_graph_spec", "load_topology_file",
 ]
 
 #: Node roles a spec may declare.
@@ -86,10 +89,11 @@ class GraphNode:
             raise InvalidTopologyError(
                 f"node {self.name!r}: unknown kind {self.kind!r}; "
                 f"expected one of {NODE_KINDS}")
-        if self.technology_delay < 0:
+        if not math.isfinite(self.technology_delay) \
+                or self.technology_delay < 0:
             raise InvalidTopologyError(
-                f"node {self.name!r}: technology delay must be "
-                f"non-negative")
+                f"node {self.name!r}: technology delay must be finite and "
+                f"non-negative, got {self.technology_delay!r}")
         if self.kind == "end-system" and self.technology_delay != 0.0:
             raise InvalidTopologyError(
                 f"end system {self.name!r} must not declare a technology "
@@ -104,6 +108,7 @@ class GraphLink:
     same attributes); declare ``directed=True`` to describe a single
     direction — :meth:`GraphTopologySpec.to_network` then requires the
     reverse direction to be declared too, with matching attributes.
+    Rate and latency must be finite numbers.
     """
 
     #: Upstream endpoint.
@@ -128,19 +133,26 @@ class GraphLink:
         if self.source == self.target:
             raise InvalidTopologyError(
                 f"cyclic link: {self.source!r} connects to itself")
-        if self.rate <= 0:
+        if not math.isfinite(self.rate) or self.rate <= 0:
             raise InvalidTopologyError(
                 f"link {self.source!r}->{self.target!r}: rate must be "
-                f"positive, got {self.rate!r}")
-        if self.latency < 0:
+                f"finite and positive, got {self.rate!r}")
+        if not math.isfinite(self.latency) or self.latency < 0:
             raise InvalidTopologyError(
                 f"link {self.source!r}->{self.target!r}: latency must be "
-                f"non-negative")
+                f"finite and non-negative, got {self.latency!r}")
         for port in (self.source_port, self.target_port):
             if port is not None and port < 0:
                 raise InvalidTopologyError(
                     f"link {self.source!r}->{self.target!r}: port numbers "
                     f"must be non-negative")
+
+    @property
+    def directions(self) -> tuple[tuple[str, str], ...]:
+        """The directed edges the link declares (one, or both ways)."""
+        if self.directed:
+            return ((self.source, self.target),)
+        return ((self.source, self.target), (self.target, self.source))
 
 
 @dataclass(frozen=True)
@@ -173,9 +185,8 @@ class GraphTopologySpec:
     def _edge_map(self) -> dict[tuple[str, str], GraphLink]:
         mapping: dict[tuple[str, str], GraphLink] = {}
         for link in self.links:
-            mapping.setdefault((link.source, link.target), link)
-            if not link.directed:
-                mapping.setdefault((link.target, link.source), link)
+            for direction in link.directions:
+                mapping.setdefault(direction, link)
         return mapping
 
     def node(self, name: str) -> GraphNode:
@@ -189,13 +200,13 @@ class GraphTopologySpec:
         """True when a node of that name is declared."""
         return name in self._node_map
 
-    @property
+    @cached_property
     def end_systems(self) -> tuple[str, ...]:
         """Sorted end-system names."""
         return tuple(sorted(n.name for n in self.nodes
                             if n.kind == "end-system"))
 
-    @property
+    @cached_property
     def switches(self) -> tuple[str, ...]:
         """Sorted switch names."""
         return tuple(sorted(n.name for n in self.nodes
@@ -210,12 +221,18 @@ class GraphTopologySpec:
         return self.node(name).technology_delay
 
     def successors(self) -> dict[str, tuple[str, ...]]:
-        """Sorted successor names of every node (directed adjacency)."""
-        successors: dict[str, set[str]] = {n.name: set()
-                                           for n in self.nodes}
+        """Sorted successor names of every node (directed adjacency).
+
+        Computed once per spec; each call returns a fresh copy.
+        """
+        return dict(self._successors)
+
+    @cached_property
+    def _successors(self) -> dict[str, tuple[str, ...]]:
+        successors: dict[str, list[str]] = {n.name: [] for n in self.nodes}
         for (source, target) in self._edge_map:
             if source in successors:
-                successors[source].add(target)
+                successors[source].append(target)
         return {name: tuple(sorted(targets))
                 for name, targets in successors.items()}
 
@@ -235,8 +252,17 @@ class GraphTopologySpec:
         With ``connected=True`` (the default) unreachable ordered
         end-system pairs are reported too; pass ``False`` to check only
         the local structure (the routing engine diagnoses reachability
-        itself).
+        itself).  Each pass runs once per spec; later calls return the
+        same diagnostics.
         """
+        issues = self._local_problems
+        if connected and not issues:
+            return self._reachability_problems
+        return issues
+
+    @cached_property
+    def _local_problems(self) -> tuple[str, ...]:
+        """Diagnostics of names, links, ports and end-system attachment."""
         issues: list[str] = []
         seen_nodes: set[str] = set()
         for node in self.nodes:
@@ -248,27 +274,27 @@ class GraphTopologySpec:
         if not self.switches:
             issues.append("the topology has no switch")
 
+        node_map = self._node_map
         endpoints_ok = True
         seen_edges: set[tuple[str, str]] = set()
         port_use: dict[tuple[str, int], int] = defaultdict(int)
         for link in self.links:
-            for endpoint in (link.source, link.target):
-                if endpoint not in self._node_map:
-                    issues.append(f"link {link.source!r}->{link.target!r}: "
-                                  f"unknown node {endpoint!r}")
-                    endpoints_ok = False
-            directions = [(link.source, link.target)]
-            if not link.directed:
-                directions.append((link.target, link.source))
-            for direction in directions:
+            source, target = link.source, link.target
+            if source not in node_map or target not in node_map:
+                for endpoint in (source, target):
+                    if endpoint not in node_map:
+                        issues.append(f"link {source!r}->{target!r}: "
+                                      f"unknown node {endpoint!r}")
+                endpoints_ok = False
+            for direction in link.directions:
                 if direction in seen_edges:
                     issues.append(f"duplicate link "
                                   f"{direction[0]!r}->{direction[1]!r}")
                 seen_edges.add(direction)
             if link.source_port is not None:
-                port_use[(link.source, link.source_port)] += 1
+                port_use[(source, link.source_port)] += 1
             if link.target_port is not None:
-                port_use[(link.target, link.target_port)] += 1
+                port_use[(target, link.target_port)] += 1
         for (node, port), count in sorted(port_use.items()):
             if count > 1:
                 issues.append(f"port {port} of {node!r} is used by "
@@ -277,36 +303,62 @@ class GraphTopologySpec:
         if not endpoints_ok:
             return tuple(issues)
 
-        successors = self.successors()
-        predecessors: dict[str, list[str]] = defaultdict(list)
-        for source, targets in successors.items():
-            for target in targets:
-                predecessors[target].append(source)
-        for name in self.end_systems:
-            outgoing = successors.get(name, ())
-            incoming = tuple(predecessors.get(name, ()))
-            if len(outgoing) != 1 or len(incoming) != 1:
+        successors = self._successors
+        incoming: dict[str, list[str]] = {name: []
+                                          for name in self.end_systems}
+        for source, target in self._edge_map:
+            if target in incoming:
+                incoming[target].append(source)
+        for name, sources in incoming.items():
+            outgoing = successors[name]
+            if len(outgoing) != 1 or len(sources) != 1:
                 issues.append(
                     f"end system {name!r} must have exactly one uplink "
                     f"and one downlink, has {len(outgoing)} out / "
-                    f"{len(incoming)} in")
+                    f"{len(sources)} in")
                 continue
-            for neighbour in set(outgoing) | set(incoming):
-                if self._node_map[neighbour].kind != "switch":
+            for neighbour in dict.fromkeys(outgoing + tuple(sources)):
+                if node_map[neighbour].kind != "switch":
                     issues.append(
                         f"end system {name!r} attaches to end system "
                         f"{neighbour!r}; end systems must attach to "
                         f"switches")
-
-        if connected and not issues:
-            issues.extend(self._unreachable_pairs(successors))
         return tuple(issues)
 
-    def _unreachable_pairs(self,
-                           successors: Mapping[str, tuple[str, ...]]
-                           ) -> list[str]:
-        """``"disconnected: ..."`` diagnostics for unroutable ES pairs."""
+    @cached_property
+    def _connected(self) -> bool:
+        """True when one search from the first node reaches every node.
+
+        Searches along successors, so it decides connectivity only when
+        every edge has its reverse: callers check full duplex first.
+        """
+        if not self.nodes:
+            return False
+        successors = self._successors
+        start = self.nodes[0].name
+        reached = {start}
+        frontier = [start]
+        while frontier:
+            for neighbour in successors[frontier.pop()]:
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    frontier.append(neighbour)
+        return len(reached) == len(self._node_map)
+
+    @cached_property
+    def _reachability_problems(self) -> tuple[str, ...]:
+        """``"disconnected: ..."`` diagnostics for unroutable ES pairs.
+
+        Run only after the local checks pass.  When every link is full
+        duplex and the graph is connected, every end-system pair routes:
+        an end system has one link, to a switch, so it never sits inside
+        a path.  Otherwise one search per end system lists the pairs.
+        """
+        if not any(link.directed for link in self.links) \
+                and self._connected:
+            return ()
         problems = []
+        successors = self._successors
         end_systems = self.end_systems
         for source in end_systems:
             reached = {source}
@@ -325,7 +377,7 @@ class GraphTopologySpec:
                 if destination != source and destination not in reached:
                     problems.append(f"disconnected: no route from "
                                     f"{source!r} to {destination!r}")
-        return sorted(problems)
+        return tuple(sorted(problems))
 
     def validated(self, connected: bool = True) -> "GraphTopologySpec":
         """Return ``self`` or raise on the first structural problem."""
@@ -338,49 +390,38 @@ class GraphTopologySpec:
 
     # -- conversion --------------------------------------------------------
 
-    def to_network(self):
-        """Convert to a legacy :class:`~repro.topology.network.Network`.
+    def to_network(self) -> "Network":
+        """The read-only :class:`~repro.topology.network.Network` view.
 
-        Requires a structurally valid spec whose links are full duplex:
-        either declared undirected, or declared as two directed links
-        with identical rate and latency.  The simulator and the
-        end-to-end analysis consume the result unchanged.
+        Requires a structurally valid, connected spec whose links are
+        full duplex: either declared undirected, or declared as two
+        directed links with identical rate and latency.  The simulator
+        and the end-to-end analyses consume the result.
         """
         from repro.topology.network import Network
 
         self.validated()
-        network = Network(self.name)
-        for node in self.nodes:
-            if node.kind == "switch":
-                network.add_switch(node.name,
-                                   technology_delay=node.technology_delay)
-            else:
-                network.add_station(node.name)
-
         pending: dict[tuple[str, str], GraphLink] = {}
         for link in self.links:
             if not link.directed:
-                network.add_link(link.source, link.target, link.rate,
-                                 propagation_delay=link.latency)
                 continue
             reverse = pending.pop((link.target, link.source), None)
             if reverse is None:
                 pending[(link.source, link.target)] = link
-                continue
-            if (reverse.rate, reverse.latency) != (link.rate, link.latency):
+            elif (reverse.rate, reverse.latency) != (link.rate,
+                                                     link.latency):
                 raise InvalidTopologyError(
                     f"directed links {link.source!r}->{link.target!r} and "
                     f"{link.target!r}->{link.source!r} disagree on rate or "
                     f"latency; cannot form a full-duplex link")
-            network.add_link(reverse.source, reverse.target, reverse.rate,
-                             propagation_delay=reverse.latency)
         if pending:
             source, target = sorted(pending)[0]
             raise InvalidTopologyError(
                 f"directed link {source!r}->{target!r} has no reverse "
                 f"direction; the network model needs full-duplex links")
-        network.validate()
-        return network
+        if not self._connected:
+            raise InvalidTopologyError("the topology is not connected")
+        return Network(self)
 
     # -- serialisation -----------------------------------------------------
 
@@ -440,7 +481,7 @@ class GraphTopologySpec:
                     entry, "latency_us", f"links[{index}]", 0.0)),
                 source_port=_port(entry, "source_port", f"links[{index}]"),
                 target_port=_port(entry, "target_port", f"links[{index}]"),
-                directed=bool(entry.get("directed", False))))
+                directed=_flag(entry, "directed", f"links[{index}]")))
             _reject_unknown(
                 entry, {"source", "target", "rate_mbps", "latency_us",
                         "source_port", "target_port", "directed"},
@@ -566,6 +607,13 @@ def _number(entry: Mapping[str, Any], key: str, where: str,
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"{where}: {key!r} must be a number")
     return float(value)
+
+
+def _flag(entry: Mapping[str, Any], key: str, where: str) -> bool:
+    value = entry.get(key, False)
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{where}: {key!r} must be true or false")
+    return value
 
 
 def _port(entry: Mapping[str, Any], key: str, where: str) -> int | None:
@@ -724,23 +772,3 @@ def random_graph_spec(station_count: int, switch_count: int = 4,
     return GraphTopologySpec(
         name=name or f"graph-random-{int(seed)}",
         nodes=tuple(nodes), links=tuple(links))
-
-
-def graph_spec_from_network(network) -> GraphTopologySpec:
-    """Re-express a legacy :class:`Network` as a graph spec.
-
-    The inverse of :meth:`GraphTopologySpec.to_network` up to link
-    declaration order (links are sorted by endpoint names here).  The
-    golden equivalence tests round-trip the paper's shapes through this.
-    """
-    nodes = [GraphNode(name, "switch",
-                       technology_delay=network.technology_delay(name))
-             for name in network.switches]
-    nodes.extend(GraphNode(name, "end-system")
-                 for name in network.stations)
-    links = [GraphLink(link.node_a, link.node_b, rate=link.capacity,
-                       latency=link.propagation_delay)
-             for link in sorted(network.links(),
-                                key=lambda l: (l.node_a, l.node_b))]
-    return GraphTopologySpec(name=network.name, nodes=tuple(nodes),
-                             links=tuple(links))

@@ -1,25 +1,25 @@
-"""Deterministic routing over arbitrary graph topologies.
+"""Deterministic routing over a topology spec.
 
-The legacy topologies (star, dual switch, tree) are trees, so shortest
-paths are unique and any traversal order yields the same routes.  On an
-arbitrary graph (rings, diamonds, meshes) several shortest paths can tie,
-and the route choice then has to be *deterministic by value*: the same
-spec must produce the same routes in every process, under every
-``PYTHONHASHSEED``, on every platform — otherwise the simulator, the
-analysis and the content-addressed result store disagree about which
-ports a flow crosses.
+The paper's own topologies (star, dual switch, tree) are trees, so
+shortest paths are unique and any traversal order yields the same
+routes.  On an arbitrary graph (rings, diamonds, meshes) several
+shortest paths can tie, and the route choice then has to be
+*deterministic by value*: the same spec must produce the same routes in
+every process, under every ``PYTHONHASHSEED``, on every platform —
+otherwise the simulator, the analysis and the content-addressed result
+store disagree about which ports a flow crosses.
 
 The tie-break rule used everywhere is **lexicographic**: among all
 minimal-cost paths, pick the one whose node-name sequence is smallest.
 :func:`lexicographic_shortest_path` implements it with a backward
 Dijkstra (exact distances to the destination) followed by a greedy
 forward walk that always takes the smallest next hop still on a shortest
-path.  The backward Dijkstra depends only on the destination, so
-:class:`DestinationRouter` memoizes it per destination over one fixed
-graph: every later route toward that destination costs one greedy walk.
-Both routing front ends share it — :class:`RoutingEngine` (for
-:class:`GraphTopologySpec` objects, adding ECMP enumeration plus
-reachability diagnostics) and :class:`~repro.topology.network.Network`.
+path.  :class:`RoutingEngine` is the one place that applies the rule to
+a :class:`~repro.topology.graph.GraphTopologySpec`: it runs the backward
+Dijkstra once per destination and the greedy walk once per (source,
+destination) pair, and adds ECMP enumeration plus reachability
+diagnostics.  A :class:`~repro.topology.network.Network` routes through
+the engine of its spec.
 
 Two structural rules are enforced during the search:
 
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import heapq
 from collections import defaultdict
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
 from repro.errors import RoutingError
@@ -39,7 +40,7 @@ from repro.flows.flow import Flow
 from repro.flows.messages import Message
 from repro.topology.graph import GraphLink, GraphTopologySpec
 
-__all__ = ["DestinationRouter", "RoutingEngine",
+__all__ = ["RoutingEngine",
            "lexicographic_shortest_path", "predecessor_map",
            "shortest_path_dag_costs"]
 
@@ -149,64 +150,6 @@ def _unit_cost(_source: str, _target: str) -> float:
     return 1.0
 
 
-class DestinationRouter:
-    """Lexicographic shortest paths over one fixed graph, cached.
-
-    Each destination's :func:`shortest_path_dag_costs` runs once, on
-    first use, and each ``(source, destination)`` pair's greedy walk
-    runs once; repeated routes are dictionary lookups.  The graph must
-    not change while the router lives — owners whose graph can grow
-    (:class:`~repro.topology.network.Network`) drop their router on
-    every mutation.
-
-    Parameters
-    ----------
-    successors:
-        Directed adjacency ``{node: neighbours}`` over every node.
-    cost / via:
-        As in :func:`lexicographic_shortest_path`.
-    """
-
-    def __init__(self, successors: Mapping[str, Sequence[str]],
-                 cost: Callable[[str, str], float] | None = None,
-                 via: Callable[[str], bool] | None = None) -> None:
-        self.nodes = tuple(sorted(successors))
-        self.successors = successors
-        self.cost = cost if cost is not None else _unit_cost
-        self.via = via
-        self._predecessors = predecessor_map(self.nodes, successors)
-        self._distances: dict[str, dict[str, float]] = {}
-        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    def distances_to(self, destination: str) -> dict[str, float]:
-        """Minimal cost from every node that can reach ``destination``."""
-        distances = self._distances.get(destination)
-        if distances is None:
-            distances = self._distances[destination] = \
-                shortest_path_dag_costs(self.nodes, self.successors,
-                                        destination, cost=self.cost,
-                                        via=self.via,
-                                        predecessors=self._predecessors)
-        return distances
-
-    def path(self, source: str, destination: str) -> tuple[str, ...]:
-        """The lexicographically smallest minimal-cost path.
-
-        Raises
-        ------
-        RoutingError
-            If no path exists from ``source`` to ``destination``.
-        """
-        path = self._paths.get((source, destination))
-        if path is None:
-            path = self._paths[(source, destination)] = \
-                lexicographic_shortest_path(
-                    self.nodes, self.successors, source, destination,
-                    cost=self.cost, via=self.via,
-                    distances=self.distances_to(destination))
-        return path
-
-
 class RoutingEngine:
     """Deterministic shortest-path and ECMP routing over a graph spec.
 
@@ -220,6 +163,11 @@ class RoutingEngine:
         ``"hops"`` (every link costs 1, the default — and what the
         discrete-event simulator uses) or ``"latency"`` (links cost their
         propagation latency, ties still broken lexicographically).
+
+    Each destination's :func:`shortest_path_dag_costs` runs once, on
+    first use, and each ``(source, destination)`` pair's greedy walk
+    runs once; repeated routes are dictionary lookups.  The spec is
+    frozen, so the caches never go stale.
     """
 
     WEIGHTS = ("hops", "latency")
@@ -233,10 +181,10 @@ class RoutingEngine:
         self.spec = spec
         self.weight = weight
         self._relay_allowed = frozenset(spec.switches).__contains__
-        self._router = DestinationRouter(
-            spec.successors(),
-            cost=None if weight == "hops" else self.cost,
-            via=self._relay_allowed)
+        self._successors = spec.successors()
+        self._walk_cost = _unit_cost if weight == "hops" else self.cost
+        self._distances: dict[str, dict[str, float]] = {}
+        self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- cost model --------------------------------------------------------
 
@@ -256,11 +204,31 @@ class RoutingEngine:
 
     # -- routing -----------------------------------------------------------
 
+    @cached_property
+    def _predecessors(self) -> dict[str, list[str]]:
+        return predecessor_map(self._successors, self._successors)
+
+    def _distances_to(self, destination: str) -> dict[str, float]:
+        """Minimal cost from every node that can reach ``destination``."""
+        distances = self._distances.get(destination)
+        if distances is None:
+            distances = self._distances[destination] = \
+                shortest_path_dag_costs(
+                    self._successors, self._successors, destination,
+                    cost=self._walk_cost, via=self._relay_allowed,
+                    predecessors=self._predecessors)
+        return distances
+
+    def _check_endpoints(self, source: str, destination: str) -> None:
+        for node in (source, destination):
+            if not self.spec.has_node(node):
+                raise RoutingError(f"unknown node {node!r}")
+
     def has_route(self, source: str, destination: str) -> bool:
         """True when at least one route exists."""
-        self.spec.node(source), self.spec.node(destination)
+        self._check_endpoints(source, destination)
         return source == destination \
-            or source in self._router.distances_to(destination)
+            or source in self._distances_to(destination)
 
     def shortest_path(self, source: str, destination: str) -> tuple[str, ...]:
         """The lexicographically smallest minimal-cost route.
@@ -269,9 +237,22 @@ class RoutingEngine:
         only on the (node, destination) pair, so routes computed flow by
         flow are automatically consistent with the destination-keyed
         forwarding tables the simulator builds.
+
+        Raises
+        ------
+        RoutingError
+            If either endpoint is unknown or no path exists.
         """
-        self.spec.node(source), self.spec.node(destination)
-        return self._router.path(source, destination)
+        path = self._paths.get((source, destination))
+        if path is None:
+            self._check_endpoints(source, destination)
+            path = self._paths[(source, destination)] = \
+                lexicographic_shortest_path(
+                    self._successors, self._successors, source,
+                    destination, cost=self._walk_cost,
+                    via=self._relay_allowed,
+                    distances=self._distances_to(destination))
+        return path
 
     def ecmp_paths(self, source: str, destination: str,
                    limit: int | None = DEFAULT_ECMP_LIMIT
@@ -283,11 +264,11 @@ class RoutingEngine:
         is deterministic.  The first entry always equals
         :meth:`shortest_path`.
         """
-        self.spec.node(source), self.spec.node(destination)
+        self._check_endpoints(source, destination)
         if source == destination:
             return ((source,),)
-        distances = self._router.distances_to(destination)
-        successors = self._router.successors
+        distances = self._distances_to(destination)
+        successors = self._successors
         if source not in distances:
             raise RoutingError(
                 f"no path between {source!r} and {destination!r}")
@@ -351,7 +332,7 @@ class RoutingEngine:
         problems = []
         end_systems = self.spec.end_systems
         for source in end_systems:
-            distances = self._router.distances_to(source)
+            distances = self._distances_to(source)
             for other in end_systems:
                 if other != source and other not in distances:
                     problems.append(

@@ -317,6 +317,22 @@ class TestTopologyCommand:
             ["topology", "validate", str(path)], capsys)
         assert "disconnected" in err
 
+    @pytest.mark.parametrize("entry,message", [
+        ('"latency_us": NaN', "latency must be finite"),
+        ('"directed": "false"', "'directed' must be true or false")])
+    def test_malformed_link_number_is_a_one_line_error(
+            self, tmp_path, capsys, entry, message):
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"name": "nan", "nodes": [{"name": "es-a", "kind": '
+            '"end-system"}, {"name": "es-b", "kind": "end-system"}, '
+            '{"name": "sw", "kind": "switch"}], "links": [{"source": '
+            '"es-a", "target": "sw", ' + entry + '}, {"source": "es-b", '
+            '"target": "sw"}]}')
+        err = self._expect_error(
+            ["topology", "validate", str(path)], capsys)
+        assert message in err
+
     def test_missing_file_is_a_one_line_error(self, tmp_path, capsys):
         err = self._expect_error(
             ["topology", "validate", str(tmp_path / "absent.json")],

@@ -12,7 +12,7 @@ class TestSingleSwitchStar:
         network = single_switch_star(8)
         assert len(network.stations) == 8
         assert network.switches == ["switch-0"]
-        assert len(network.links()) == 8
+        assert len(network.spec.links) == 8
 
     def test_every_station_routes_through_the_switch(self):
         network = single_switch_star(4)
@@ -22,14 +22,14 @@ class TestSingleSwitchStar:
     def test_capacity_and_technology_delay(self):
         network = single_switch_star(4, capacity=units.mbps(100),
                                      technology_delay=units.us(40))
-        assert network.link("station-00", "switch-0").capacity == \
+        assert network.link("station-00", "switch-0").rate == \
             units.mbps(100)
         assert network.technology_delay("switch-0") == pytest.approx(
             units.us(40))
 
     def test_default_capacity_matches_the_paper(self):
         network = single_switch_star(4)
-        assert network.link("station-00", "switch-0").capacity == \
+        assert network.link("station-00", "switch-0").rate == \
             units.mbps(10)
 
     def test_too_few_stations_rejected(self):
@@ -37,7 +37,7 @@ class TestSingleSwitchStar:
             single_switch_star(1)
 
     def test_result_is_validated(self):
-        single_switch_star(16).validate()
+        assert single_switch_star(16).spec.problems() == ()
 
 
 class TestDualSwitch:
@@ -46,7 +46,7 @@ class TestDualSwitch:
         assert len(network.stations) == 6
         assert len(network.switches) == 2
         # 6 station links + 1 backbone.
-        assert len(network.links()) == 7
+        assert len(network.spec.links) == 7
 
     def test_cross_switch_route_has_two_switches(self):
         network = dual_switch_topology(stations_per_switch=2)
@@ -56,7 +56,7 @@ class TestDualSwitch:
     def test_backbone_capacity_override(self):
         network = dual_switch_topology(stations_per_switch=2,
                                        backbone_capacity=units.mbps(100))
-        assert network.link("switch-0", "switch-1").capacity == \
+        assert network.link("switch-0", "switch-1").rate == \
             units.mbps(100)
 
     def test_invalid_count_rejected(self):

@@ -14,7 +14,6 @@ from repro.topology.graph import (
     GraphNode,
     GraphTopologySpec,
     diamond_graph_spec,
-    graph_spec_from_network,
     load_topology_file,
     random_graph_spec,
     ring_graph_spec,
@@ -79,6 +78,33 @@ class TestJsonRoundTrip:
                            {"name": "b", "kind": "switch"}],
                  "links": [{"source": "a", "target": "b", "cost": 2}]})
 
+    def test_nan_latency_rejected(self):
+        # ``json`` accepts the non-standard NaN literal.
+        payload = json.loads(
+            '{"name": "x", "nodes": [{"name": "sw", "kind": "switch"}, '
+            '{"name": "es", "kind": "end-system"}], '
+            '"links": [{"source": "es", "target": "sw", "latency_us": NaN}]}')
+        with pytest.raises(InvalidTopologyError, match="must be finite"):
+            GraphTopologySpec.from_dict(payload)
+
+    def test_nan_technology_delay_rejected(self):
+        with pytest.raises(InvalidTopologyError, match="must be finite"):
+            GraphTopologySpec.from_dict(
+                {"name": "x",
+                 "nodes": [{"name": "sw", "kind": "switch",
+                            "technology_delay_us": float("nan")}],
+                 "links": []})
+
+    def test_string_directed_rejected(self):
+        with pytest.raises(ConfigurationError,
+                           match="'directed' must be true or false"):
+            GraphTopologySpec.from_dict(
+                {"name": "x",
+                 "nodes": [{"name": "a", "kind": "switch"},
+                           {"name": "b", "kind": "switch"}],
+                 "links": [{"source": "a", "target": "b",
+                            "directed": "false"}]})
+
     def test_non_numeric_rate_rejected(self):
         with pytest.raises(ConfigurationError, match="must be a number"):
             GraphTopologySpec.from_dict(
@@ -141,6 +167,13 @@ LINK,l1,station-01,0,sw-1,2
         path = tmp_path / "net.csv"
         path.write_text("LINK,l0,station-00\n")
         with pytest.raises(ConfigurationError, match="missing field"):
+            load_topology_file(path)
+
+    def test_nan_rate_field_rejected(self, tmp_path):
+        path = tmp_path / "net.csv"
+        path.write_text("ES,station-00\nSW,sw-1\n"
+                        "LINK,l0,station-00,0,sw-1,1,nan\n")
+        with pytest.raises(InvalidTopologyError, match="must be finite"):
             load_topology_file(path)
 
     def test_non_numeric_rate_field_rejected(self, tmp_path):
@@ -210,6 +243,83 @@ class TestStructuralValidation:
         assert any("exactly one uplink" in problem
                    for problem in spec.problems())
 
+    def test_empty_node_name_rejected_at_construction(self):
+        with pytest.raises(InvalidTopologyError, match="must not be empty"):
+            GraphNode("", "switch")
+
+    def test_negative_technology_delay_rejected_at_construction(self):
+        with pytest.raises(InvalidTopologyError, match="technology delay"):
+            GraphNode("sw", "switch", technology_delay=-1e-6)
+
+    def test_zero_rate_rejected_at_construction(self):
+        with pytest.raises(InvalidTopologyError, match="rate must be"):
+            GraphLink("es", "sw", rate=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rate", float("nan")), ("rate", float("inf")),
+        ("latency", float("nan")), ("latency", float("inf"))])
+    def test_non_finite_link_number_rejected(self, field, value):
+        with pytest.raises(InvalidTopologyError, match="must be finite"):
+            GraphLink("es", "sw", **{field: value})
+
+    def test_non_finite_technology_delay_rejected(self):
+        with pytest.raises(InvalidTopologyError, match="must be finite"):
+            GraphNode("sw", "switch", technology_delay=float("nan"))
+
+    def test_duplicate_link_reported(self):
+        spec = GraphTopologySpec(
+            nodes=(GraphNode("es", "end-system"), GraphNode("sw", "switch")),
+            links=(GraphLink("es", "sw"), GraphLink("sw", "es")))
+        assert "duplicate link 'sw'->'es'" in spec.problems()
+
+    def test_end_system_attached_to_end_system_reported(self):
+        spec = GraphTopologySpec(
+            nodes=(GraphNode("es-a", "end-system"),
+                   GraphNode("es-b", "end-system"),
+                   GraphNode("sw", "switch")),
+            links=(GraphLink("es-a", "es-b"),))
+        assert any("attaches to end system" in problem
+                   for problem in spec.problems())
+
+    def test_empty_topology_reported(self):
+        problems = GraphTopologySpec(name="empty").problems()
+        assert "the topology has no end system" in problems
+        assert "the topology has no switch" in problems
+
+    def test_connected_full_duplex_spec_skips_the_pairwise_search(
+            self, monkeypatch):
+        calls = []
+        original = GraphTopologySpec.is_switch
+        monkeypatch.setattr(
+            GraphTopologySpec, "is_switch",
+            lambda spec, name: calls.append(name) or original(spec, name))
+        assert star_graph_spec(32).problems() == ()
+        assert calls == []
+        # A directed link disables the shortcut: every pair is searched.
+        spec = GraphTopologySpec(
+            nodes=(GraphNode("es-a", "end-system"),
+                   GraphNode("es-b", "end-system"),
+                   GraphNode("sw", "switch")),
+            links=(GraphLink("es-a", "sw"),
+                   GraphLink("es-b", "sw", directed=True),
+                   GraphLink("sw", "es-b", directed=True)))
+        assert spec.problems() == ()
+        assert calls
+
+    def test_lowering_validates_each_spec_once(self, monkeypatch):
+        from repro.analysis.multihop import GraphPathAnalysis
+
+        runs = []
+        checks = GraphTopologySpec.__dict__["_local_problems"]
+        original = checks.func
+        monkeypatch.setattr(checks, "func",
+                            lambda spec: runs.append(spec) or original(spec))
+        spec = diamond_graph_spec(6)
+        network = spec.to_network()
+        network.route("station-00", "station-05")
+        GraphPathAnalysis(spec)
+        assert runs == [spec]
+
     def test_validated_mentions_remaining_problem_count(self):
         spec = GraphTopologySpec(
             nodes=(GraphNode("a", "switch"), GraphNode("a", "switch")),
@@ -226,15 +336,16 @@ class TestNetworkConversion:
         legacy = single_switch_star(6)
         assert sorted(network.stations) == sorted(legacy.stations)
         assert network.switches == legacy.switches
-        assert {(l.node_a, l.node_b) for l in network.links()} == \
-            {(l.node_a, l.node_b) for l in legacy.links()}
+        assert set(network.spec.links) == set(legacy.spec.links)
 
-    def test_round_trip_through_legacy_network(self):
+    def test_network_routes_like_its_spec(self):
         spec = diamond_graph_spec(6)
-        again = graph_spec_from_network(spec.to_network())
-        assert GraphTopologySpec.from_dict(again.to_dict()) == again
-        assert sorted(again.end_systems) == sorted(spec.end_systems)
-        assert routing_digest(again) == routing_digest(spec)
+        network = spec.to_network()
+        assert network.spec is spec
+        assert tuple(tuple(network.route(a, b))
+                     for a in spec.end_systems
+                     for b in spec.end_systems if a != b) == \
+            routing_digest(spec)
 
     def test_directed_pair_merges_into_full_duplex(self):
         spec = GraphTopologySpec(
@@ -246,7 +357,7 @@ class TestNetworkConversion:
                    GraphLink("sw", "es-a", directed=True),
                    GraphLink("es-b", "sw")))
         network = spec.to_network()
-        assert network.link("es-a", "sw").capacity == units.mbps(10)
+        assert network.link("es-a", "sw").rate == units.mbps(10)
 
     def test_directed_link_without_reverse_rejected(self):
         spec = GraphTopologySpec(
