@@ -59,8 +59,7 @@ def main() -> None:
               f"{yes_no(vl.is_standard_bag)}")
     print()
 
-    analysis = EndToEndAnalysis(network, policy="strict-priority",
-                                burst_propagation=True)
+    analysis = EndToEndAnalysis(network, policy="strict-priority")
     result = analysis.analyze(messages)
 
     rows = []

@@ -3,12 +3,11 @@
 This engine is a thin wrapper around the reproduction's existing
 analysis paths and is **bit-identical** to them by construction:
 
-* scenario-level bounds reuse the campaign runner's math — the paper's
-  single-point closed forms (:func:`repro.core.multiplexer.
-  compute_class_bounds`, as in :class:`~repro.analysis.paper_model.
-  PaperCaseStudy`) with the per-extra-multiplexing-point latency term,
-  and :class:`~repro.analysis.multihop.GraphPathAnalysis` on graph
-  topologies,
+* scenario-level bounds are the campaign runner's rows, from the same
+  :func:`scenario_rows` — the closed form
+  :func:`repro.core.multiplexer.single_point_rows` (whose docstring
+  states the multi-hop composition rule) or, on graph topologies,
+  :meth:`repro.analysis.multihop.MultiHopAnalysisResult.class_rows`,
 * network-level bounds (the fuzz/simulation floor checks) reuse
   :class:`repro.core.endtoend.EndToEndAnalysis` on stars and
   ``GraphPathAnalysis`` on graphs — exactly the code the fuzz harness
@@ -21,23 +20,54 @@ reference both for soundness regressions and for the tightness ranking.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 from repro.analysis.engines.base import (EngineResult, ScenarioBoundEngine,
                                          present_classes)
-from repro.core.multiplexer import (compute_class_bounds,
-                                    compute_service_curve)
-from repro.errors import EmptyAggregateError, UnstableSystemError
+from repro.core.multiplexer import aggregate_flows, single_point_rows
+from repro.errors import UnstableSystemError
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engines.base import ScenarioInputs
+    from repro.analysis.multihop import GraphPathAnalysis
     from repro.campaigns.scenario import Scenario
+    from repro.core.multiplexer import ClassAggregate
     from repro.flows.messages import Message
     from repro.topology.graph import GraphTopologySpec
     from repro.topology.network import Network
 
-__all__ = ["CalculusEngine"]
+__all__ = ["CalculusEngine", "scenario_rows"]
+
+
+def scenario_rows(scenario: "Scenario", policy: str,
+                  aggregates: "Mapping[PriorityClass, ClassAggregate]",
+                  messages: "Callable[[], Sequence[Message]]",
+                  analysis: "GraphPathAnalysis | None" = None
+                  ) -> dict[PriorityClass, tuple[float, float]]:
+    """Per-class ``(bound, backlog_bits)`` of one scenario under ``policy``.
+
+    The one place that picks a scenario's row function.  Graph
+    topologies route every flow of ``messages()`` through ``analysis``
+    (a fresh :class:`~repro.analysis.multihop.GraphPathAnalysis` of the
+    scenario's graph unless the caller keeps one for this policy) and
+    return :meth:`~repro.analysis.multihop.MultiHopAnalysisResult.class_rows`;
+    every other topology evaluates
+    :func:`~repro.core.multiplexer.single_point_rows` on ``aggregates``.
+    ``messages`` is only called on graph topologies, so the closed form
+    never materialises a replicated message set.
+    """
+    if scenario.topology.kind != "graph":
+        return single_point_rows(aggregates, scenario.capacity,
+                                 scenario.technology_delay, policy,
+                                 scenario.hops)
+    if analysis is None:
+        from repro.analysis.multihop import GraphPathAnalysis
+
+        analysis = GraphPathAnalysis(scenario.topology.build_graph(
+            scenario.workload.total_stations, scenario.capacity,
+            scenario.technology_delay), policy=policy)
+    return analysis.analyze(messages()).class_rows()
 
 
 class CalculusEngine(ScenarioBoundEngine):
@@ -50,43 +80,15 @@ class CalculusEngine(ScenarioBoundEngine):
                      ) -> EngineResult:
         """Scenario-level bounds, identical to the campaign runner's rows.
 
-        These are the scenario-level closed forms on the unsized
-        workload, not a bound on the lowered network, so ``inputs`` is
-        not used.
+        These are the scenario-level rows on the unsized workload, not a
+        bound on the lowered network, so ``inputs`` is not used.
         """
-        from repro.core.multiplexer import aggregate_flows
-
-        message_set = scenario.workload.build()
-        aggregates = aggregate_flows(message_set.messages)
-        mapping: dict[PriorityClass, float] = {}
-        if scenario.topology.kind == "graph":
-            from repro.analysis.multihop import GraphPathAnalysis
-
-            graph_spec = scenario.topology.build_graph(
-                scenario.workload.total_stations, scenario.capacity,
-                scenario.technology_delay)
-            outcome = GraphPathAnalysis(
-                graph_spec, policy=policy).analyze(message_set.messages)
-            for cls in sorted(aggregates):
-                try:
-                    mapping[cls] = outcome.class_delay(cls)
-                except EmptyAggregateError:
-                    continue
-            return EngineResult.from_mapping(self.name, policy, mapping)
-        bounds = compute_class_bounds(aggregates, scenario.capacity,
-                                      scenario.technology_delay, policy)
-        for cls in sorted(bounds):
-            mux_bound = bounds[cls]
-            if mux_bound is None or mux_bound.details.get("unstable"):
-                mapping[cls] = math.inf
-                continue
-            service = compute_service_curve(
-                aggregates, scenario.capacity, scenario.technology_delay,
-                policy, None if policy == "fcfs" else cls)
-            # Pay the bursts once; every extra point adds its latency.
-            mapping[cls] = (mux_bound.delay
-                            + (scenario.hops - 1) * service.latency)
-        return EngineResult.from_mapping(self.name, policy, mapping)
+        messages = scenario.workload.build().messages
+        rows = scenario_rows(scenario, policy, aggregate_flows(messages),
+                             lambda: messages)
+        return EngineResult.from_mapping(
+            self.name, policy,
+            {cls: bound for cls, (bound, _) in rows.items()})
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",

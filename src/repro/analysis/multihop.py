@@ -150,21 +150,15 @@ class MultiHopAnalysisResult:
                 worst[bound.priority] = bound
         return worst
 
-    def class_delay(self, priority: PriorityClass) -> float:
-        """Worst end-to-end delay bound of one class."""
-        delays = [b.delay for b in self.flows if b.priority is priority]
-        if not delays:
-            raise EmptyAggregateError(
-                f"no flow of class {priority.name} was analysed")
-        return max(delays)
+    def class_rows(self) -> dict[PriorityClass, tuple[float, float]]:
+        """``{class: (worst delay, worst per-port backlog)}``, sorted.
 
-    def class_backlog(self, priority: PriorityClass) -> float:
-        """Worst per-port queue bound of one class."""
-        try:
-            return self.class_backlogs[priority]
-        except KeyError:
-            raise EmptyAggregateError(
-                f"no flow of class {priority.name} was analysed") from None
+        Covers every class present: the per-class row the campaign
+        runner, the ``calculus`` engine and the admission engine report
+        on graph topologies.
+        """
+        return {cls: (bound.delay, self.class_backlogs[cls])
+                for cls, bound in sorted(self.worst_per_class().items())}
 
 
 class GraphPathAnalysis:
@@ -187,7 +181,7 @@ class GraphPathAnalysis:
                 f"got {policy!r}")
         self.spec = spec.validated()
         self.policy = policy
-        self.engine = RoutingEngine(spec, weight="hops")
+        self.engine = RoutingEngine(spec)
 
     # -- public entry ------------------------------------------------------
 

@@ -15,9 +15,8 @@ imagine" run in one pass:
   bursts, a 1553B-rate migration check and the scalability ladder,
 * :mod:`~repro.campaigns.cache` — :class:`AnalysisCache`: memoizes the
   intermediates scenarios share (base message sets, per-class
-  :class:`~repro.core.multiplexer.ClassAggregate` statistics, arrival and
-  residual service curves, closed-form bounds) with per-level hit/miss
-  counters,
+  :class:`~repro.core.multiplexer.ClassAggregate` statistics, binding
+  deadlines) with per-level hit/miss counters,
 * :mod:`~repro.campaigns.runner` — :class:`CampaignRunner` /
   :class:`CampaignResult`: batch execution producing structured
   :class:`CampaignRow` results renderable as ASCII, markdown or CSV.

@@ -7,15 +7,16 @@ traffic.  The expensive intermediates form a small dependency chain::
     WorkloadSpec --(generate, O(stations))--> base MessageSet
                  --(one pass, O(messages))--> per-class ClassAggregate
                  --(arithmetic, O(classes))--> replicated aggregates
-                 --(closed form, O(classes))--> arrival/service curves, bounds
 
 :class:`AnalysisCache` memoizes every level of that chain, keyed by the
 value-level specs, so an N-scenario sweep touches each message set once
 instead of N times — and never materialises the replicated sets of the
 scalability ladder at all (replicating every flow ``k`` times multiplies the
 per-class sums by ``k`` and leaves the max burst unchanged, so the scaled
-aggregates are exact).  Hit/miss counters are kept per level; the campaign
-benchmark asserts the memoized runner beats naive per-scenario
+aggregates are exact).  The O(classes) closed forms on top of the aggregates
+(:func:`repro.core.multiplexer.single_point_rows`) are cheap enough to
+re-evaluate per scenario.  Hit/miss counters are kept per level; the
+campaign benchmark asserts the memoized runner beats naive per-scenario
 recomputation.
 """
 
@@ -24,42 +25,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, TypeVar
 
-from repro.core.multiplexer import (
-    ClassAggregate,
-    aggregate_flows,
-    compute_arrival_curve,
-    compute_class_bounds,
-    compute_service_curve,
-)
-from repro.core.netcalc.arrival import TokenBucketArrivalCurve
-from repro.core.netcalc.service import RateLatencyServiceCurve
+from repro.core.multiplexer import ClassAggregate, aggregate_flows
 from repro.flows.message_set import MessageSet
 from repro.flows.priorities import PriorityClass
 
 from repro.campaigns.scenario import WorkloadSpec
 
-__all__ = [
-    "AnalysisCache",
-    "CacheStats",
-    "compute_class_bounds",
-    "compute_arrival_curve",
-    "compute_service_curve",
-    "compute_class_deadlines",
-]
+__all__ = ["AnalysisCache", "CacheStats"]
 
 T = TypeVar("T")
-
-
-# The closed forms themselves (compute_class_bounds & friends) live in
-# :mod:`repro.core.multiplexer` next to the formulas, shared with the
-# paper-model case study; they are re-exported here because both the
-# memoized cache below and the runner's naive baseline call them, so the
-# two modes can never drift apart formula-wise.
-
-def compute_class_deadlines(message_set: MessageSet
-                            ) -> dict[PriorityClass, float | None]:
-    """Binding (smallest) deadline of every class present in the set."""
-    return message_set.class_deadlines()
 
 
 @dataclass
@@ -79,8 +53,9 @@ class AnalysisCache:
     """Shared intermediate results of a campaign run.
 
     Every public method is a memoized pure function of its value-level
-    arguments; ``stats`` maps a level name (``base_sets``, ``aggregates``,
-    ``bounds``, ...) to its :class:`CacheStats`.
+    arguments; ``stats`` maps a level name (``base_sets``,
+    ``message_sets``, ``base_aggregates``, ``aggregates``, ``deadlines``)
+    to its :class:`CacheStats`.
     """
 
     def __init__(self) -> None:
@@ -108,9 +83,10 @@ class AnalysisCache:
     def message_set(self, spec: WorkloadSpec) -> MessageSet:
         """The fully materialised message set, replication included.
 
-        Only needed by consumers that want the individual messages (e.g. a
-        simulation); the analytic pipeline goes through :meth:`aggregates`
-        and never materialises replicated sets.
+        Only needed by consumers that want the individual messages (a
+        simulation, or the routed analysis of a graph scenario); the
+        closed-form pipeline goes through :meth:`aggregates` and never
+        materialises replicated sets.
         """
         return self._memo("message_sets", spec, spec.build)
 
@@ -136,53 +112,4 @@ class AnalysisCache:
         """Binding (smallest) deadline per class; replication-invariant."""
         return self._memo(
             "deadlines", spec.base_key,
-            lambda: compute_class_deadlines(self.base_message_set(spec)))
-
-    # -- curves --------------------------------------------------------------
-
-    def arrival_curve(self, spec: WorkloadSpec,
-                      up_to: PriorityClass | None = None
-                      ) -> TokenBucketArrivalCurve:
-        """Token-bucket curve of the aggregate of classes ``<= up_to``.
-
-        ``up_to=None`` aggregates every class (the FCFS view); passing a
-        class gives the arrival curve whose delay through the residual
-        service curve reproduces the strict-priority bound ``D_p``.
-        """
-        return self._memo(
-            "arrival_curves", (spec, up_to),
-            lambda: compute_arrival_curve(self.aggregates(spec), up_to))
-
-    def service_curve(self, spec: WorkloadSpec, capacity: float,
-                      technology_delay: float, policy: str,
-                      priority: PriorityClass | None = None
-                      ) -> RateLatencyServiceCurve:
-        """Per-hop service curve seen by ``priority`` under ``policy``.
-
-        FCFS serves the whole aggregate at the link rate after ``t_techno``;
-        strict priority serves class ``priority`` at the residual rate after
-        the lower-priority blocking latency.
-        """
-        return self._memo(
-            "service_curves",
-            (spec, capacity, technology_delay, policy, priority),
-            lambda: compute_service_curve(self.aggregates(spec), capacity,
-                                          technology_delay, policy,
-                                          priority))
-
-    # -- bounds --------------------------------------------------------------
-
-    def class_bounds(self, spec: WorkloadSpec, capacity: float,
-                     technology_delay: float, policy: str
-                     ) -> dict[PriorityClass, object | None]:
-        """Single-point per-class bounds; ``None`` marks an unstable class.
-
-        The values are :class:`repro.core.multiplexer.MultiplexerBound`
-        objects computed from the memoized aggregates with ``strict=False``
-        (a campaign must report overloaded scenarios, not crash on them);
-        classes whose residual capacity is exhausted map to ``None``.
-        """
-        return self._memo(
-            "bounds", (spec, capacity, technology_delay, policy),
-            lambda: compute_class_bounds(self.aggregates(spec), capacity,
-                                         technology_delay, policy))
+            lambda: self.base_message_set(spec).class_deadlines())

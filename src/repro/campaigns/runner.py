@@ -9,12 +9,11 @@ the scalability ladder's replicated sets are never materialised.  With
 full message set and recompute every aggregate for each scenario — which is
 the baseline the campaign benchmark compares against.
 
-Multi-hop scenarios use the paper's composition without burst propagation:
-the single-point bound pays the burst terms once, and every additional
-multiplexing point adds the latency of its per-class residual service curve
-(pay-bursts-only-once, as in
-:class:`repro.core.endtoend.EndToEndAnalysis` with
-``burst_propagation=False``).
+Every row comes from :func:`repro.analysis.engines.calculus.scenario_rows`:
+the scenario-level closed form
+(:func:`repro.core.multiplexer.single_point_rows`, whose docstring states
+the multi-hop composition rule) or, on graph topologies, the per-class row
+of :meth:`repro.analysis.multihop.MultiHopAnalysisResult.class_rows`.
 
 Large campaigns can opt into process-level fan-out with ``jobs=N`` (the CLI
 flag ``repro campaign --jobs N``): scenarios are distributed over worker
@@ -33,21 +32,11 @@ from typing import Iterable
 
 from repro.analysis.engines import (DEFAULT_ENGINES, EngineSpec, get_engine,
                                     resolve_engines, scenario_inputs)
-from repro.campaigns.cache import (
-    AnalysisCache,
-    CacheStats,
-    compute_arrival_curve,
-    compute_class_bounds,
-    compute_class_deadlines,
-    compute_service_curve,
-)
+from repro.analysis.engines.calculus import scenario_rows
+from repro.campaigns.cache import AnalysisCache, CacheStats
 from repro.campaigns.scenario import Scenario
 from repro.core.multiplexer import aggregate_flows
 from repro.exec import ExecPolicy, ExecutionReport, ParallelExecutor
-from repro.core.netcalc.arrival import TokenBucketArrivalCurve
-from repro.core.netcalc.bounds import backlog_bound
-from repro.core.netcalc.service import RateLatencyServiceCurve
-from repro.errors import UnstableSystemError
 from repro.flows.priorities import PriorityClass
 from repro.reporting import (
     format_bound,
@@ -366,15 +355,6 @@ class CampaignRunner:
 
     # -- internals -----------------------------------------------------------
 
-    def _scenario_inputs(self, scenario: Scenario):
-        """(aggregates, deadlines) — shared in memoized mode, fresh otherwise."""
-        spec = scenario.workload
-        if self.memoize:
-            return self.cache.aggregates(spec), self.cache.class_deadlines(spec)
-        message_set = spec.build()
-        return (aggregate_flows(message_set.messages),
-                compute_class_deadlines(message_set))
-
     def _run_scenario(self, scenario: Scenario) -> ScenarioResult:
         """Evaluate one scenario, consulting the result store if present."""
         if self.store is None:
@@ -395,72 +375,39 @@ class CampaignRunner:
         return result
 
     def _compute_scenario(self, scenario: Scenario) -> ScenarioResult:
-        if scenario.topology.kind == "graph":
-            return self._compute_graph_scenario(scenario)
-        started = time.perf_counter()
-        aggregates, deadlines = self._scenario_inputs(scenario)
-        rows: list[CampaignRow] = []
-        for policy in scenario.policies:
-            if self.memoize:
-                bounds = self.cache.class_bounds(
-                    scenario.workload, scenario.capacity,
-                    scenario.technology_delay, policy)
-            else:
-                bounds = compute_class_bounds(
-                    aggregates, scenario.capacity,
-                    scenario.technology_delay, policy)
-            for cls in sorted(bounds):
-                rows.append(self._row(scenario, policy, cls, bounds[cls],
-                                      aggregates, deadlines))
-        engine_rows = self._engine_rows(scenario)
-        return ScenarioResult(scenario=scenario, rows=rows,
-                              elapsed=time.perf_counter() - started,
-                              engine_rows=engine_rows)
+        """Per-class rows of one scenario under each of its policies.
 
-    def _compute_graph_scenario(self, scenario: Scenario) -> ScenarioResult:
-        """Per-flow multi-hop bounds, aggregated back to per-class rows.
-
-        Graph scenarios route every flow along its deterministic shortest
-        path and bound it with
-        :class:`~repro.analysis.multihop.GraphPathAnalysis`; the row's
-        ``bound``/``backlog`` are the worst per-class values, so the
-        result shape matches the single-multiplexer scenarios.  The
-        analysis itself is not memoized (routes depend on the full
-        message set), so memoized and naive runs are identical by
-        construction.
+        Each policy's rows come from
+        :func:`~repro.analysis.engines.calculus.scenario_rows`.  Memoized
+        mode reads the aggregates (and, on graphs, the message set) from
+        the shared cache, naive mode builds them fresh; the inputs are
+        bit-identical either way, and so are the rows.
         """
-        from repro.analysis.multihop import GraphPathAnalysis
-        from repro.errors import EmptyAggregateError
-
         started = time.perf_counter()
-        aggregates, deadlines = self._scenario_inputs(scenario)
+        spec = scenario.workload
         if self.memoize:
-            message_set = self.cache.message_set(scenario.workload)
+            aggregates = self.cache.aggregates(spec)
+            deadlines = self.cache.class_deadlines(spec)
+            messages = lambda: self.cache.message_set(spec).messages
         else:
-            message_set = scenario.workload.build()
-        graph_spec = scenario.topology.build_graph(
-            scenario.workload.total_stations, scenario.capacity,
-            scenario.technology_delay)
+            message_set = spec.build()
+            aggregates = aggregate_flows(message_set.messages)
+            deadlines = message_set.class_deadlines()
+            messages = lambda: message_set.messages
         rows: list[CampaignRow] = []
         for policy in scenario.policies:
-            analysis = GraphPathAnalysis(graph_spec, policy=policy)
-            outcome = analysis.analyze(message_set.messages)
-            for cls in sorted(aggregates):
-                try:
-                    bound = outcome.class_delay(cls)
-                    backlog = outcome.class_backlog(cls)
-                except EmptyAggregateError:
-                    continue
-                rows.append(CampaignRow(
-                    scenario=scenario.name,
-                    policy=policy,
-                    priority=cls,
-                    message_count=aggregates[cls].count,
-                    deadline=deadlines.get(cls),
-                    bound=bound,
-                    backlog_bits=backlog,
-                    stable=math.isfinite(bound),
-                    hops=scenario.hops))
+            class_rows = scenario_rows(scenario, policy, aggregates, messages)
+            rows.extend(CampaignRow(
+                scenario=scenario.name,
+                policy=policy,
+                priority=cls,
+                message_count=aggregates[cls].count,
+                deadline=deadlines.get(cls),
+                bound=bound,
+                backlog_bits=backlog,
+                stable=math.isfinite(bound),
+                hops=scenario.hops) for cls, (bound, backlog)
+                in class_rows.items())
         engine_rows = self._engine_rows(scenario)
         return ScenarioResult(scenario=scenario, rows=rows,
                               elapsed=time.perf_counter() - started,
@@ -495,48 +442,6 @@ class CampaignRunner:
                         bound=bound.bound,
                         stable=bound.stable))
         return rows
-
-    def _curves(self, scenario: Scenario, policy: str, cls: PriorityClass,
-                aggregates) -> tuple[TokenBucketArrivalCurve,
-                                     RateLatencyServiceCurve]:
-        """(arrival, per-point service) curves for one class."""
-        up_to = None if policy == "fcfs" else cls
-        if self.memoize:
-            return (self.cache.arrival_curve(scenario.workload, up_to),
-                    self.cache.service_curve(
-                        scenario.workload, scenario.capacity,
-                        scenario.technology_delay, policy, up_to))
-        return (compute_arrival_curve(aggregates, up_to),
-                compute_service_curve(aggregates, scenario.capacity,
-                                      scenario.technology_delay, policy,
-                                      up_to))
-
-    def _row(self, scenario: Scenario, policy: str, cls: PriorityClass,
-             mux_bound, aggregates, deadlines) -> CampaignRow:
-        """Compose one result row from the single-point bound."""
-        stable = (mux_bound is not None
-                  and not mux_bound.details.get("unstable"))
-        if not stable:
-            bound = backlog = math.inf
-        else:
-            arrival, service = self._curves(scenario, policy, cls,
-                                            aggregates)
-            # Pay the bursts once; every extra point adds its latency.
-            bound = mux_bound.delay + (scenario.hops - 1) * service.latency
-            try:
-                backlog = backlog_bound(arrival, service, strict=False)
-            except UnstableSystemError:  # pragma: no cover - strict=False
-                backlog = math.inf
-        return CampaignRow(
-            scenario=scenario.name,
-            policy=policy,
-            priority=cls,
-            message_count=aggregates[cls].count,
-            deadline=deadlines.get(cls),
-            bound=bound,
-            backlog_bits=backlog,
-            stable=stable,
-            hops=scenario.hops)
 
 
 # ---------------------------------------------------------------------------

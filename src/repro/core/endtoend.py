@@ -17,13 +17,11 @@ transmission term is added.
 
 Because a flow's burst grows as it accumulates jitter upstream (a token
 bucket ``(b, r)`` delayed by at most ``D`` is constrained by
-``(b + r D, r)`` downstream), the analysis optionally propagates bursts hop
-by hop (``burst_propagation=True``, the default): the multiplexer formula
-is the per-port rule of the routed fixed-point core shared with every
-other multi-hop analysis (:mod:`repro.analysis.engines.iteration`), which
-iterates it until the inflated bursts settle.  Disabling it runs the rule
-once with the original source bursts everywhere, reproducing the paper's
-simpler single-hop accounting.
+``(b + r D, r)`` downstream), the analysis propagates bursts hop by hop:
+the multiplexer formula is the per-port rule of the routed fixed-point
+core shared with every other multi-hop analysis
+(:mod:`repro.analysis.engines.iteration`), which iterates it until the
+inflated bursts settle.
 """
 
 from __future__ import annotations
@@ -172,29 +170,21 @@ class EndToEndAnalysis:
     policy:
         ``"fcfs"`` for the plain FCFS multiplexer at every egress port, or
         ``"strict-priority"`` for the four-queue 802.1p multiplexer.
-    burst_propagation:
-        When ``True`` (default) a flow's token-bucket burst is inflated hop
-        by hop by the jitter it may have accumulated upstream
-        (``b → b + r · D_upstream``), which is required for the multi-hop
-        bounds to be valid.  When ``False`` the original source bursts are
-        used at every hop, reproducing the paper's single-hop accounting.
-    station_technology_delay:
-        Fixed processing bound added at the *station* egress multiplexer
-        (seconds).  The paper folds the whole relaying budget into the node's
-        ``t_techno``; the default here is zero because switch egress ports
-        already account for their own relaying delay.
+
+    A flow's token-bucket burst is inflated hop by hop by the jitter it
+    may have accumulated upstream (``b → b + r · D_upstream``), which the
+    multi-hop bounds need to be valid.  Station egress ports carry no
+    ``t_techno``: stations relay nothing, and each switch egress port
+    accounts for its own relaying delay.
     """
 
-    def __init__(self, network: Network, policy: Policy = "strict-priority",
-                 *, burst_propagation: bool = True,
-                 station_technology_delay: float = 0.0) -> None:
+    def __init__(self, network: Network,
+                 policy: Policy = "strict-priority") -> None:
         if policy not in ("fcfs", "strict-priority"):
             raise ValueError(
                 f"policy must be 'fcfs' or 'strict-priority', got {policy!r}")
         self.network = network
         self.policy = policy
-        self.burst_propagation = burst_propagation
-        self.station_technology_delay = float(station_technology_delay)
 
     # -- public API ---------------------------------------------------------
 
@@ -213,11 +203,7 @@ class EndToEndAnalysis:
             If some multiplexing point is overloaded.
         """
         states, ports = route(flows, self._route_flow, self._port)
-        if self.burst_propagation:
-            run_fixed_point(states, ports, self._port_bounds)
-        else:
-            for port in ports:
-                self._port_bounds(port)
+        run_fixed_point(states, ports, self._port_bounds)
 
         result = NetworkAnalysisResult(policy=self.policy)
         for state in states:
@@ -240,10 +226,8 @@ class EndToEndAnalysis:
 
     def _port(self, node: str, toward: str) -> tuple[float, float, float]:
         link = self.network.link(node, toward)
-        if self.network.is_switch(node):
-            technology_delay = self.network.technology_delay(node)
-        else:
-            technology_delay = self.station_technology_delay
+        technology_delay = (self.network.technology_delay(node)
+                            if self.network.is_switch(node) else 0.0)
         return link.rate, technology_delay, link.latency
 
     def _port_bounds(self, port: PortContext) -> None:

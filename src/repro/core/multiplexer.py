@@ -31,10 +31,12 @@ several multiplexing points with the standard network-calculus machinery.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.netcalc.arrival import TokenBucketArrivalCurve
+from repro.core.netcalc.bounds import backlog_bound
 from repro.core.netcalc.service import RateLatencyServiceCurve
 from repro.errors import EmptyAggregateError, UnstableSystemError
 from repro.flows.arrays import MessageArrays, sequential_sum
@@ -55,6 +57,7 @@ __all__ = [
     "compute_class_bounds",
     "compute_arrival_curve",
     "compute_service_curve",
+    "single_point_rows",
 ]
 
 
@@ -524,7 +527,8 @@ class StrictPriorityMultiplexerAnalysis:
 # The closed forms, as pure functions of the aggregates
 # ---------------------------------------------------------------------------
 # Shared by every consumer of the formulas — the paper-model case study, the
-# campaign runner's memoized and naive modes, the scalability sweep — so the
+# scalability sweep and, through single_point_rows and scenario_rows, the
+# campaign runner, the calculus engine and the admission engine — so the
 # different entry points can never drift apart formula-wise.  ``policy`` is
 # "fcfs" or "strict-priority" (see repro.campaigns.scenario.POLICIES).
 
@@ -556,6 +560,50 @@ def compute_class_bounds(aggregates: Mapping[PriorityClass, ClassAggregate],
         except UnstableSystemError:
             bounds[cls] = None
     return bounds
+
+
+def single_point_rows(aggregates: Mapping[PriorityClass, ClassAggregate],
+                      capacity: float, technology_delay: float, policy: str,
+                      hops: int) -> dict[PriorityClass, tuple[float, float]]:
+    """The per-class ``(bound, backlog_bits)`` of a star-family scenario.
+
+    This is the one composition rule of the scenario-level closed form,
+    shared by the campaign runner, the ``calculus`` bound engine and the
+    admission engine.  The station multiplexer and the first switch's
+    relaying delay form one analysis point, bounded by the paper's
+    formula (:func:`compute_class_bounds`), which pays every burst once.
+    Every other multiplexing point of the ``hops`` adds only the latency
+    of the class's per-hop residual service curve
+    (:func:`compute_service_curve`: ``t_techno`` under FCFS, the
+    lower-priority blocking over the residual rate plus ``t_techno``
+    under strict priority), evaluated on the same source aggregates —
+    pay-bursts-only-once, as in Le Boudec & Thiran.  No burst grows
+    along the route and no port's cross traffic is re-derived, so this
+    is *not* :class:`repro.core.endtoend.EndToEndAnalysis`, which
+    re-evaluates the full multiplexer bound, bursts included, at every
+    routed port.
+
+    The backlog is the vertical deviation of the class's arrival curve
+    (every class under FCFS, classes ``<= p`` under strict priority)
+    through one residual service curve.  A class that is unstable, or
+    that has no residual capacity at all, maps to ``(inf, inf)``.
+    Rows come back sorted by class.
+    """
+    bounds = compute_class_bounds(aggregates, capacity, technology_delay,
+                                  policy)
+    rows: dict[PriorityClass, tuple[float, float]] = {}
+    for cls in sorted(bounds):
+        mux_bound = bounds[cls]
+        if mux_bound is None or mux_bound.details.get("unstable"):
+            rows[cls] = (math.inf, math.inf)
+            continue
+        up_to = None if policy == "fcfs" else cls
+        service = compute_service_curve(aggregates, capacity,
+                                        technology_delay, policy, up_to)
+        rows[cls] = (mux_bound.delay + (hops - 1) * service.latency,
+                     backlog_bound(compute_arrival_curve(aggregates, up_to),
+                                   service, strict=False))
+    return rows
 
 
 def compute_arrival_curve(aggregates: Mapping[PriorityClass, ClassAggregate],

@@ -25,7 +25,7 @@ sharing a port through the burst-propagation fixed point, so the
 per-class-aggregate invariant cannot be preserved across a mutation;
 the engine falls back to a full
 :class:`~repro.analysis.multihop.GraphPathAnalysis` recompute (reusing
-the scenario's routing engine, whose per-destination Dijkstra caches
+the scenario's routing engine, whose per-destination route caches
 persist across mutations).  Incremental and fallback paths are
 indistinguishable to callers — both commit a snapshot that equals the
 from-scratch answer byte for byte.
@@ -41,16 +41,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.analysis.engines.calculus import scenario_rows
 from repro.campaigns.scenario import Scenario
-from repro.core.multiplexer import (
-    ClassAggregate,
-    aggregate_flows,
-    compute_arrival_curve,
-    compute_class_bounds,
-    compute_service_curve,
-)
-from repro.core.netcalc.bounds import backlog_bound
-from repro.errors import ConfigurationError, UnstableSystemError
+from repro.core.multiplexer import ClassAggregate, aggregate_flows
+from repro.errors import ConfigurationError
 from repro.flows.messages import Message, MessageKind
 from repro.flows.priorities import PriorityClass, assign_priority
 from repro.store.fingerprint import fingerprint
@@ -315,7 +309,7 @@ class AdmissionEngine:
                 scenario.workload.total_stations, scenario.capacity,
                 scenario.technology_delay)
             # One analysis instance for the engine's lifetime: its
-            # routing engine's per-destination Dijkstra caches persist
+            # routing engine's per-destination route caches persist
             # across mutations, which is the incremental piece the
             # fixed-point fallback still reuses.
             self._graph_analysis = GraphPathAnalysis(self._graph_spec,
@@ -508,10 +502,24 @@ class AdmissionEngine:
     def _derive_snapshot(self, classes: dict[PriorityClass, _ClassState],
                          messages: list[Message], mode: str,
                          state_digest: str) -> EngineSnapshot:
-        if self._graph_analysis is not None:
-            bounds = self._graph_bounds(classes, messages)
-        else:
-            bounds = self._aggregate_bounds(classes)
+        """The campaign runner's per-class rows over one flow table.
+
+        Both come from :func:`~repro.analysis.engines.calculus.scenario_rows`:
+        star-family scenarios evaluate the closed form on the committed
+        class aggregates; graph scenarios re-run the long-lived
+        :class:`~repro.analysis.multihop.GraphPathAnalysis` over the
+        full population.
+        """
+        aggregates = {cls: state.aggregate
+                      for cls, state in sorted(classes.items())}
+        rows = scenario_rows(self.scenario, self.policy, aggregates,
+                             lambda: messages,
+                             self._graph_analysis) if messages else {}
+        bounds = [ClassBound(priority=cls, count=classes[cls].aggregate.count,
+                             deadline=classes[cls].deadline, bound=bound,
+                             backlog_bits=backlog,
+                             stable=math.isfinite(bound))
+                  for cls, (bound, backlog) in rows.items()]
         feasible = all(bound.ok for bound in bounds
                        if bound.deadline is not None) and \
             all(bound.stable for bound in bounds)
@@ -521,65 +529,6 @@ class AdmissionEngine:
                               feasible=feasible,
                               state_fingerprint=state_digest,
                               mode=mode)
-
-    def _aggregate_bounds(self, classes: dict[PriorityClass, _ClassState]
-                          ) -> list[ClassBound]:
-        """The campaign runner's per-class row, from the aggregates."""
-        scenario = self.scenario
-        aggregates = {cls: state.aggregate
-                      for cls, state in sorted(classes.items())}
-        if not aggregates:
-            return []
-        bounds = compute_class_bounds(aggregates, scenario.capacity,
-                                      scenario.technology_delay,
-                                      self.policy)
-        rows: list[ClassBound] = []
-        for cls in sorted(bounds):
-            mux_bound = bounds[cls]
-            stable = (mux_bound is not None
-                      and not mux_bound.details.get("unstable"))
-            if not stable:
-                bound = backlog = math.inf
-            else:
-                up_to = None if self.policy == "fcfs" else cls
-                arrival = compute_arrival_curve(aggregates, up_to)
-                service = compute_service_curve(
-                    aggregates, scenario.capacity,
-                    scenario.technology_delay, self.policy, up_to)
-                bound = mux_bound.delay \
-                    + (scenario.hops - 1) * service.latency
-                try:
-                    backlog = backlog_bound(arrival, service, strict=False)
-                except UnstableSystemError:  # pragma: no cover
-                    backlog = math.inf
-            state = classes[cls]
-            rows.append(ClassBound(
-                priority=cls, count=state.aggregate.count,
-                deadline=state.deadline, bound=bound,
-                backlog_bits=backlog, stable=stable))
-        return rows
-
-    def _graph_bounds(self, classes: dict[PriorityClass, _ClassState],
-                      messages: list[Message]) -> list[ClassBound]:
-        """The multi-hop fallback: route and bound the full population."""
-        from repro.errors import EmptyAggregateError
-
-        if not messages:
-            return []
-        outcome = self._graph_analysis.analyze(messages)
-        rows: list[ClassBound] = []
-        for cls in sorted(classes):
-            state = classes[cls]
-            try:
-                bound = outcome.class_delay(cls)
-                backlog = outcome.class_backlog(cls)
-            except EmptyAggregateError:  # pragma: no cover - defensive
-                continue
-            rows.append(ClassBound(
-                priority=cls, count=state.aggregate.count,
-                deadline=state.deadline, bound=bound,
-                backlog_bits=backlog, stable=math.isfinite(bound)))
-        return rows
 
     # -- journal-recovery entry points -------------------------------------
 

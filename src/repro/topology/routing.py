@@ -10,28 +10,27 @@ otherwise the simulator, the analysis and the content-addressed result
 store disagree about which ports a flow crosses.
 
 The tie-break rule used everywhere is **lexicographic**: among all
-minimal-cost paths, pick the one whose node-name sequence is smallest.
+minimal-hop paths, pick the one whose node-name sequence is smallest.
 :func:`lexicographic_shortest_path` implements it with a backward
-Dijkstra (exact distances to the destination) followed by a greedy
-forward walk that always takes the smallest next hop still on a shortest
-path.  :class:`RoutingEngine` is the one place that applies the rule to
-a :class:`~repro.topology.graph.GraphTopologySpec`: it runs the backward
-Dijkstra once per destination and the greedy walk once per (source,
+breadth-first search (exact hop counts to the destination) followed by a
+greedy forward walk that always takes the smallest next hop still on a
+shortest path.  :class:`RoutingEngine` is the one place that applies the
+rule to a :class:`~repro.topology.graph.GraphTopologySpec`: it runs the
+backward search once per destination and the greedy walk once per (source,
 destination) pair, and adds ECMP enumeration plus reachability
 diagnostics.  A :class:`~repro.topology.network.Network` routes through
 the engine of its spec.
 
 Two structural rules are enforced during the search:
 
-* paths are **simple** (Dijkstra never revisits a node), and
+* paths are **simple** (the search never revisits a node), and
 * **end systems never relay** — every intermediate node of a route must
   be a switch, as in AFDX / the paper's architecture.
 """
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
+from collections import defaultdict, deque
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -62,58 +61,49 @@ def predecessor_map(nodes: Iterable[str],
 def shortest_path_dag_costs(nodes: Iterable[str],
                             successors: Mapping[str, Iterable[str]],
                             destination: str,
-                            cost: Callable[[str, str], float] | None = None,
                             via: Callable[[str], bool] | None = None,
                             predecessors: Mapping[str, Sequence[str]]
                             | None = None,
                             ) -> dict[str, float]:
-    """Exact minimal cost from every node to ``destination``.
+    """Exact hop count from every node to ``destination``.
 
-    Runs Dijkstra backward over the reversed graph.  ``via`` restricts
-    which nodes may appear as *intermediate* hops (the destination itself
-    is always allowed); nodes that cannot reach the destination are
-    absent from the returned mapping.  Costs are combined with plain
-    float addition in a fixed order, so equal inputs give bit-equal
-    distances everywhere.  ``predecessors`` may carry the
-    :func:`predecessor_map` of the graph; callers computing many
-    destinations build it once.
+    Runs a breadth-first search backward over the reversed graph.  ``via`` restricts which nodes may appear as *intermediate*
+    hops (the destination itself is always allowed); nodes that cannot
+    reach the destination are absent from the returned mapping.
+    ``predecessors`` may carry the :func:`predecessor_map` of the graph;
+    callers computing many destinations build it once.
     """
-    if cost is None:
-        cost = _unit_cost
     if predecessors is None:
         predecessors = predecessor_map(nodes, successors)
 
-    distances: dict[str, float] = {}
-    queue: list[tuple[float, str]] = [(0.0, destination)]
+    distances: dict[str, float] = {destination: 0.0}
+    queue = deque((destination,))
     while queue:
-        distance, node = heapq.heappop(queue)
-        if node in distances:
-            continue
-        distances[node] = distance
+        node = queue.popleft()
         # Relaying through ``node`` is only legal when ``via`` allows it
         # (or when the edge ends the path at the destination itself).
         if node != destination and via is not None and not via(node):
             continue
+        distance = distances[node] + 1.0
         for predecessor in predecessors.get(node, ()):
             if predecessor not in distances:
-                heapq.heappush(
-                    queue, (cost(predecessor, node) + distance, predecessor))
+                distances[predecessor] = distance
+                queue.append(predecessor)
     return distances
 
 
 def lexicographic_shortest_path(nodes: Iterable[str],
                                 successors: Mapping[str, Iterable[str]],
                                 source: str, destination: str,
-                                cost: Callable[[str, str], float] | None = None,
                                 via: Callable[[str], bool] | None = None,
                                 distances: Mapping[str, float] | None = None,
                                 ) -> tuple[str, ...]:
-    """The lexicographically smallest minimal-cost path.
+    """The lexicographically smallest minimal-hop path.
 
     ``distances`` may carry a precomputed
     :func:`shortest_path_dag_costs` mapping for ``destination``; callers
     routing many pairs (the engine, forwarding tables) pass their cached
-    copy so each route costs one greedy walk, not a fresh Dijkstra.
+    copy so each route costs one greedy walk, not a fresh search.
 
     Raises
     ------
@@ -122,11 +112,9 @@ def lexicographic_shortest_path(nodes: Iterable[str],
     """
     if source == destination:
         return (source,)
-    if cost is None:
-        cost = _unit_cost
     if distances is None:
         distances = shortest_path_dag_costs(nodes, successors, destination,
-                                            cost=cost, via=via)
+                                            via=via)
     if source not in distances:
         raise RoutingError(
             f"no path between {source!r} and {destination!r}")
@@ -137,17 +125,13 @@ def lexicographic_shortest_path(nodes: Iterable[str],
         candidates = [
             successor for successor in successors.get(node, ())
             if successor in distances
-            and cost(node, successor) + distances[successor] == remaining
+            and distances[successor] + 1.0 == remaining
             and (successor == destination or via is None or via(successor))]
-        # Dijkstra computed ``remaining`` as the minimum of exactly these
-        # sums, so at least one candidate matches bit-for-bit.
+        # The search computed ``remaining`` as one more than the smallest
+        # successor count, so at least one candidate matches bit-for-bit.
         node = min(candidates)
         path.append(node)
     return tuple(path)
-
-
-def _unit_cost(_source: str, _target: str) -> float:
-    return 1.0
 
 
 class RoutingEngine:
@@ -159,48 +143,21 @@ class RoutingEngine:
         The topology.  Structural problems (unknown endpoints, duplicate
         links...) are rejected up front via :meth:`GraphTopologySpec.validated`;
         disconnected specs are accepted so the engine can *diagnose* them.
-    weight:
-        ``"hops"`` (every link costs 1, the default — and what the
-        discrete-event simulator uses) or ``"latency"`` (links cost their
-        propagation latency, ties still broken lexicographically).
 
-    Each destination's :func:`shortest_path_dag_costs` runs once, on
+    Every link costs one hop, as in the discrete-event simulator.  Each
+    destination's :func:`shortest_path_dag_costs` runs once, on
     first use, and each ``(source, destination)`` pair's greedy walk
     runs once; repeated routes are dictionary lookups.  The spec is
     frozen, so the caches never go stale.
     """
 
-    WEIGHTS = ("hops", "latency")
-
-    def __init__(self, spec: GraphTopologySpec, weight: str = "hops") -> None:
-        if weight not in self.WEIGHTS:
-            raise RoutingError(
-                f"unknown routing weight {weight!r}; expected one of "
-                f"{self.WEIGHTS}")
+    def __init__(self, spec: GraphTopologySpec) -> None:
         spec.validated(connected=False)
         self.spec = spec
-        self.weight = weight
         self._relay_allowed = frozenset(spec.switches).__contains__
         self._successors = spec.successors()
-        self._walk_cost = _unit_cost if weight == "hops" else self.cost
         self._distances: dict[str, dict[str, float]] = {}
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
-
-    # -- cost model --------------------------------------------------------
-
-    def cost(self, source: str, target: str) -> float:
-        """The cost of the directed edge ``source -> target``."""
-        if self.weight == "hops":
-            return 1.0
-        return self.spec.edge(source, target).latency
-
-    def path_cost(self, path: Iterable[str]) -> float:
-        """Total cost of a node sequence (left-to-right float sum)."""
-        path = tuple(path)
-        total = 0.0
-        for source, target in zip(path, path[1:]):
-            total += self.cost(source, target)
-        return total
 
     # -- routing -----------------------------------------------------------
 
@@ -209,13 +166,13 @@ class RoutingEngine:
         return predecessor_map(self._successors, self._successors)
 
     def _distances_to(self, destination: str) -> dict[str, float]:
-        """Minimal cost from every node that can reach ``destination``."""
+        """Hop count from every node that can reach ``destination``."""
         distances = self._distances.get(destination)
         if distances is None:
             distances = self._distances[destination] = \
                 shortest_path_dag_costs(
                     self._successors, self._successors, destination,
-                    cost=self._walk_cost, via=self._relay_allowed,
+                    via=self._relay_allowed,
                     predecessors=self._predecessors)
         return distances
 
@@ -231,7 +188,7 @@ class RoutingEngine:
             or source in self._distances_to(destination)
 
     def shortest_path(self, source: str, destination: str) -> tuple[str, ...]:
-        """The lexicographically smallest minimal-cost route.
+        """The lexicographically smallest minimal-hop route.
 
         The choice of next hop from a node toward a destination depends
         only on the (node, destination) pair, so routes computed flow by
@@ -249,15 +206,14 @@ class RoutingEngine:
             path = self._paths[(source, destination)] = \
                 lexicographic_shortest_path(
                     self._successors, self._successors, source,
-                    destination, cost=self._walk_cost,
-                    via=self._relay_allowed,
+                    destination, via=self._relay_allowed,
                     distances=self._distances_to(destination))
         return path
 
     def ecmp_paths(self, source: str, destination: str,
                    limit: int | None = DEFAULT_ECMP_LIMIT
                    ) -> tuple[tuple[str, ...], ...]:
-        """Every minimal-cost route, in lexicographic order.
+        """Every minimal-hop route, in lexicographic order.
 
         Enumerates the shortest-path DAG depth first with sorted
         successor order, so the result (and any truncation at ``limit``)
@@ -286,8 +242,7 @@ class RoutingEngine:
                         successor):
                     continue
                 if successor in distances and \
-                        self.cost(node, successor) + distances[successor] \
-                        == remaining:
+                        distances[successor] + 1.0 == remaining:
                     prefix.append(successor)
                     _walk(successor, prefix)
                     prefix.pop()

@@ -24,7 +24,9 @@ from repro.analysis.engines import (
     register_engine,
     resolve_engines,
 )
+from repro.analysis.engines.calculus import scenario_rows
 from repro.campaigns import CampaignRunner, get as get_scenario
+from repro.core.multiplexer import aggregate_flows
 from repro.errors import (
     ConfigurationError,
     DuplicateEngineError,
@@ -114,17 +116,37 @@ class TestEngineResult:
 class TestCalculusByteIdentity:
     """The calculus engine wraps — not reimplements — the paper's math."""
 
-    @pytest.mark.parametrize("name", ["paper-real-case", "graph-diamond"])
+    # dual-switch and tree-federated exercise the (hops - 1) latency
+    # term, overload the unstable rows, and the graph-* names the routed
+    # per-class rows.
+    @pytest.mark.parametrize("name", ["paper-real-case", "dual-switch",
+                                      "tree-federated", "overload",
+                                      "graph-diamond", "graph-ring",
+                                      "graph-star"])
     def test_scenario_bounds_match_the_campaign_rows(self, name):
         scenario = get_scenario(name)
         result = CampaignRunner().run([scenario]).results[0]
         engine = get_engine("calculus")
         for policy in scenario.policies:
             rows = {row.priority: row for row in result.rows_for(policy)}
-            bounds = engine.class_bounds(scenario, policy).by_class()
+            engine_result = engine.class_bounds(scenario, policy)
+            bounds = engine_result.by_class()
             assert set(bounds) == set(rows)
             for cls, bound in bounds.items():
                 assert bound == rows[cls].bound  # bit-identical, no approx
+            assert engine_result.stable_by_class() == {
+                cls: row.stable for cls, row in rows.items()}
+
+    def test_closed_form_never_asks_for_the_messages(self):
+        scenario = get_scenario("dual-switch")
+        messages = scenario.workload.build().messages
+
+        def no_messages():
+            raise AssertionError("the closed form materialised messages")
+
+        rows = scenario_rows(scenario, "fcfs", aggregate_flows(messages),
+                             no_messages)
+        assert rows and all(math.isfinite(bound) for bound, _ in rows.values())
 
     def test_engine_results_fingerprint_deterministically(self):
         scenario = get_scenario("paper-real-case")

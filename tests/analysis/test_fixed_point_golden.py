@@ -104,9 +104,8 @@ def graph_digest(name: str, policy: str) -> str:
         real_case_messages()))
 
 
-def network_digest(name: str, policy: str, burst_propagation: bool) -> str:
-    analysis = EndToEndAnalysis(NETWORKS[name](), policy=policy,
-                                burst_propagation=burst_propagation)
+def network_digest(name: str, policy: str) -> str:
+    analysis = EndToEndAnalysis(NETWORKS[name](), policy=policy)
     return fingerprint(analysis.analyze(real_case_messages()))
 
 
@@ -166,29 +165,17 @@ DIVERGING_DIGESTS = {
 }
 
 NETWORK_DIGESTS = {
-    ("dual-switch", "fcfs", False):
-        "f1815d5393d670e38e61af5e0c48bf299c625b27f807c32f93c4635c9d5b0539",
-    ("dual-switch", "fcfs", True):
+    ("dual-switch", "fcfs"):
         "1caa2cc213a97da4a61e2da10739373d4ba8cbe459de7b688d866e932e143cd2",
-    ("dual-switch", "strict-priority", False):
-        "e252cc5d225116f29abd0bdee7ab4ee0e7065d235443e6ac53bfb93875752f15",
-    ("dual-switch", "strict-priority", True):
+    ("dual-switch", "strict-priority"):
         "58c8162ade254bbdbb049b1a64d365a8a06d662345326648f735e7f2f7082ec5",
-    ("star", "fcfs", False):
-        "22b55cd81b2cecfb8954ba524f21f12a1c6724cfb31618293863c415340e2797",
-    ("star", "fcfs", True):
+    ("star", "fcfs"):
         "1cf33053abd9f59277921dfc4ab22611e5e1650268d36c383f3fdad033317c3c",
-    ("star", "strict-priority", False):
-        "d64ed4e3b193262329fa1e518fab369224118d66e1b7928c2977884d4cb5ff0d",
-    ("star", "strict-priority", True):
+    ("star", "strict-priority"):
         "01d837434546558fc044a757547c1ed1ccbbe659ca755e88d13cfa39ea8b6c20",
-    ("tree", "fcfs", False):
-        "811c81930d6a1eaf1ce50bae4240c2a0408b7846e1994818bebed13e6694fee7",
-    ("tree", "fcfs", True):
+    ("tree", "fcfs"):
         "3f75ad806a7c81930a07be26d9f9e20087b4142117c7441de4171aa8ef3e83f4",
-    ("tree", "strict-priority", False):
-        "43fb2dfc91f9ad432e2da5770967c7ca6594eacb6704b34e3dcecfb0d296d6f5",
-    ("tree", "strict-priority", True):
+    ("tree", "strict-priority"):
         "e670dfa641b1b3e81cbb5876e70f6240020fcf302be451885cc62023900b148f",
 }
 
@@ -358,11 +345,9 @@ def test_diverging_ring_matches_golden(policy):
             DIVERGING_DIGESTS[(engine, policy)]
 
 
-@pytest.mark.parametrize("name,policy,burst_propagation",
-                         sorted(NETWORK_DIGESTS))
-def test_endtoend_hop_bounds_match_golden(name, policy, burst_propagation):
-    assert network_digest(name, policy, burst_propagation) == \
-        NETWORK_DIGESTS[(name, policy, burst_propagation)]
+@pytest.mark.parametrize("name,policy", sorted(NETWORK_DIGESTS))
+def test_endtoend_hop_bounds_match_golden(name, policy):
+    assert network_digest(name, policy) == NETWORK_DIGESTS[(name, policy)]
 
 
 @pytest.mark.parametrize("engine,topology,policy", sorted(ENGINE_DIGESTS))

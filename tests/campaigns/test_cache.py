@@ -8,6 +8,9 @@ from repro.core.multiplexer import (
     FcfsMultiplexerAnalysis,
     StrictPriorityMultiplexerAnalysis,
     aggregate_flows,
+    compute_arrival_curve,
+    compute_class_bounds,
+    compute_service_curve,
 )
 from repro.flows.priorities import PriorityClass
 
@@ -60,11 +63,14 @@ class TestAggregates:
 
 
 class TestBounds:
+    """The closed forms agree with the analyses on the cached aggregates."""
+
     def test_fcfs_bounds_match_the_multiplexer_analysis(self, cache):
         messages = SPEC.build().messages
         expected = FcfsMultiplexerAnalysis(
             capacity=10e6, technology_delay=16e-6).bound(messages)
-        bounds = cache.class_bounds(SPEC, 10e6, 16e-6, "fcfs")
+        bounds = compute_class_bounds(cache.aggregates(SPEC), 10e6, 16e-6,
+                                      "fcfs")
         for cls, bound in bounds.items():
             assert bound.delay == pytest.approx(expected.delay)
 
@@ -72,24 +78,19 @@ class TestBounds:
         messages = SPEC.build().messages
         expected = StrictPriorityMultiplexerAnalysis(
             capacity=10e6, technology_delay=16e-6).class_bounds(messages)
-        bounds = cache.class_bounds(SPEC, 10e6, 16e-6, "strict-priority")
+        bounds = compute_class_bounds(cache.aggregates(SPEC), 10e6, 16e-6,
+                                      "strict-priority")
         assert set(bounds) == set(expected)
         for cls in expected:
             assert bounds[cls].delay == pytest.approx(expected[cls].delay)
 
     def test_saturated_class_maps_to_none(self, cache):
         spec = WorkloadSpec(station_count=8, seed=3, replication=64)
-        bounds = cache.class_bounds(spec, 1e6, 0.0, "strict-priority")
+        bounds = compute_class_bounds(cache.aggregates(spec), 1e6, 0.0,
+                                      "strict-priority")
         assert bounds[PriorityClass.BACKGROUND] is None
         # The urgent class alone does not saturate a 1 Mbps link.
         assert bounds[PriorityClass.URGENT] is not None
-
-    def test_bounds_are_memoized_per_configuration(self, cache):
-        cache.class_bounds(SPEC, 10e6, 16e-6, "fcfs")
-        cache.class_bounds(SPEC, 10e6, 16e-6, "fcfs")
-        cache.class_bounds(SPEC, 100e6, 16e-6, "fcfs")
-        assert cache.stats["bounds"].hits == 1
-        assert cache.stats["bounds"].misses == 2
 
 
 class TestCurves:
@@ -98,26 +99,28 @@ class TestCurves:
         expected = StrictPriorityMultiplexerAnalysis(
             capacity=10e6, technology_delay=16e-6).residual_service_curve(
                 messages, PriorityClass.PERIODIC)
-        curve = cache.service_curve(SPEC, 10e6, 16e-6, "strict-priority",
-                                    PriorityClass.PERIODIC)
+        curve = compute_service_curve(cache.aggregates(SPEC), 10e6, 16e-6,
+                                      "strict-priority",
+                                      PriorityClass.PERIODIC)
         assert curve.rate == pytest.approx(expected.rate)
         assert curve.delay == pytest.approx(expected.delay)
 
     def test_fcfs_service_curve_is_the_link_after_t_techno(self, cache):
-        curve = cache.service_curve(SPEC, 10e6, 16e-6, "fcfs")
+        curve = compute_service_curve(cache.aggregates(SPEC), 10e6, 16e-6,
+                                      "fcfs", None)
         assert curve.rate == 10e6
         assert curve.delay == 16e-6
 
     def test_arrival_curve_aggregates_up_to_the_class(self, cache):
         aggregates = cache.aggregates(SPEC)
-        curve = cache.arrival_curve(SPEC, PriorityClass.PERIODIC)
+        curve = compute_arrival_curve(aggregates, PriorityClass.PERIODIC)
         expected_bucket = sum(a.burst for cls, a in aggregates.items()
                               if cls <= PriorityClass.PERIODIC)
         assert curve.bucket == pytest.approx(expected_bucket)
 
     def test_full_arrival_curve_covers_every_class(self, cache):
         aggregates = cache.aggregates(SPEC)
-        curve = cache.arrival_curve(SPEC, None)
+        curve = compute_arrival_curve(aggregates, None)
         assert curve.bucket == pytest.approx(
             sum(a.burst for a in aggregates.values()))
         assert curve.token_rate == pytest.approx(

@@ -112,22 +112,6 @@ class TestResultContainer:
 
 
 class TestBurstPropagation:
-    def test_propagation_never_reduces_the_bound(self):
-        network = dual_switch_topology(stations_per_switch=2)
-        messages = [
-            Message.periodic("cross", period=units.ms(20), size=2000,
-                             source="station-00", destination="station-02"),
-            Message.periodic("local", period=units.ms(20), size=2000,
-                             source="station-01", destination="station-02"),
-        ]
-        with_propagation = EndToEndAnalysis(
-            network, policy="fcfs", burst_propagation=True).analyze(messages)
-        without = EndToEndAnalysis(
-            network, policy="fcfs", burst_propagation=False).analyze(messages)
-        for flow_name in ("cross", "local"):
-            assert with_propagation.bound_for(flow_name).total_delay >= \
-                without.bound_for(flow_name).total_delay - 1e-12
-
     def test_cross_switch_flow_has_three_hops(self):
         network = dual_switch_topology(stations_per_switch=2)
         messages = [Message.periodic("cross", period=units.ms(20), size=2000,
@@ -149,14 +133,3 @@ class TestInputs:
         network = single_switch_star(4)
         with pytest.raises(ValueError):
             EndToEndAnalysis(network, policy="weighted-fair")
-
-    def test_station_technology_delay_is_added(self):
-        network = single_switch_star(4)
-        plain = EndToEndAnalysis(
-            network, policy="fcfs", burst_propagation=False).analyze(
-            star_messages())
-        padded = EndToEndAnalysis(
-            network, policy="fcfs", burst_propagation=False,
-            station_technology_delay=units.us(50)).analyze(star_messages())
-        assert padded.bound_for("nav").total_delay == pytest.approx(
-            plain.bound_for("nav").total_delay + units.us(50))

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro import units
+from repro.campaigns import CampaignRunner, get as get_scenario
 from repro.campaigns.scenario import Scenario, TopologySpec, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.serve import (
@@ -215,6 +216,22 @@ class TestBitIdentity:
         assert any(not bound.stable for bound in snapshot.classes)
         assert any(math.isinf(bound.bound) for bound in snapshot.classes)
         assert engine.verify()
+
+
+class TestCampaignRowIdentity:
+    """A preloaded engine reports exactly the campaign runner's rows."""
+
+    @pytest.mark.parametrize("name", ["paper-real-case", "dual-switch",
+                                      "tree-federated", "graph-diamond"])
+    @pytest.mark.parametrize("policy", ["fcfs", "strict-priority"])
+    def test_preloaded_bounds_equal_the_campaign_rows(self, name, policy):
+        scenario = get_scenario(name)
+        result = CampaignRunner().run([scenario]).results[0]
+        expected = [(row.priority, row.bound, row.backlog_bits, row.stable)
+                    for row in result.rows_for(policy)]
+        snapshot = AdmissionEngine(scenario, policy).snapshot()
+        assert [(bound.priority, bound.bound, bound.backlog_bits,
+                 bound.stable) for bound in snapshot.classes] == expected
 
 
 class TestStoreCache:

@@ -116,15 +116,14 @@ class TestRouteStructure:
         engine = RoutingEngine(spec)
         for source, destination in es_pairs(spec):
             paths = engine.ecmp_paths(source, destination)
-            best = engine.path_cost(engine.shortest_path(source,
-                                                         destination))
+            best = len(engine.shortest_path(source, destination))
             assert paths, "at least the shortest path must be enumerated"
             assert paths[0] == engine.shortest_path(source, destination)
             assert list(paths) == sorted(paths), \
                 "ECMP enumeration must be lexicographically ordered"
             assert len(set(paths)) == len(paths)
             for path in paths:
-                assert engine.path_cost(path) == best
+                assert len(path) == best
 
     def test_selected_path_is_one_of_the_ecmp_set(self, spec):
         engine = RoutingEngine(spec)
@@ -137,50 +136,20 @@ class TestRouteStructure:
 
 @pytest.mark.parametrize("spec", PROPERTY_SPECS, ids=SPEC_IDS)
 def test_brute_force_minimality_and_tie_break(spec):
-    """Exhaustive check on small graphs: minimal cost, smallest-name tie.
+    """Exhaustive check on small graphs: fewest hops, smallest-name tie.
 
     The engine promises the lexicographically smallest of all minimal
-    -cost simple paths.  These graphs are small enough to enumerate all
+    -hop simple paths.  These graphs are small enough to enumerate all
     simple paths outright, so the promise is checked literally.
     """
     engine = RoutingEngine(spec)
     for source, destination in es_pairs(spec):
         candidates = brute_force_paths(spec, source, destination)
         assert candidates, f"no path {source}->{destination}"
-        best = min(engine.path_cost(path) for path in candidates)
-        minimal = sorted(path for path in candidates
-                         if engine.path_cost(path) == best)
+        best = min(len(path) for path in candidates)
+        minimal = sorted(path for path in candidates if len(path) == best)
         assert engine.shortest_path(source, destination) == minimal[0]
         assert engine.ecmp_paths(source, destination) == tuple(minimal)
-
-
-def test_latency_weight_prefers_the_faster_detour():
-    """``weight="latency"`` reroutes around a slow direct link."""
-    spec = GraphTopologySpec(
-        name="latency-triangle",
-        nodes=(GraphNode("es-a", "end-system"),
-               GraphNode("es-b", "end-system"),
-               GraphNode("sw-1", "switch"),
-               GraphNode("sw-2", "switch"),
-               GraphNode("sw-3", "switch")),
-        links=(GraphLink("es-a", "sw-1", latency=1e-6),
-               GraphLink("es-b", "sw-2", latency=1e-6),
-               # Direct hop: one link but 100 µs of propagation.
-               GraphLink("sw-1", "sw-2", latency=100e-6),
-               # Detour: two links of 1 µs each.
-               GraphLink("sw-1", "sw-3", latency=1e-6),
-               GraphLink("sw-3", "sw-2", latency=1e-6)))
-    by_hops = RoutingEngine(spec, weight="hops")
-    assert by_hops.shortest_path("es-a", "es-b") == (
-        "es-a", "sw-1", "sw-2", "es-b")
-    by_latency = RoutingEngine(spec, weight="latency")
-    assert by_latency.shortest_path("es-a", "es-b") == (
-        "es-a", "sw-1", "sw-3", "sw-2", "es-b")
-
-
-def test_unknown_weight_rejected():
-    with pytest.raises(RoutingError, match="unknown routing weight"):
-        RoutingEngine(star_graph_spec(4), weight="bandwidth")
 
 
 def test_no_route_raises_routing_error():
