@@ -9,8 +9,9 @@ the paper's warm 16-station case study and measures three paths:
 * the full HTTP round trip from concurrent stdlib clients (reported,
   with a conservative floor so slow CI machines don't flake);
 * the mutation path (admit+remove pairs through the incremental
-  engine), whose per-class O(1) updates keep it in the same ballpark
-  as pure queries.
+  engine), which must sustain at least :data:`MUTATION_FLOOR_OPS`
+  mutations/s: per-class O(1) updates, one flow fragment encoded per
+  state fingerprint, and no result-store round trip.
 
 The measured numbers land in ``benchmarks/results/serve_throughput.
 {csv,txt}`` and the docs-facing keys in ``BENCH_values.json`` (the
@@ -38,6 +39,8 @@ QUERY_FLOOR_QPS = 1000.0
 P99_FLOOR_S = 0.05
 #: Conservative floor for the concurrent HTTP round trip.
 HTTP_FLOOR_QPS = 250.0
+#: Floor for admit/remove mutations through the submit path.
+MUTATION_FLOOR_OPS = 1000.0
 
 #: Queries fired at the submit path.
 SUBMIT_QUERIES = 3000
@@ -124,6 +127,7 @@ def test_bench_serve_throughput(report, bench_values):
          ("incremental_hits", engine.incremental_hits),
          ("full_recomputes", engine.full_recomputes),
          ("query_floor_qps", f"{QUERY_FLOOR_QPS:.0f}"),
+         ("mutation_floor_ops", f"{MUTATION_FLOOR_OPS:.0f}"),
          ("p99_floor_ms", f"{P99_FLOOR_S * 1e3:.0f}")])
 
     bench_values({
@@ -144,3 +148,7 @@ def test_bench_serve_throughput(report, bench_values):
     assert http_qps >= HTTP_FLOOR_QPS, (
         f"concurrent HTTP round trip sustained only {http_qps:.0f} "
         f"queries/s (floor {HTTP_FLOOR_QPS:.0f})")
+    assert mutation_ops >= MUTATION_FLOOR_OPS, (
+        f"the mutation path sustained only {mutation_ops:.0f} ops/s "
+        f"(floor {MUTATION_FLOOR_OPS:.0f}) — admit/remove is no longer "
+        f"incremental")

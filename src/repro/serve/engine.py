@@ -30,10 +30,22 @@ persist across mutations).  Incremental and fallback paths are
 indistinguishable to callers — both commit a snapshot that equals the
 from-scratch answer byte for byte.
 
-**Caching.**  With a result store attached, every committed snapshot is
-content-addressed by the (scenario, policy, flow-table) fingerprint, so
-a restarted server — or another worker sharing the store — warm-hits
-bounds it has seen before instead of recomputing them.
+**State fingerprint.**  The engine keeps each admitted flow's
+canonical-JSON fragment next to the flow table, added on admit and
+dropped on remove.  The state fingerprint is the SHA-256 of the
+(scenario, policy) frame from :func:`~repro.store.fingerprint.list_frame`
+around the comma-joined fragments — byte for byte the reference
+``fingerprint({"scenario", "policy", "flows"})``, which
+:meth:`AdmissionEngine.verify` recomputes from scratch — so a mutation
+encodes one flow, not the whole table.
+
+**Caching.**  With a result store attached, whole-table snapshots — the
+start-up load and journal :meth:`~AdmissionEngine.replay` — are
+content-addressed by the state fingerprint, so a restarted server (or
+another worker sharing the store) warm-hits bounds it has seen before.
+What-ifs, admits and removes derive their snapshot directly: their flow
+tables almost never repeat (0 hits in 500 benchmark requests), and a
+store round trip would cost each of them a disk read and a write.
 """
 
 from __future__ import annotations
@@ -47,7 +59,12 @@ from repro.core.multiplexer import ClassAggregate, aggregate_flows
 from repro.errors import ConfigurationError
 from repro.flows.messages import Message, MessageKind
 from repro.flows.priorities import PriorityClass, assign_priority
-from repro.store.fingerprint import fingerprint
+from repro.store.fingerprint import (
+    canonical_json,
+    fingerprint,
+    list_frame,
+    text_fingerprint,
+)
 
 __all__ = ["AdmissionEngine", "AdmissionDecision", "EngineSnapshot",
            "ClassBound", "message_to_payload", "message_from_payload"]
@@ -296,6 +313,11 @@ class AdmissionEngine:
         self.policy = policy
         self.store = store
         self._flows: dict[str, Message] = {}
+        #: Each admitted flow's canonical-JSON fragment, in table order.
+        self._fragments: dict[str, str] = {}
+        #: The state fingerprint's canonical text around the fragments.
+        self._frame = list_frame({"scenario": scenario, "policy": policy},
+                                 "flows")
         self._classes: dict[PriorityClass, _ClassState] = {}
         self._graph_spec = None
         self._graph_analysis = None
@@ -317,10 +339,13 @@ class AdmissionEngine:
         if preload:
             for message in scenario.workload.build().messages:
                 self._apply_admit(message)
-        self._snapshot = self._compute_snapshot(self._classes,
-                                                mode="recompute")
+        self._snapshot = self._load_snapshot()
 
     # -- introspection -----------------------------------------------------
+
+    def __contains__(self, name: object) -> bool:
+        """Whether a flow of this name is in the table."""
+        return name in self._flows
 
     def flow_names(self) -> tuple[str, ...]:
         """The flow table's names, in insertion order."""
@@ -337,13 +362,13 @@ class AdmissionEngine:
 
     def state_fingerprint(self) -> str:
         """Content fingerprint of (scenario, policy, flow table)."""
-        return self._state_fingerprint(list(self._flows.values()))
+        return self._state_fingerprint()
 
-    def _state_fingerprint(self, messages: list[Message]) -> str:
-        return fingerprint({
-            "scenario": self.scenario,
-            "policy": self.policy,
-            "flows": [message_to_payload(message) for message in messages]})
+    def _state_fingerprint(self, *extra: str) -> str:
+        """The state fingerprint with ``extra`` fragments appended."""
+        head, tail = self._frame
+        return text_fingerprint(
+            head + ",".join([*self._fragments.values(), *extra]) + tail)
 
     def snapshot(self) -> EngineSnapshot:
         """The committed snapshot (the last committed cached bound)."""
@@ -366,8 +391,7 @@ class AdmissionEngine:
                 operation="check", applied=True, flow=message.name,
                 snapshot=self._snapshot,
                 reasons=(f"flow {message.name!r} is already admitted",))
-        tentative, snapshot = self._tentative_admit(message)
-        del tentative
+        _, _, snapshot = self._tentative_admit(message)
         return AdmissionDecision(
             operation="check", applied=True, flow=message.name,
             snapshot=snapshot, reasons=tuple(snapshot.violations()))
@@ -388,13 +412,14 @@ class AdmissionEngine:
                 operation="admit", applied=False, flow=message.name,
                 snapshot=self._snapshot,
                 reasons=(f"flow {message.name!r} is already admitted",))
-        tentative, snapshot = self._tentative_admit(message)
+        tentative, fragment, snapshot = self._tentative_admit(message)
         reasons = tuple(snapshot.violations())
         if reasons and not force:
             return AdmissionDecision(operation="admit", applied=False,
                                      flow=message.name, snapshot=snapshot,
                                      reasons=reasons)
         self._flows[message.name] = message
+        self._fragments[message.name] = fragment
         self._classes = tentative
         self._snapshot = snapshot
         return AdmissionDecision(operation="admit", applied=True,
@@ -406,10 +431,7 @@ class AdmissionEngine:
 
         Removing a flow can only shrink every other bound (burst sums
         and blocking terms shrink, residual rates grow), so removal
-        needs no feasibility gate — but the touched class is
-        re-aggregated from its remaining members, never derived by
-        subtraction, to keep the committed aggregates bit-identical to
-        a from-scratch pass.
+        needs no feasibility gate.
         """
         message = self._flows.get(name)
         if message is None:
@@ -417,32 +439,20 @@ class AdmissionEngine:
                 operation="remove", applied=False, flow=name,
                 snapshot=self._snapshot,
                 reasons=(f"flow {name!r} is not admitted",))
-        del self._flows[name]
-        cls = assign_priority(message)
-        classes = dict(self._classes)
-        remaining = [self._flows[member]
-                     for member in self._classes[cls].members
-                     if member != name]
-        if remaining:
-            classes[cls] = _class_state_of(remaining)
-        else:
-            del classes[cls]
-        self._classes = classes
-        self._snapshot = self._compute_snapshot(
-            classes, mode=self._mode())
+        self._drop(message)
+        self._snapshot = self._request_snapshot(
+            self._classes, list(self._flows.values()),
+            self._state_fingerprint())
         return AdmissionDecision(operation="remove", applied=True,
                                  flow=name, snapshot=self._snapshot)
 
     # -- the incremental derivation ---------------------------------------
 
-    def _mode(self) -> str:
-        return "recompute" if self._graph_analysis is not None \
-            else "incremental"
-
     def _tentative_admit(self, message: Message
-                         ) -> tuple[dict[PriorityClass, _ClassState],
+                         ) -> tuple[dict[PriorityClass, _ClassState], str,
                                     EngineSnapshot]:
-        """The would-be class states and snapshot after admitting."""
+        """The would-be class states, flow fragment and snapshot after
+        admitting."""
         cls = assign_priority(message)
         classes = dict(self._classes)
         current = classes.get(cls)
@@ -466,38 +476,70 @@ class AdmissionEngine:
                     count=aggregate.count + 1),
                 deadline=_tighter(current.deadline, message.deadline),
                 members=current.members + (message.name,))
-        snapshot = self._compute_snapshot(classes, mode=self._mode(),
-                                          extra=message)
-        return classes, snapshot
+        fragment = canonical_json(message_to_payload(message))
+        snapshot = self._request_snapshot(
+            classes, [*self._flows.values(), message],
+            self._state_fingerprint(fragment))
+        return classes, fragment, snapshot
+
+    def _drop(self, message: Message) -> None:
+        """Take one flow out of the table and re-aggregate its class.
+
+        The touched class is re-aggregated from its remaining members,
+        never derived by subtraction, to keep the committed aggregates
+        bit-identical to a from-scratch pass.
+        """
+        del self._flows[message.name]
+        del self._fragments[message.name]
+        cls = assign_priority(message)
+        classes = dict(self._classes)
+        remaining = [self._flows[member]
+                     for member in classes[cls].members
+                     if member != message.name]
+        if remaining:
+            classes[cls] = _class_state_of(remaining)
+        else:
+            del classes[cls]
+        self._classes = classes
 
     # -- snapshot computation ----------------------------------------------
 
-    def _compute_snapshot(self, classes: dict[PriorityClass, _ClassState],
-                          *, mode: str,
-                          extra: Message | None = None) -> EngineSnapshot:
-        """Bounds for a (possibly tentative) class-state mapping.
+    def _request_snapshot(self, classes: dict[PriorityClass, _ClassState],
+                          messages: list[Message],
+                          state_digest: str) -> EngineSnapshot:
+        """A what-if, admit or remove snapshot, derived directly.
 
-        ``extra`` is the not-yet-committed flow of a tentative admit —
-        the graph fallback needs the actual member list, the aggregate
-        path only the statistics.
+        ``messages`` is the (possibly tentative) flow table: the graph
+        fallback needs the actual member list, the aggregate path only
+        the statistics in ``classes``.
         """
-        messages = list(self._flows.values())
-        if extra is not None:
-            messages.append(extra)
-        state_digest = self._state_fingerprint(messages)
-        if mode == "incremental":
+        if self._graph_analysis is None:
+            mode = "incremental"
             self.incremental_hits += 1
         else:
+            mode = "recompute"
             self.full_recomputes += 1
+        return self._derive_snapshot(classes, messages, mode, state_digest)
+
+    def _load_snapshot(self) -> EngineSnapshot:
+        """The committed table's snapshot at start-up and after replay.
+
+        These whole-table loads are the only snapshots that go through
+        the store, so a restarted server warm-hits its prior bounds.
+        """
+        self.full_recomputes += 1
+        messages = list(self._flows.values())
+        state_digest = self._state_fingerprint()
         if self.store is None:
-            return self._derive_snapshot(classes, messages, mode,
-                                         state_digest)
+            return self._derive_snapshot(self._classes, messages,
+                                         "recompute", state_digest)
         payload, _from_store = self.store.cached(
             "serve-snapshot", {"state": state_digest},
-            lambda: self._derive_snapshot(classes, messages, mode,
+            lambda: self._derive_snapshot(self._classes, messages,
+                                          "recompute",
                                           state_digest).to_payload(),
             subsystem="serve")
-        return _snapshot_from_payload(payload, mode=mode)
+        return _snapshot_from_payload(payload, mode="recompute")
 
     def _derive_snapshot(self, classes: dict[PriorityClass, _ClassState],
                          messages: list[Message], mode: str,
@@ -543,6 +585,8 @@ class AdmissionEngine:
             [self._flows[name] for name in current.members]
         members.append(message)
         self._flows[message.name] = message
+        self._fragments[message.name] = canonical_json(
+            message_to_payload(message))
         self._classes[cls] = _class_state_of(members)
 
     def replay(self, operations: list[dict]) -> None:
@@ -558,23 +602,13 @@ class AdmissionEngine:
             if operation.get("op") == "admit":
                 self._apply_admit(message_from_payload(operation["flow"]))
             elif operation.get("op") == "remove":
-                name = operation.get("name")
-                message = self._flows.pop(name, None)
-                if message is None:
-                    continue
-                cls = assign_priority(message)
-                remaining = [self._flows[member]
-                             for member in self._classes[cls].members
-                             if member != name]
-                if remaining:
-                    self._classes[cls] = _class_state_of(remaining)
-                else:
-                    del self._classes[cls]
+                message = self._flows.get(operation.get("name"))
+                if message is not None:
+                    self._drop(message)
             else:
                 raise ConfigurationError(
                     f"unknown journal operation {operation.get('op')!r}")
-        self._snapshot = self._compute_snapshot(self._classes,
-                                                mode="recompute")
+        self._snapshot = self._load_snapshot()
 
     # -- self-verification --------------------------------------------------
 
@@ -582,12 +616,13 @@ class AdmissionEngine:
         """Assert the committed state equals a from-scratch recompute.
 
         Re-aggregates the whole flow table with the reference
-        :func:`~repro.core.multiplexer.aggregate_flows` loop and
-        re-derives the snapshot; every committed aggregate and the
-        committed bounds fingerprint must match **exactly** (bit
-        identity, not tolerance).  Returns ``True`` on success and
-        raises ``AssertionError`` otherwise — callers treat any failure
-        as a bug, never a rounding artefact.
+        :func:`~repro.core.multiplexer.aggregate_flows` loop, re-encodes
+        it for the reference state fingerprint, and re-derives the
+        snapshot; every committed aggregate, the maintained state
+        fingerprint and the committed bounds fingerprint must match
+        **exactly** (bit identity, not tolerance).  Returns ``True`` on
+        success and raises ``AssertionError`` otherwise — callers treat
+        any failure as a bug, never a rounding artefact.
         """
         messages = list(self._flows.values())
         reference = aggregate_flows(messages) if messages else {}
@@ -596,9 +631,14 @@ class AdmissionEngine:
         assert committed == reference, (
             f"incremental aggregates diverged from the reference: "
             f"{committed} != {reference}")
+        reference_state = fingerprint({
+            "scenario": self.scenario,
+            "policy": self.policy,
+            "flows": [message_to_payload(message) for message in messages]})
+        assert self.state_fingerprint() == reference_state, (
+            "fragment state fingerprint diverged from the reference")
         fresh = self._derive_snapshot(self._classes, messages,
-                                      "recompute",
-                                      self._state_fingerprint(messages))
+                                      "recompute", reference_state)
         assert fresh.bounds_fingerprint() == \
             self._snapshot.bounds_fingerprint(), (
             "incremental bounds diverged from the from-scratch recompute")

@@ -29,6 +29,7 @@ import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from repro.exec.faults import corrupt_journal_line, journal_fault
 
@@ -131,12 +132,16 @@ class AdmissionJournal:
         self._since_checkpoint += 1
         return seq
 
-    def maybe_checkpoint(self, flows: list[dict]) -> bool:
-        """Checkpoint when enough appends accumulated; returns True if so."""
+    def maybe_checkpoint(self, flows: Callable[[], list[dict]]) -> bool:
+        """Checkpoint when enough appends accumulated; returns True if so.
+
+        ``flows`` builds the flow table and is called only when a
+        checkpoint is due.
+        """
         if not self.checkpoint_every \
                 or self._since_checkpoint < self.checkpoint_every:
             return False
-        self.checkpoint(flows)
+        self.checkpoint(flows())
         return True
 
     def checkpoint(self, flows: list[dict]) -> None:

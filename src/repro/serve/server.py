@@ -272,13 +272,12 @@ class AdmissionServer:
                     # bit-identically (the metamorphic property).
                     engine.remove(decision.flow)
                     raise
-                journal.maybe_checkpoint(engine.flow_payloads())
+                journal.maybe_checkpoint(engine.flow_payloads)
             return (200 if decision.applied else 409), \
                 decision.to_payload()
         if job.op == "remove":
             name = job.payload
-            rollback = engine.flow_payload(name) \
-                if name in engine.flow_names() else None
+            rollback = engine.flow_payload(name) if name in engine else None
             decision = engine.remove(name)
             if decision.applied and journal is not None:
                 try:
@@ -286,7 +285,7 @@ class AdmissionServer:
                 except OSError:
                     engine.admit(rollback, force=True)
                     raise
-                journal.maybe_checkpoint(engine.flow_payloads())
+                journal.maybe_checkpoint(engine.flow_payloads)
             return (200 if decision.applied else 404), \
                 decision.to_payload()
         return 400, {"error": f"unknown operation {job.op!r}"}
@@ -377,7 +376,7 @@ class AdmissionServer:
         }
         if store is not None:
             body["store"] = store.health()
-            if store.health()["degraded"]:
+            if body["store"]["degraded"]:
                 body["status"] = "degraded"
         if self.journal is not None:
             body["journal"] = {"path": str(self.journal.journal_path),

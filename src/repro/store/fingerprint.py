@@ -9,6 +9,12 @@ identity, dict insertion order, or ``PYTHONHASHSEED``.  Two processes
 (or two CI runs on different machines) computing the fingerprint of the
 same scenario/cell/experiment spec always agree, which is what lets the
 result store address results by content across process restarts.
+
+A fingerprint of a mapping whose one list grows and shrinks (the
+admission engine's flow table) need not re-encode the whole list per
+change: :func:`list_frame` splits the canonical text around the list's
+items, so the digest of ``head + ",".join(item texts) + tail`` is the
+same fingerprint, byte for byte, with each item encoded once.
 """
 
 from __future__ import annotations
@@ -19,7 +25,11 @@ import hashlib
 import json
 from typing import Any
 
-__all__ = ["canonical", "canonical_json", "fingerprint"]
+__all__ = ["canonical", "canonical_json", "fingerprint", "list_frame",
+           "text_fingerprint"]
+
+#: Placeholder item whose encoding marks where :func:`list_frame` splits.
+_FRAME_MARKER = "\x00list-frame\x00"
 
 
 def canonical(obj: Any) -> Any:
@@ -66,5 +76,28 @@ def canonical_json(obj: Any) -> str:
 
 def fingerprint(obj: Any) -> str:
     """The SHA-256 hex fingerprint of ``obj``'s canonical form."""
-    digest = hashlib.sha256(canonical_json(obj).encode("utf-8"))
-    return digest.hexdigest()
+    return text_fingerprint(canonical_json(obj))
+
+
+def text_fingerprint(text: str) -> str:
+    """The SHA-256 hex fingerprint of an already canonical JSON text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def list_frame(mapping: dict, key: Any) -> tuple[str, str]:
+    """The canonical JSON of ``mapping`` with a list at ``key``, split
+    around the list's items.
+
+    For every list ``items``, ``head + ",".join(canonical_json(item) for
+    item in items) + tail`` equals ``canonical_json({**mapping, key:
+    items})`` byte for byte: dictionary pairs are ordered by key alone,
+    and a list's encoding is its items' encodings joined by commas.
+    Raises ``ValueError`` if ``mapping`` already contains the marker
+    text the split relies on.
+    """
+    text = canonical_json({**mapping, key: [_FRAME_MARKER]})
+    marker = canonical_json(_FRAME_MARKER)
+    if text.count(marker) != 1:
+        raise ValueError("mapping contains the list-frame marker text")
+    head, _, tail = text.partition(marker)
+    return head, tail

@@ -19,6 +19,10 @@ def admit(name):
     return {"op": "admit", "flow": flow(name)}
 
 
+def unbuilt_flows():
+    raise AssertionError("the flow table was built with no checkpoint due")
+
+
 class TestAppendAndRecover:
     def test_appends_carry_increasing_seq(self, tmp_path):
         journal = AdmissionJournal(tmp_path)
@@ -79,16 +83,16 @@ class TestCheckpoints:
         journal = AdmissionJournal(tmp_path, checkpoint_every=3)
         for name in ("a", "b"):
             journal.append(admit(name))
-            assert not journal.maybe_checkpoint([])
+            assert not journal.maybe_checkpoint(unbuilt_flows)
         journal.append(admit("c"))
-        assert journal.maybe_checkpoint([flow("a")])
+        assert journal.maybe_checkpoint(lambda: [flow("a")])
         assert journal.journal_path.read_text() == ""
 
     def test_zero_interval_disables_automatic_checkpoints(self, tmp_path):
         journal = AdmissionJournal(tmp_path, checkpoint_every=0)
         for index in range(10):
             journal.append(admit(f"f{index}"))
-        assert not journal.maybe_checkpoint([])
+        assert not journal.maybe_checkpoint(unbuilt_flows)
 
     def test_crash_between_checkpoint_and_compaction_is_safe(self, tmp_path):
         """Entries at or below the checkpoint seq are filtered out, so a

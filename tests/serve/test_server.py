@@ -8,7 +8,7 @@ import pytest
 
 from repro import units
 from repro.campaigns.scenario import Scenario, TopologySpec, WorkloadSpec
-from repro.exec.faults import FaultPlan
+from repro.exec.faults import FaultPlan, request_context
 from repro.serve import (
     AdmissionEngine,
     AdmissionJournal,
@@ -319,21 +319,37 @@ class TestCrashRecovery:
         assert recovered.verify()
 
 
+class TestStoreStaysOffTheRequestPath:
+    def test_served_mutations_never_touch_the_store(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        engine = AdmissionEngine(scenario(), "strict-priority", store)
+        lookups = store.stats.hits + store.stats.misses
+        writes = store.stats.writes
+        assert lookups == writes == 1  # the start-up snapshot only
+        with serving(engine=engine) as (_, client):
+            assert client.check(probe("what-if"))[0] == 200
+            assert client.admit(probe())[0] == 200
+            assert client.admit(probe("huge", size=1e9))[0] == 409
+            assert client.remove("probe-1")[0] == 200
+            assert client.check()[0] == 200
+        assert store.stats.hits + store.stats.misses == lookups
+        assert store.stats.writes == writes
+        assert engine.verify()
+
+
 class TestStoreDegradationMidServe:
-    """Regression: a store degrading under a live server must surface in
+    """Regression: a store degraded under a live server must surface in
     /health with the same counter shape ``ResultStore.health()`` (and
     therefore ``repro store stats``) reports."""
 
     def test_store_eio_mid_serve_degrades_health(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        engine = AdmissionEngine(scenario(), "strict-priority", store)
-        # Request 1's snapshot write fails with an injected EIO; the
-        # hardened store degrades it to an unpersisted write.
-        faults = FaultPlan.parse("store-eio@1")
-        with serving(engine=engine, faults=faults) as (server, client):
-            status, body, _ = client.health()
-            assert body["status"] == "ok"
-            assert body["store"]["degraded"] is False
+        # Requests never write to the store: its one write is the
+        # start-up snapshot, which fails with an injected EIO that the
+        # hardened store degrades to an unpersisted write.
+        with request_context(FaultPlan.parse("store-eio@1"), 1):
+            engine = AdmissionEngine(scenario(), "strict-priority", store)
+        with serving(engine=engine) as (server, client):
             status, body, _ = client.admit(probe())
             assert status == 200 and body["applied"] is True
             status, body, _ = client.health()
@@ -343,6 +359,14 @@ class TestStoreDegradationMidServe:
             # One counter shape across every surface (the CLI `store
             # stats` integrity line prints the same dict).
             assert set(body["store"]) == set(store.health())
+
+    def test_a_healthy_store_reports_ok(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        engine = AdmissionEngine(scenario(), "strict-priority", store)
+        with serving(engine=engine) as (_, client):
+            _, body, _ = client.health()
+            assert body["status"] == "ok"
+            assert body["store"]["degraded"] is False
 
     def test_health_without_a_store_has_no_store_section(self):
         with serving() as (_, client):

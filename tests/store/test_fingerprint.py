@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.campaigns import builtin_scenarios
 from repro.flows.priorities import PriorityClass
 from repro.store import canonical, canonical_json, fingerprint
+from repro.store.fingerprint import list_frame, text_fingerprint
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -107,3 +108,29 @@ class TestFingerprint:
     def test_property_dict_insertion_order_never_matters(self, mapping):
         reversed_mapping = dict(reversed(list(mapping.items())))
         assert fingerprint(mapping) == fingerprint(reversed_mapping)
+
+
+class TestListFrame:
+    """``head + ",".join(item texts) + tail`` is the canonical text."""
+
+    @given(st.dictionaries(st.text(), st.integers() | st.text(),
+                           max_size=4),
+           st.text(),
+           st.lists(st.dictionaries(st.text(), st.floats() | st.text()),
+                    max_size=4))
+    def test_property_frame_plus_items_is_the_canonical_text(
+            self, mapping, key, items):
+        mapping.pop(key, None)
+        head, tail = list_frame(mapping, key)
+        text = head + ",".join(canonical_json(item) for item in items) \
+            + tail
+        assert text == canonical_json({**mapping, key: items})
+        assert text_fingerprint(text) == fingerprint({**mapping, key: items})
+
+    def test_the_key_sorts_among_the_other_pairs(self):
+        head, tail = list_frame({"a": 1, "z": 2}, "m")
+        assert head.endswith('["m",[') and tail.startswith(']],["z"')
+
+    def test_a_mapping_holding_the_marker_text_is_refused(self):
+        with pytest.raises(ValueError, match="marker"):
+            list_frame({"name": "\x00list-frame\x00"}, "flows")
