@@ -4,9 +4,11 @@ Three regressions the engine sweep must never see:
 
 1. running **every** engine (``--engine all``) over a campaign must stay
    batch-friendly — a cells/s floor over the cross-engine rows,
-2. the sweep lowers each scenario **once**: every engine × policy
-   evaluation shares one network and its route cache, which is pinned
-   deterministically by counting ``scenario_inputs`` calls,
+2. the sweep lowers and routes each scenario **once**: every engine ×
+   policy evaluation shares one network and one routed template, and
+   the calculus engine reuses the rows the runner just computed.  This
+   is pinned deterministically by counting ``scenario_inputs``,
+   ``RoutingEngine.route_flow`` and ``scenario_rows`` calls,
 3. the default (``calculus``-only) campaign path must stay the
    pre-engine path — the engine hook is a single tuple comparison per
    scenario and never calls into the engine registry, which is pinned
@@ -25,10 +27,11 @@ ROUNDS = 5
 #: Cross-engine throughput floor, in engine-verdict rows per second.
 #: Every row is one (scenario, engine, policy, class) bound.  The x8
 #: ladder rung dominates: 1,152 routed flows under the iterative
-#: engines.  With routes cached per destination, one lowering per
-#: scenario and the per-flow constants hoisted out of the fixed point,
-#: a 2-vCPU Xeon host measures ~130-150 rows/s on this campaign, so the
-#: floor sits ~4x below that to absorb CI noise.
+#: engines.  With one routed template per scenario, per-(port, level)
+#: trajectory aggregates, a dirty-port fixed point and the calculus
+#: rows reused from the runner, a 2-vCPU Xeon host measures ~300 rows/s
+#: on this campaign, so the floor sits far below that to absorb CI
+#: noise.
 ENGINE_ROWS_PER_S_FLOOR = 30.0
 
 
@@ -60,8 +63,11 @@ def test_bench_engines(benchmark, report, monkeypatch):
     engine_rows = all_result.engine_rows()
     engine_rate = len(engine_rows) / all_time
 
-    # ... lowering each scenario exactly once for all engines × policies.
+    # ... lowering and routing each scenario exactly once for all
+    # engines × policies, and computing its campaign rows once.
+    from repro.analysis.engines import calculus as calculus_module
     from repro.campaigns import runner as runner_module
+    from repro.topology.routing import RoutingEngine
 
     lowered = []
 
@@ -69,11 +75,32 @@ def test_bench_engines(benchmark, report, monkeypatch):
         lowered.append(scenario.name)
         return original_inputs(scenario)
 
+    row_calls = []
+
+    def counting_rows(scenario, policy, *args, **kwargs):
+        row_calls.append((scenario.name, policy))
+        return original_rows(scenario, policy, *args, **kwargs)
+
+    routed = []
+
+    def counting_route_flow(self, flow):
+        routed.append(flow.name)
+        return original_route_flow(self, flow)
+
     original_inputs = runner_module.scenario_inputs
+    original_rows = runner_module.scenario_rows
+    original_route_flow = RoutingEngine.route_flow
     monkeypatch.setattr(runner_module, "scenario_inputs", counting_inputs)
     monkeypatch.setattr("repro.analysis.engines.base.scenario_inputs",
                         counting_inputs)
-    CampaignRunner(engines=all_engines).run(scenarios)
+    monkeypatch.setattr(runner_module, "scenario_rows", counting_rows)
+    monkeypatch.setattr(calculus_module, "scenario_rows", counting_rows)
+    monkeypatch.setattr(RoutingEngine, "route_flow", counting_route_flow)
+    route_calls = {}
+    for scenario in scenarios:
+        routed.clear()
+        CampaignRunner(engines=all_engines).run([scenario])
+        route_calls[scenario.name] = len(routed)
     monkeypatch.undo()
 
     # 2. the default path, engines machinery live (the shipped code) but
@@ -89,7 +116,7 @@ def test_bench_engines(benchmark, report, monkeypatch):
     # ... vs the pre-engine baseline: the identical runner with the
     # engine hook compiled out.
     monkeypatch.setattr(CampaignRunner, "_engine_rows",
-                        lambda self, scenario: [])
+                        lambda self, scenario, rows_by_policy: [])
     baseline_result = CampaignRunner().run(scenarios)
     monkeypatch.undo()
 
@@ -107,8 +134,20 @@ def test_bench_engines(benchmark, report, monkeypatch):
 
     # The cross-engine run covers every engine on every scenario ...
     assert {row.engine for row in engine_rows} == set(all_engines)
-    # ... lowers each scenario once, whatever the engine × policy count ...
+    # ... lowers each scenario once, whatever the engine × policy count,
+    # computes its campaign rows once per policy ...
     assert sorted(lowered) == sorted(scenario.name for scenario in scenarios)
+    assert sorted(row_calls) == sorted(
+        (scenario.name, policy) for scenario in scenarios
+        for policy in scenario.policies)
+    # ... and routes each flow once: on stars only the template routes;
+    # on graphs the runner's per-policy graph analysis routes too.
+    for scenario in scenarios:
+        flows = len(scenario.workload.build().messages)
+        graph_analyses = (len(scenario.policies)
+                          if scenario.topology.kind == "graph" else 0)
+        assert route_calls[scenario.name] == flows * (1 + graph_analyses), (
+            scenario.name)
     # ... at batch-friendly throughput.
     assert engine_rate >= ENGINE_ROWS_PER_S_FLOOR, (
         f"cross-engine throughput {engine_rate:,.0f} rows/s fell below "

@@ -14,13 +14,20 @@ the same three-method surface:
 ``class_bounds`` also takes an optional ``inputs=`` — the
 :func:`scenario_inputs` lowering of the scenario — so a caller that
 evaluates several engines and policies on one scenario (the campaign
-runner's ``--engine`` sweep) lowers it once and every evaluation shares
-one :class:`~repro.topology.network.Network` and its routing engine.
+runner's ``--engine`` sweep) lowers and routes it once: every
+evaluation shares one :class:`~repro.topology.network.Network` and one
+:class:`~repro.analysis.engines.iteration.RoutedTemplate`.  It also
+takes an optional ``rows=`` — the scenario's campaign rows for that
+policy, from :func:`~repro.analysis.engines.calculus.scenario_rows` —
+so an engine whose verdict *is* those rows (``calculus``) does not
+compute them a second time.
 
 Engines additionally expose ``network_class_bounds(messages, policy,
-network=..., graph_spec=...)`` for callers that already hold a concrete
-routed network (the fuzz and simulation layers), so the engine's math is
-applied to *exactly* the network the simulator runs on.
+network=..., graph_spec=..., template=...)`` for callers that already
+hold a concrete network (the fuzz and simulation layers), so the
+engine's math is applied to *exactly* the network the simulator runs
+on; ``template`` is the routed template of those messages on that
+network, when the caller has one.
 
 Results carry per-class bounds with stability flags and a canonical-JSON
 fingerprint (:func:`repro.store.fingerprint`), so two processes agree on
@@ -31,8 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Protocol, runtime_checkable
+from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol,
+                    runtime_checkable)
 
+from repro.analysis.engines.iteration import RoutedTemplate, network_template
 from repro.flows.priorities import PriorityClass
 from repro.store import fingerprint
 
@@ -42,8 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.topology.graph import GraphTopologySpec
     from repro.topology.network import Network
 
-    #: ``(wire messages, network, graph spec)`` — one lowered scenario.
-    ScenarioInputs = tuple[list[Message], Network, GraphTopologySpec | None]
+    #: ``{class: (bound, backlog bits)}`` of one scenario and policy.
+    ScenarioRows = Mapping[PriorityClass, tuple[float, float]]
 
 __all__ = [
     "EngineClassBound",
@@ -51,6 +60,7 @@ __all__ = [
     "EngineSpec",
     "BoundEngine",
     "ScenarioBoundEngine",
+    "ScenarioInputs",
     "scenario_inputs",
     "present_classes",
 ]
@@ -174,13 +184,13 @@ class BoundEngine(Protocol):
         ...  # pragma: no cover - protocol stub
 
     def class_bounds(self, scenario: "Scenario", policy: str,
-                     inputs: "ScenarioInputs | None" = None
-                     ) -> EngineResult:
+                     inputs: "ScenarioInputs | None" = None,
+                     rows: "ScenarioRows | None" = None) -> EngineResult:
         """Per-class worst-case delay bounds for one scenario/policy.
 
         ``inputs`` is the scenario's :func:`scenario_inputs` lowering
-        when the caller already holds it; engines that do not use it
-        ignore it.
+        and ``rows`` its campaign rows under ``policy``, when the caller
+        already holds them; engines that do not use them ignore them.
         """
         ...  # pragma: no cover - protocol stub
 
@@ -191,15 +201,28 @@ def present_classes(messages: Iterable) -> list[PriorityClass]:
     return sorted({priority_of(message) for message in messages})
 
 
-def scenario_inputs(scenario: "Scenario") -> "ScenarioInputs":
-    """``(wire messages, network, graph spec)`` behind one scenario.
+class ScenarioInputs(NamedTuple):
+    """One lowered scenario, shared by every engine × policy run."""
+
+    #: The scenario's messages, sized at wire level.
+    messages: "list[Message]"
+    network: "Network"
+    #: The graph topology behind ``network``; ``None`` for stars.
+    graph_spec: "GraphTopologySpec | None"
+    #: ``messages`` routed on ``network`` (:func:`network_template`).
+    template: RoutedTemplate
+
+
+def scenario_inputs(scenario: "Scenario") -> ScenarioInputs:
+    """The wire messages, network, graph spec and routes of one scenario.
 
     This is the shared scenario-to-network lowering of every engine:
     the workload is built, sized at wire level (the simulators transmit
     whole Ethernet frames), and attached to either the scenario's graph
     topology or the same single-switch star the fuzz harness simulates
     — so engine bounds and simulated floors always describe the same
-    physical network.
+    physical network.  The messages are routed here, once; neither the
+    engine nor the policy changes a route.
     """
     from repro.analysis.validation import (star_for_stations,
                                            wire_level_messages)
@@ -210,10 +233,14 @@ def scenario_inputs(scenario: "Scenario") -> "ScenarioInputs":
         graph_spec = scenario.topology.build_graph(
             scenario.workload.total_stations, scenario.capacity,
             scenario.technology_delay)
-        return wire_messages, graph_spec.to_network(), graph_spec
-    network = star_for_stations(message_set.stations(), scenario.capacity,
-                                scenario.technology_delay)
-    return wire_messages, network, None
+        network = graph_spec.to_network()
+    else:
+        graph_spec = None
+        network = star_for_stations(message_set.stations(),
+                                    scenario.capacity,
+                                    scenario.technology_delay)
+    return ScenarioInputs(wire_messages, network, graph_spec,
+                          network_template(network, wire_messages))
 
 
 class ScenarioBoundEngine:
@@ -231,23 +258,24 @@ class ScenarioBoundEngine:
         return True
 
     def class_bounds(self, scenario: "Scenario", policy: str,
-                     inputs: "ScenarioInputs | None" = None
-                     ) -> EngineResult:
+                     inputs: ScenarioInputs | None = None,
+                     rows: "ScenarioRows | None" = None) -> EngineResult:
         """Per-class bounds of one scenario/policy cell.
 
         The scenario is lowered here unless ``inputs`` already carries
-        its :func:`scenario_inputs`.
+        its :func:`scenario_inputs`; ``rows`` is not used.
         """
         if inputs is None:
             inputs = scenario_inputs(scenario)
-        wire_messages, network, graph_spec = inputs
         mapping = self.network_class_bounds(
-            wire_messages, policy, network=network, graph_spec=graph_spec)
+            inputs.messages, policy, network=inputs.network,
+            graph_spec=inputs.graph_spec, template=inputs.template)
         return EngineResult.from_mapping(self.name, policy, mapping)
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
-                             graph_spec: "GraphTopologySpec | None" = None
+                             graph_spec: "GraphTopologySpec | None" = None,
+                             template: RoutedTemplate | None = None
                              ) -> dict[PriorityClass, float]:
         """Per-class bounds on a concrete routed network (abstract)."""
         raise NotImplementedError  # pragma: no cover - abstract

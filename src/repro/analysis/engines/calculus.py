@@ -29,7 +29,8 @@ from repro.errors import UnstableSystemError
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.analysis.engines.base import ScenarioInputs
+    from repro.analysis.engines.base import ScenarioInputs, ScenarioRows
+    from repro.analysis.engines.iteration import RoutedTemplate
     from repro.analysis.multihop import GraphPathAnalysis
     from repro.campaigns.scenario import Scenario
     from repro.core.multiplexer import ClassAggregate
@@ -76,25 +77,33 @@ class CalculusEngine(ScenarioBoundEngine):
     name = "calculus"
 
     def class_bounds(self, scenario: "Scenario", policy: str,
-                     inputs: "ScenarioInputs | None" = None
-                     ) -> EngineResult:
+                     inputs: "ScenarioInputs | None" = None,
+                     rows: "ScenarioRows | None" = None) -> EngineResult:
         """Scenario-level bounds, identical to the campaign runner's rows.
 
         These are the scenario-level rows on the unsized workload, not a
-        bound on the lowered network, so ``inputs`` is not used.
+        bound on the lowered network, so ``inputs`` is not used.  A
+        caller that already computed the rows (the campaign runner)
+        passes them as ``rows``; otherwise they are computed here.
         """
-        messages = scenario.workload.build().messages
-        rows = scenario_rows(scenario, policy, aggregate_flows(messages),
-                             lambda: messages)
+        if rows is None:
+            messages = scenario.workload.build().messages
+            rows = scenario_rows(scenario, policy, aggregate_flows(messages),
+                                 lambda: messages)
         return EngineResult.from_mapping(
             self.name, policy,
             {cls: bound for cls, (bound, _) in rows.items()})
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
-                             graph_spec: "GraphTopologySpec | None" = None
+                             graph_spec: "GraphTopologySpec | None" = None,
+                             template: "RoutedTemplate | None" = None
                              ) -> dict[PriorityClass, float]:
-        """Network-level bounds, identical to the fuzz harness' floor."""
+        """Network-level bounds, identical to the fuzz harness' floor.
+
+        The calculus analyses route for themselves, so ``template`` is
+        not used.
+        """
         messages = list(messages)
         if graph_spec is not None:
             from repro.analysis.multihop import GraphPathAnalysis

@@ -33,7 +33,9 @@ from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              route_network, run_fixed_point)
+                                              RoutedTemplate,
+                                              network_template,
+                                              run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -75,10 +77,13 @@ class HolisticEngine(ScenarioBoundEngine):
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
-                             graph_spec: "GraphTopologySpec | None" = None
+                             graph_spec: "GraphTopologySpec | None" = None,
+                             template: RoutedTemplate | None = None
                              ) -> dict[PriorityClass, float]:
         """Per-class worst of the per-flow holistic fixed points."""
-        states, ports = route_network(network, messages)
+        if template is None:
+            template = network_template(network, messages)
+        states, ports = template.instantiate()
         if not states:
             return {}
         run_fixed_point(states, ports,
@@ -93,27 +98,31 @@ class HolisticEngine(ScenarioBoundEngine):
     # -- internals -----------------------------------------------------------
 
     def _port_delays(self, port: PortContext, policy: str) -> None:
-        """Refresh every member's delay at one port from current bursts."""
-        classes: dict[PriorityClass, list[tuple[RoutedFlowState, int]]] = {}
-        for state, index in port.members:
-            classes.setdefault(state.priority, []).append((state, index))
-        for priority, members in classes.items():
-            delay = self._class_delay(port, priority.value, policy)
-            for state, index in members:
-                state.delays[index] = delay
+        """Refresh every member's delay at one port from current bursts.
 
-    def _class_delay(self, port: PortContext, level: int,
-                     policy: str) -> float:
+        The members' bursts are computed once and shared by every class
+        present at the port.
+        """
+        bursts = [state.burst_at(index) for state, index in port.members]
+        delays: dict[int, float] = {}
+        for state, index in port.members:
+            if state.level not in delays:
+                delays[state.level] = self._class_delay(
+                    port, bursts, state.level, policy)
+            state.delays[index] = delays[state.level]
+
+    def _class_delay(self, port: PortContext, bursts: list[float],
+                     level: int, policy: str) -> float:
         """Busy-period delay of the class at priority ``level``."""
         work = 0.0
         rate = 0.0
         blocking = 0.0
-        for state, index in port.members:
+        for (state, _), burst in zip(port.members, bursts):
             if policy == "fcfs" or state.level <= level:
-                work += state.burst_at(index)
+                work += burst
                 rate += state.rate
             else:
-                blocking = max(blocking, state.burst_at(index))
+                blocking = max(blocking, burst)
         queuing = _busy_period(work + blocking, rate, port.capacity)
         return queuing + port.technology_delay
 

@@ -17,36 +17,50 @@ rules of the loop:
 * upstream delay accumulates hop by hop as ``(acc + delay) +
   propagation``, and a flow has settled only when its upstream values
   are exactly equal between two passes;
+* a rule is a pure function of its members' bursts at the port's hop,
+  so after the first pass the loop re-runs a port only when some
+  member's upstream *at that port's hop index* changed in the last
+  accumulation (a flow that moved at another hop leaves the port's
+  inputs, and therefore its outputs, unchanged);
 * after :data:`MAX_ITERATIONS` passes one extra pass runs, and the flows
   still moving are then marked *diverged* (their bursts become
   infinite — cyclic topologies can feed their own growth below nominal
   capacity);
-* at most ``len(states) + 1`` further passes let those infinities reach
-  every flow sharing a port with a diverged one (``inf`` is absorbing,
-  so this terminates), and the fixed point reports non-convergence.
+* at most ``len(states) + 1`` further passes, each over every port, let
+  those infinities reach every flow sharing a port with a diverged one
+  (``inf`` is absorbing, so this terminates), and the fixed point
+  reports non-convergence.
 
 The core does not reorder flows: callers pass them in the order their
 rule sums bursts in, and every port lists its members in that order.
 Float addition is not associative, so a rule that summed the same
 members in another order (or subtracted its own term from a port total)
 would move bounds in the last bits and break the byte-identical
-goldens; every rule therefore accumulates in member order.
+goldens; every rule therefore accumulates in member order.  A rule (or
+a final composition) may share aggregates per ``(port, priority
+level)`` between the members of a level, because the strictly-higher
+and lower sums of a level never include the flow itself.
 
-The flows' token-bucket parameters and priority levels are copied onto
-each :class:`RoutedFlowState` once, when :func:`route` builds it.  The
-rules run once per member pair per pass, so they read those plain
-fields instead of going through ``Flow`` → ``Message`` properties and
-the priority enum on every access.  The copies are equal to the
-values the properties return, so every sum is unchanged.  Bursts only
-move between passes, so :func:`port_leftovers` also computes each
-member's inflated burst once per port rather than once per member pair.
+Routing happens once per flow set: :func:`route_template` builds a
+:class:`RoutedTemplate` (routed flows, hops, propagation and each port's
+members as ``(flow position, hop index)``), and every analysis run
+instantiates fresh per-hop state from it.  Neither the policy nor the
+rule changes a route, so one template serves every engine and policy
+of a scenario.  The flows' token-bucket parameters and priority levels
+are copied onto the template once; the rules run once per member pair
+per pass, so they read those plain fields instead of going through
+``Flow`` → ``Message`` properties and the priority enum on every
+access.  The copies are equal to the values the properties return, so
+every sum is unchanged.  Bursts only move between passes, so
+:func:`port_leftovers` also computes each member's inflated burst once
+per port rather than once per member pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
 
 from repro.flows.flow import Flow
 from repro.flows.priorities import PriorityClass
@@ -54,8 +68,9 @@ from repro.flows.priorities import PriorityClass
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.network import Network
 
-__all__ = ["RoutedFlowState", "PortContext", "route", "route_network",
-           "port_leftovers", "run_fixed_point", "MAX_ITERATIONS"]
+__all__ = ["RoutedFlowState", "PortContext", "RoutedTemplate",
+           "route_template", "route", "network_template", "port_leftovers",
+           "run_fixed_point", "MAX_ITERATIONS"]
 
 #: Burst-inflation passes before the divergence check.
 MAX_ITERATIONS = 16
@@ -112,51 +127,100 @@ class PortContext:
     #: ``t_techno`` of the relaying node.
     technology_delay: float
     #: ``(state, hop index)`` of every flow using this port, in the
-    #: order the flows were passed to :func:`route`.
+    #: order the flows were passed to :func:`route_template`.
     members: tuple[tuple[RoutedFlowState, int], ...]
+
+
+class _RoutedFlow(NamedTuple):
+    """A routed flow's fixed fields, in :class:`RoutedFlowState` order."""
+
+    flow: Flow
+    priority: PriorityClass
+    name: str
+    rate: float
+    burst: float
+    level: int
+    hops: tuple[tuple[str, str], ...]
+    propagation: tuple[float, ...]
+
+
+class _TemplatePort(NamedTuple):
+    """A directed port with its members as ``(flow position, hop index)``."""
+
+    node: str
+    toward: str
+    capacity: float
+    technology_delay: float
+    members: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class RoutedTemplate:
+    """The routes of one flow set, grouped by directed port, built once.
+
+    Nothing in it changes during an analysis, so every run over the same
+    flows on the same network shares one template and calls
+    :meth:`instantiate` for its own per-hop state.
+    """
+
+    flows: tuple[_RoutedFlow, ...]
+    #: Sorted by ``(node, toward)``.
+    ports: tuple[_TemplatePort, ...]
+
+    def instantiate(self) -> tuple[list[RoutedFlowState], list[PortContext]]:
+        """Fresh states (zero upstream and delays) and their ports."""
+        states = [RoutedFlowState(*flow, [0.0] * len(flow.hops),
+                                  [0.0] * len(flow.hops),
+                                  [None] * len(flow.hops))
+                  for flow in self.flows]
+        ports = [PortContext(
+            node=port.node, toward=port.toward, capacity=port.capacity,
+            technology_delay=port.technology_delay,
+            members=tuple((states[position], index)
+                          for position, index in port.members))
+            for port in self.ports]
+        return states, ports
+
+
+def route_template(flows: Iterable, route_flow: Callable[[Any], Flow],
+                   port: PortAttributes) -> RoutedTemplate:
+    """Route every flow and group the routed hops by directed port.
+
+    ``route_flow`` turns each item into a routed :class:`Flow` and
+    ``port`` describes a directed port.  Flows keep the input order;
+    ports come back sorted by ``(node, toward)``.
+    """
+    membership: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    attributes: dict[tuple[str, str], tuple[float, float, float]] = {}
+    routed: list[_RoutedFlow] = []
+    for position, item in enumerate(flows):
+        flow = route_flow(item)
+        hops = tuple(flow.hops())
+        for index, hop in enumerate(hops):
+            if hop not in attributes:
+                attributes[hop] = port(*hop)
+            membership.setdefault(hop, []).append((position, index))
+        routed.append(_RoutedFlow(
+            flow=flow, priority=flow.priority, name=flow.name,
+            rate=flow.rate, burst=flow.burst, level=flow.priority.value,
+            hops=hops,
+            propagation=tuple(attributes[hop][2] for hop in hops)))
+    return RoutedTemplate(flows=tuple(routed), ports=tuple(
+        _TemplatePort(node, toward, *attributes[(node, toward)][:2],
+                      tuple(membership[(node, toward)]))
+        for node, toward in sorted(membership)))
 
 
 def route(flows: Iterable, route_flow: Callable[[Any], Flow],
           port: PortAttributes
           ) -> tuple[list[RoutedFlowState], list[PortContext]]:
-    """Route every flow and group the routed hops by directed port.
-
-    ``route_flow`` turns each item into a routed :class:`Flow` and
-    ``port`` describes a directed port.  States keep the input order;
-    ports come back sorted by ``(node, toward)``.
-    """
-    membership: dict[tuple[str, str], list[tuple[RoutedFlowState, int]]] = {}
-    attributes: dict[tuple[str, str], tuple[float, float, float]] = {}
-    states: list[RoutedFlowState] = []
-    for item in flows:
-        flow = route_flow(item)
-        hops = tuple(flow.hops())
-        for hop in hops:
-            if hop not in attributes:
-                attributes[hop] = port(*hop)
-        state = RoutedFlowState(
-            flow=flow, priority=flow.priority, name=flow.name,
-            rate=flow.rate, burst=flow.burst, level=flow.priority.value,
-            hops=hops,
-            propagation=tuple(attributes[hop][2] for hop in hops),
-            upstream=[0.0] * len(hops), delays=[0.0] * len(hops),
-            details=[None] * len(hops))
-        for index, hop in enumerate(hops):
-            membership.setdefault(hop, []).append((state, index))
-        states.append(state)
-    ports = []
-    for node, toward in sorted(membership):
-        capacity, technology_delay, _ = attributes[(node, toward)]
-        ports.append(PortContext(
-            node=node, toward=toward, capacity=capacity,
-            technology_delay=technology_delay,
-            members=tuple(membership[(node, toward)])))
-    return states, ports
+    """Fresh states and ports of :func:`route_template` (one-shot runs)."""
+    return route_template(flows, route_flow, port).instantiate()
 
 
-def route_network(network: "Network", messages: Iterable
-                  ) -> tuple[list[RoutedFlowState], list[PortContext]]:
-    """:func:`route` over a :class:`Network`, flows in name order.
+def network_template(network: "Network", messages: Iterable
+                     ) -> RoutedTemplate:
+    """:func:`route_template` over a :class:`Network`, flows in name order.
 
     Stations relay nothing, so their ports carry no ``t_techno``.
     """
@@ -166,8 +230,8 @@ def route_network(network: "Network", messages: Iterable
                             if network.is_switch(node) else 0.0)
         return link.rate, technology_delay, link.latency
 
-    return route(sorted(messages, key=lambda message: message.name),
-                 network.route_flow, port)
+    return route_template(sorted(messages, key=lambda message: message.name),
+                          network.route_flow, port)
 
 
 def port_leftovers(port: PortContext, policy: str
@@ -214,10 +278,16 @@ def port_leftovers(port: PortContext, policy: str
     return leftovers
 
 
-def _accumulate(states: Iterable[RoutedFlowState]
-                ) -> list[RoutedFlowState]:
-    """Refresh upstream prefix sums; the states whose upstream moved."""
+def _accumulate(states: Iterable[RoutedFlowState],
+                ports_of: dict[int, list[int]]
+                ) -> tuple[list[RoutedFlowState], set[int]]:
+    """Refresh upstream prefix sums.
+
+    Returns the states whose upstream moved and the positions of the
+    ports at whose hop some member's upstream moved.
+    """
     moved = []
+    dirty: set[int] = set()
     for state in states:
         cumulative = 0.0
         upstream = []
@@ -226,33 +296,46 @@ def _accumulate(states: Iterable[RoutedFlowState]
             cumulative += delay
             cumulative += propagation
         if upstream != state.upstream:
+            ports = ports_of[id(state)]
+            for index, (new, old) in enumerate(zip(upstream, state.upstream)):
+                if new != old:
+                    dirty.add(ports[index])
             state.upstream = upstream
             moved.append(state)
-    return moved
+    return moved, dirty
 
 
 def run_fixed_point(states: list[RoutedFlowState],
                     ports: list[PortContext],
                     rule: Callable[[PortContext], None]) -> bool:
-    """Apply ``rule`` to every port and accumulate until settled.
+    """Apply ``rule`` to the ports and accumulate until settled.
 
     ``rule`` refreshes ``delays`` (and optionally ``details``) of every
-    member of one port from the members' current bursts.  Returns
-    ``True`` when every flow settled; otherwise the flows still moving
-    are marked diverged and their infinite bursts propagated, as the
-    module docstring describes.
+    member of one port from the members' current bursts at that port.
+    The first pass runs every port, later passes only the ports whose
+    members' upstream at that hop moved.  Returns ``True`` when every
+    flow settled; otherwise the flows still moving are marked diverged
+    and their infinite bursts propagated over every port, as the module
+    docstring describes.
     """
+    # ``{id(state): [position of the port at each hop]}``.
+    ports_of = {id(state): [0] * len(state.hops) for state in states}
+    for position, port in enumerate(ports):
+        for state, index in port.members:
+            ports_of[id(state)][index] = position
+    pending = ports
     for _ in range(MAX_ITERATIONS + 1):
-        for port in ports:
+        for port in pending:
             rule(port)
-        moving = _accumulate(states)
+        moving, dirty = _accumulate(states, ports_of)
         if not moving:
             return True
+        pending = [ports[position] for position in sorted(dirty)]
     for state in moving:
         state.diverged = True
     for _ in range(len(states) + 1):
         for port in ports:
             rule(port)
-        if not _accumulate(states):
+        if not _accumulate(states, ports_of)[0]:
             break
     return False

@@ -26,6 +26,19 @@ calculus), and the segment concatenation is applied in the final
 end-to-end composition only — the iteration stays monotone and either
 settles or flags the flow unstable.
 
+The final composition aggregates once per ``(port, priority level)``:
+the strictly-higher rate and burst sums, the blocking maximum, the
+resulting left-over ``(rate, latency)`` and the level's same-class
+group (names, rates and inflated bursts in member order).  None of
+them depends on which member of the level asks, because a flow never
+interferes with itself as higher or lower traffic.  A flow's
+companions are its group minus itself, and since the flow belongs to
+every group on its path, comparing groups delimits the same segments
+as comparing companion sets.  The everyone-but-me sums run over the
+group with the flow's own entry sliced out, in member order, with the
+same summation (builtin ``sum`` or sequential addition) as a per-flow
+rescan, so the bounds are bit-identical to one.
+
 Under FIFO every competing flow counts as same-class, so the engine
 degenerates to blind-multiplexing concatenation per segment; at a
 single multiplexing point it essentially matches the calculus bound,
@@ -36,12 +49,16 @@ per segment beats paying them per hop.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              port_leftovers, route_network,
+                                              RoutedTemplate,
+                                              network_template,
+                                              port_leftovers,
                                               run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
@@ -54,18 +71,26 @@ __all__ = ["TrajectoryEngine"]
 
 
 @dataclass(frozen=True)
-class _HopLeftover:
-    """Left-over service and same-class company at one hop of a path."""
+class _LevelGroup:
+    """One priority level's share of one port after the fixed point."""
 
-    #: Rate left after strictly-higher-priority interference.
-    rate: float
-    #: Latency of the left-over curve (relaying, blocking, higher bursts).
-    latency: float
-    #: Names of the same-class flows sharing the hop (segment key).
-    companions: frozenset[str]
-    #: ``(state, hop index)`` of each companion at this hop.
-    members: tuple[tuple[RoutedFlowState, int], ...]
-    port: PortContext
+    #: Left-over ``(rate, latency)`` after strictly-higher-priority
+    #: interference and lower-priority blocking; ``None`` when unbounded.
+    leftover: tuple[float, float] | None
+    #: Names of the level's flows at the port (the segment key).
+    names: frozenset[str]
+    #: Rates and inflated bursts of the level's flows, in member order.
+    rates: list[float]
+    bursts: list[float]
+
+
+#: The level group a flow belongs to at one hop, and its position in it.
+_Hop = tuple[_LevelGroup, int]
+
+
+def _without(values: list[float], position: int) -> list[float]:
+    """``values`` minus the flow's own entry: its companions' values."""
+    return values[:position] + values[position + 1:]
 
 
 class TrajectoryEngine(ScenarioBoundEngine):
@@ -75,18 +100,26 @@ class TrajectoryEngine(ScenarioBoundEngine):
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
-                             graph_spec: "GraphTopologySpec | None" = None
+                             graph_spec: "GraphTopologySpec | None" = None,
+                             template: RoutedTemplate | None = None
                              ) -> dict[PriorityClass, float]:
         """Per-class worst of the per-flow trajectory compositions."""
-        states, ports = route_network(network, messages)
+        if template is None:
+            template = network_template(network, messages)
+        states, ports = template.instantiate()
         if not states:
             return {}
-        ports_by_hop = {(port.node, port.toward): port for port in ports}
         run_fixed_point(states, ports,
                         lambda port: self._port_delays(port, policy))
+        paths: dict[int, list[_Hop]] = {
+            id(state): [None] * len(state.hops) for state in states}
+        for port in ports:
+            for group, members in self._level_groups(port, policy):
+                for position, (state, index) in enumerate(members):
+                    paths[id(state)][index] = (group, position)
         mapping: dict[PriorityClass, float] = {}
         for state in states:
-            delay = self._end_to_end(state, ports_by_hop, policy)
+            delay = self._end_to_end(state, paths[id(state)])
             previous = mapping.get(state.priority, 0.0)
             mapping[state.priority] = max(previous, delay)
         return mapping
@@ -108,29 +141,66 @@ class TrajectoryEngine(ScenarioBoundEngine):
 
     # -- final composition ---------------------------------------------------
 
+    @staticmethod
+    def _level_groups(port: PortContext, policy: str
+                      ) -> list[tuple[_LevelGroup, list]]:
+        """Every level's group at one port, with its ``(state, hop)``s.
+
+        Under FIFO every flow at the port is same-class, so the port
+        holds a single group with no higher or blocking traffic.
+        """
+        members = port.members
+        bursts = [state.burst_at(index) for state, index in members]
+        fifo = policy == "fcfs"
+        positions: dict[int | None, list[int]] = {}
+        for position, (state, _) in enumerate(members):
+            positions.setdefault(None if fifo else state.level,
+                                 []).append(position)
+        groups = []
+        for level, chosen in positions.items():
+            higher_rate = 0.0
+            higher_burst = 0.0
+            blocking = 0.0
+            if level is not None:
+                for (other, _), burst in zip(members, bursts):
+                    if other.level < level:
+                        higher_rate += other.rate
+                        higher_burst += burst
+                    elif other.level > level:
+                        blocking = max(blocking, burst)
+            rate = port.capacity - higher_rate
+            leftover = None
+            if rate > 0 and math.isfinite(higher_burst) \
+                    and math.isfinite(blocking):
+                leftover = (rate, (port.capacity * port.technology_delay
+                                   + blocking + higher_burst) / rate)
+            level_members = [members[position] for position in chosen]
+            groups.append((_LevelGroup(
+                leftover=leftover,
+                names=frozenset(state.name for state, _ in level_members),
+                rates=[state.rate for state, _ in level_members],
+                bursts=[bursts[position] for position in chosen]),
+                level_members))
+        return groups
+
     def _end_to_end(self, state: RoutedFlowState,
-                    ports_by_hop: dict, policy: str) -> float:
+                    path: list[_Hop]) -> float:
         """Segment-concatenated trajectory bound for one routed flow."""
         if state.diverged:
             return math.inf
-        leftovers = []
-        for index, hop in enumerate(state.hops):
-            leftover = self._hop_leftover(ports_by_hop[hop], state, policy)
-            if leftover is None:
-                return math.inf
-            leftovers.append(leftover)
+        if any(group.leftover is None for group, _ in path):
+            return math.inf
 
         total_latency = 0.0
         slowest_segment = math.inf
         start = 0
-        while start < len(leftovers):
+        while start < len(path):
             stop = start
-            while stop + 1 < len(leftovers) and \
-                    leftovers[stop + 1].companions == \
-                    leftovers[start].companions:
+            while stop + 1 < len(path) and \
+                    path[stop + 1][0].names == path[start][0].names:
                 stop += 1
-            segment = leftovers[start:stop + 1]
-            segment_rate, segment_latency = self._segment(segment)
+            segment_rate, segment_latency = self._segment(
+                path[start:stop + 1])
             if segment_rate <= 0 or not math.isfinite(segment_latency):
                 return math.inf
             total_latency += segment_latency
@@ -141,9 +211,9 @@ class TrajectoryEngine(ScenarioBoundEngine):
 
         # Store-and-forward: each relaying hop re-serialises the burst.
         packetisation = 0.0
-        for leftover in leftovers[:-1]:
-            local_rate = leftover.rate - sum(
-                other.rate for other, _ in leftover.members)
+        for group, position in path[:-1]:
+            local_rate = group.leftover[0] - sum(
+                _without(group.rates, position))
             if local_rate <= 0:
                 return math.inf
             packetisation += state.burst / local_rate
@@ -151,57 +221,22 @@ class TrajectoryEngine(ScenarioBoundEngine):
         return (total_latency + state.burst / slowest_segment
                 + packetisation + propagation)
 
-    def _hop_leftover(self, port: PortContext, state: RoutedFlowState,
-                      policy: str) -> "_HopLeftover | None":
-        """Strictly-higher-priority left-over at one hop, or ``None``."""
-        higher_rate = 0.0
-        higher_burst = 0.0
-        blocking = 0.0
-        companions: list[tuple[RoutedFlowState, int]] = []
-        level = state.level
-        for other, other_index in port.members:
-            if other is state:
-                continue
-            if policy == "fcfs" or other.level == level:
-                companions.append((other, other_index))
-            elif other.level < level:
-                burst = other.burst_at(other_index)
-                if not math.isfinite(burst):
-                    return None
-                higher_rate += other.rate
-                higher_burst += burst
-            else:
-                blocking = max(blocking, other.burst_at(other_index))
-        rate = port.capacity - higher_rate
-        if rate <= 0 or not math.isfinite(blocking):
-            return None
-        latency = (port.capacity * port.technology_delay
-                   + blocking + higher_burst) / rate
-        return _HopLeftover(
-            rate=rate,
-            latency=latency,
-            companions=frozenset(other.name for other, _ in companions),
-            members=tuple(companions),
-            port=port)
-
-    def _segment(self, segment: "list[_HopLeftover]"
-                 ) -> tuple[float, float]:
+    @staticmethod
+    def _segment(segment: list[_Hop]) -> tuple[float, float]:
         """(rate, latency) of the flow's left-over over one segment.
 
         The hop left-overs concatenate (minimum rate, summed latencies)
         for the same-class aggregate; the constant companion set is then
         charged as cross traffic once, at the segment entrance.
         """
-        rate = min(leftover.rate for leftover in segment)
-        latency = sum(leftover.latency for leftover in segment)
-        entrance = segment[0]
-        companion_rate = sum(other.rate for other, _ in entrance.members)
-        companion_burst = 0.0
-        for other, other_index in entrance.members:
-            burst = other.burst_at(other_index)
-            if not math.isfinite(burst):
-                return 0.0, math.inf
-            companion_burst += burst
+        rate = min(group.leftover[0] for group, _ in segment)
+        latency = sum(group.leftover[1] for group, _ in segment)
+        entrance, position = segment[0]
+        companion_rate = sum(_without(entrance.rates, position))
+        companion_burst = reduce(
+            operator.add, _without(entrance.bursts, position), 0.0)
+        if not math.isfinite(companion_burst):
+            return 0.0, math.inf
         segment_rate = rate - companion_rate
         if segment_rate <= 0 or not math.isfinite(latency):
             return 0.0, math.inf

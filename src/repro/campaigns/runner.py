@@ -395,8 +395,10 @@ class CampaignRunner:
             deadlines = message_set.class_deadlines()
             messages = lambda: message_set.messages
         rows: list[CampaignRow] = []
+        rows_by_policy = {}
         for policy in scenario.policies:
             class_rows = scenario_rows(scenario, policy, aggregates, messages)
+            rows_by_policy[policy] = class_rows
             rows.extend(CampaignRow(
                 scenario=scenario.name,
                 policy=policy,
@@ -408,20 +410,26 @@ class CampaignRunner:
                 stable=math.isfinite(bound),
                 hops=scenario.hops) for cls, (bound, backlog)
                 in class_rows.items())
-        engine_rows = self._engine_rows(scenario)
+        engine_rows = self._engine_rows(scenario, rows_by_policy)
         return ScenarioResult(scenario=scenario, rows=rows,
                               elapsed=time.perf_counter() - started,
                               engine_rows=engine_rows)
 
-    def _engine_rows(self, scenario: Scenario) -> list[CampaignEngineRow]:
+    def _engine_rows(self, scenario: Scenario,
+                     rows_by_policy: dict[str, dict[PriorityClass,
+                                                    tuple[float, float]]]
+                     ) -> list[CampaignEngineRow]:
         """Every selected engine's per-class bounds for one scenario.
 
         Empty under the default selection (the canonical rows *are* the
         calculus bounds); a non-default selection evaluates each engine
         — including ``calculus``, so the comparison table is complete —
         through the :class:`~repro.analysis.engines.base.BoundEngine`
-        scenario interface.  The scenario is lowered once and every
-        engine × policy evaluation shares that network and its routes.
+        scenario interface.  The scenario is lowered and routed once,
+        and every engine × policy evaluation shares that network and its
+        routes.  Each policy's :func:`scenario_rows`, from
+        ``rows_by_policy``, goes along, so an engine whose bounds are
+        those rows reuses them.
         """
         if self.engines == DEFAULT_ENGINES:
             return []
@@ -432,7 +440,8 @@ class CampaignRunner:
             if not engine.supports(scenario):
                 continue
             for policy in scenario.policies:
-                result = engine.class_bounds(scenario, policy, inputs=inputs)
+                result = engine.class_bounds(scenario, policy, inputs=inputs,
+                                             rows=rows_by_policy[policy])
                 for bound in result.bounds:
                     rows.append(CampaignEngineRow(
                         scenario=scenario.name,

@@ -851,12 +851,12 @@ def _build_engines() -> ExperimentResult:
     for family, scenario_names in ENGINE_FAMILIES:
         for scenario_name in scenario_names:
             scenario = get_scenario(scenario_name)
-            wire, network, graph_spec = scenario_inputs(scenario)
+            wire, network, graph_spec, template = scenario_inputs(scenario)
             for policy in scenario.policies:
                 per_engine = {
                     name: engines[name].network_class_bounds(
                         wire, policy, network=network,
-                        graph_spec=graph_spec)
+                        graph_spec=graph_spec, template=template)
                     for name in names}
                 sim_results = None
                 if scenario_name in ENGINE_SIM_SCENARIOS:

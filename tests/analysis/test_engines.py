@@ -227,7 +227,7 @@ class TestFixedPointTermination:
 
         for name in ("paper-real-case", "scalability-x2"):
             scenario = get_scenario(name)
-            wire, network, graph_spec = scenario_inputs(scenario)
+            wire, network, graph_spec, _ = scenario_inputs(scenario)
             for policy in scenario.policies:
                 reference = get_engine("calculus").network_class_bounds(
                     wire, policy, network=network, graph_spec=graph_spec)
