@@ -1,13 +1,18 @@
 """Admission-service acceptance: a warm server answers fast and bounded.
 
 Starts one in-process :class:`~repro.serve.server.AdmissionServer` over
-the paper's warm 16-station case study and measures three paths:
+the paper's warm 16-station case study and measures four paths:
 
 * the admission boundary (``submit``: queue + watchdog + engine), which
   must sustain at least :data:`QUERY_FLOOR_QPS` queries/s with a worker
   p99 under :data:`P99_FLOOR_S` — the service's acceptance criterion;
-* the full HTTP round trip from concurrent stdlib clients (reported,
-  with a conservative floor so slow CI machines don't flake);
+* sequential HTTP round trips on one keep-alive connection, which must
+  finish :data:`KEEPALIVE_ROUND_TRIPS` requests within
+  :data:`KEEPALIVE_CEILING_S` — the gate against a response held back
+  by Nagle's algorithm (~40 ms per request without ``TCP_NODELAY``);
+* the full HTTP round trip from concurrent :class:`ServeClient` threads,
+  one keep-alive connection each (reported, with a conservative floor
+  so slow CI machines don't flake);
 * the mutation path (admit+remove pairs through the incremental
   engine), which must sustain at least :data:`MUTATION_FLOOR_OPS`
   mutations/s: per-class O(1) updates, one flow fragment encoded per
@@ -39,6 +44,9 @@ QUERY_FLOOR_QPS = 1000.0
 P99_FLOOR_S = 0.05
 #: Conservative floor for the concurrent HTTP round trip.
 HTTP_FLOOR_QPS = 250.0
+#: Sequential round trips on one connection, and the ceiling (seconds)
+#: they must finish within: ~30 ms with ``TCP_NODELAY``, >= 2 s without.
+KEEPALIVE_ROUND_TRIPS, KEEPALIVE_CEILING_S = 50, 1.0
 #: Floor for admit/remove mutations through the submit path.
 MUTATION_FLOOR_OPS = 1000.0
 
@@ -70,7 +78,16 @@ def test_bench_serve_throughput(report, bench_values):
     server.start()
     try:
         base = f"http://127.0.0.1:{server.port}"
-        ServeClient(base).wait_ready()
+        client = ServeClient(base)
+        client.wait_ready()
+
+        # -- sequential round trips on one keep-alive connection ----------
+        started = time.perf_counter()
+        for _ in range(KEEPALIVE_ROUND_TRIPS):
+            status, _, _ = client.check()
+            assert status == 200
+        keepalive_s = time.perf_counter() - started
+        client.close()
 
         # -- admission boundary: queue + watchdog + engine ----------------
         started = time.perf_counter()
@@ -86,6 +103,7 @@ def test_bench_serve_throughput(report, bench_values):
             for _ in range(HTTP_QUERIES):
                 status, _, _ = client.check()
                 assert status == 200
+            client.close()
 
         threads = [threading.Thread(target=_client_loop)
                    for _ in range(HTTP_THREADS)]
@@ -121,6 +139,8 @@ def test_bench_serve_throughput(report, bench_values):
         ["metric", "value"],
         [("submit_qps", f"{submit_qps:.0f}"),
          ("http_qps", f"{http_qps:.0f}"),
+         ("keepalive_round_trip_ms",
+          f"{keepalive_s / KEEPALIVE_ROUND_TRIPS * 1e3:.3f}"),
          ("mutation_ops_per_s", f"{mutation_ops:.0f}"),
          ("worker_p99_ms", f"{worker_p99 * 1e3:.3f}"),
          ("deadline_budget_ms", f"{DEADLINE * 1e3:.0f}"),
@@ -133,6 +153,8 @@ def test_bench_serve_throughput(report, bench_values):
     bench_values({
         "bench.serve-qps": f"{submit_qps:,.0f}",
         "bench.serve-http-qps": f"{http_qps:,.0f}",
+        "bench.serve-round-trip-ms":
+            f"{keepalive_s / KEEPALIVE_ROUND_TRIPS * 1e3:.2f} ms",
         "bench.serve-mutations-per-s": f"{mutation_ops:,.0f}",
         "bench.serve-p99-ms": f"{worker_p99 * 1e3:.2f} ms",
     })
@@ -145,6 +167,10 @@ def test_bench_serve_throughput(report, bench_values):
         f"worker p99 {max(submit_p99, worker_p99) * 1e3:.1f} ms over the "
         f"{P99_FLOOR_S * 1e3:.0f} ms floor — requests are at risk of "
         f"degrading under the {DEADLINE:g}s budget")
+    assert keepalive_s < KEEPALIVE_CEILING_S, (
+        f"{KEEPALIVE_ROUND_TRIPS} sequential keep-alive round trips took "
+        f"{keepalive_s:.2f}s (ceiling {KEEPALIVE_CEILING_S:g}s) — responses "
+        f"are being held back (is TCP_NODELAY off?)")
     assert http_qps >= HTTP_FLOOR_QPS, (
         f"concurrent HTTP round trip sustained only {http_qps:.0f} "
         f"queries/s (floor {HTTP_FLOOR_QPS:.0f})")

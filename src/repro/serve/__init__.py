@@ -17,8 +17,9 @@ turns the analysis into a long-lived query engine:
   end with per-request deadline budgets (degrading to the last
   committed bound instead of hanging), a bounded admission queue with
   load shedding (503 + ``Retry-After``) and a graceful SIGTERM drain.
-* :class:`~repro.serve.client.ServeClient` — a stdlib client used by
-  the tests, the benchmarks and the CI smoke storm.
+* :class:`~repro.serve.client.ServeClient` — a stdlib keep-alive
+  client (one persistent connection per thread) used by the tests, the
+  benchmarks and the CI smoke storm.
 
 See DESIGN.md §14 and the ``repro serve`` section of README.md.
 """

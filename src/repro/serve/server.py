@@ -25,6 +25,12 @@ contract the service promises:
 * **Graceful drain.**  SIGTERM stops accepting work (``503`` on new
   requests), drains the in-flight queue, folds a final checkpoint and
   exits 0.  SIGKILL needs no cooperation: recovery replays the journal.
+* **Keep-alive connections.**  HTTP/1.1 connections persist between
+  requests.  Responses go out with ``TCP_NODELAY``, an idle connection
+  is closed after :data:`IDLE_TIMEOUT`, every route reads the request
+  body before answering (so it is never parsed as the next request),
+  framing errors answer a JSON error and close, and once the server is
+  draining every response closes its connection.
 
 Chaos testing hooks: a :class:`~repro.exec.faults.FaultPlan` makes the
 worker wrap each job in :class:`~repro.exec.faults.request_context`
@@ -36,6 +42,7 @@ requests.
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from collections import deque
@@ -51,6 +58,28 @@ from repro.serve.journal import AdmissionJournal
 from repro.store import code_version
 
 __all__ = ["AdmissionServer", "ServeConfig"]
+
+#: Seconds a keep-alive connection may sit idle (or a request body may
+#: take to arrive) before the server closes it and frees its handler
+#: thread.
+IDLE_TIMEOUT = 30.0
+
+#: Largest request body accepted, in bytes (one flow is a few hundred).
+MAX_BODY = 1 << 20
+
+#: Seconds a connection closed on an error keeps reading (and dropping)
+#: what the client still sends, so the client reads the error reply
+#: instead of a reset.
+LINGER_TIMEOUT = 2.0
+
+#: Rolling window, in requests, of every latency sample kept.
+LATENCY_WINDOW = 512
+
+#: Request stages timed for ``/stats`` ``stages_ms``: reading and
+#: decoding the request in the handler, waiting for the engine worker,
+#: the engine call, the journal append (and checkpoint) of an applied
+#: mutation, and writing the response.
+STAGES = ("parse", "queue_wait", "engine", "journal", "respond")
 
 
 @dataclass(frozen=True)
@@ -99,7 +128,7 @@ class _Job:
     """One queued engine operation with its watchdog handshake."""
 
     __slots__ = ("seq", "op", "payload", "force", "state", "status",
-                 "result", "lock", "done")
+                 "result", "lock", "done", "enqueued", "journal_s")
 
     def __init__(self, seq: int, op: str, payload, force: bool = False
                  ) -> None:
@@ -112,6 +141,10 @@ class _Job:
         self.result = None
         self.lock = threading.Lock()
         self.done = threading.Event()
+        #: ``perf_counter`` instant the job was queued, and the seconds
+        #: its journal append took (0 when nothing was journaled).
+        self.enqueued = time.perf_counter()
+        self.journal_s = 0.0
 
     def try_abandon(self) -> bool:
         """CAS ``PENDING -> ABANDONED``; False if the worker got there."""
@@ -157,7 +190,9 @@ class AdmissionServer:
         self._queue: Queue = Queue(maxsize=self.config.queue_depth)
         self._seq_lock = threading.Lock()
         self._seq = 0
-        self._latencies: deque = deque(maxlen=512)
+        self._latencies: deque = deque(maxlen=LATENCY_WINDOW)
+        self._stages = {stage: deque(maxlen=LATENCY_WINDOW)
+                        for stage in STAGES}
         self._counters = {"served": 0, "degraded": 0, "shed": 0,
                           "errors": 0, "abandoned": 0}
         self._counters_lock = threading.Lock()
@@ -230,7 +265,7 @@ class AdmissionServer:
             if not job.try_start():
                 self._bump("abandoned")
                 continue
-            started = time.monotonic()
+            started = time.perf_counter()
             try:
                 if self.faults is not None:
                     with request_context(self.faults, job.seq):
@@ -248,7 +283,10 @@ class AdmissionServer:
             except Exception as error:  # never kill the worker
                 status, payload = 500, {"error": f"internal error: "
                                         f"{error}"}
-            self._latencies.append(time.monotonic() - started)
+            elapsed = time.perf_counter() - started
+            self._latencies.append(elapsed)
+            self._stages["queue_wait"].append(started - job.enqueued)
+            self._stages["engine"].append(elapsed - job.journal_s)
             job.status = status
             job.result = payload
             with job.lock:
@@ -264,15 +302,11 @@ class AdmissionServer:
             decision = engine.admit(job.payload, force=job.force)
             if decision.applied and journal is not None:
                 flow = engine.flow_payload(decision.flow)
-                try:
-                    journal.append({"op": "admit", "flow": flow})
-                except OSError:
-                    # Roll back so acknowledged state == journaled
-                    # state; removal restores the pre-admit aggregates
-                    # bit-identically (the metamorphic property).
-                    engine.remove(decision.flow)
-                    raise
-                journal.maybe_checkpoint(engine.flow_payloads)
+                # Roll back so acknowledged state == journaled state;
+                # removal restores the pre-admit aggregates
+                # bit-identically (the metamorphic property).
+                self._journal(job, {"op": "admit", "flow": flow},
+                              lambda: engine.remove(decision.flow))
             return (200 if decision.applied else 409), \
                 decision.to_payload()
         if job.op == "remove":
@@ -280,15 +314,23 @@ class AdmissionServer:
             rollback = engine.flow_payload(name) if name in engine else None
             decision = engine.remove(name)
             if decision.applied and journal is not None:
-                try:
-                    journal.append({"op": "remove", "name": name})
-                except OSError:
-                    engine.admit(rollback, force=True)
-                    raise
-                journal.maybe_checkpoint(engine.flow_payloads)
+                self._journal(job, {"op": "remove", "name": name},
+                              lambda: engine.admit(rollback, force=True))
             return (200 if decision.applied else 404), \
                 decision.to_payload()
         return 400, {"error": f"unknown operation {job.op!r}"}
+
+    def _journal(self, job: _Job, record: dict, rollback) -> None:
+        """Append an applied mutation; on failure undo it and re-raise."""
+        started = time.perf_counter()
+        try:
+            self.journal.append(record)
+        except OSError:
+            rollback()
+            raise
+        self.journal.maybe_checkpoint(self.engine.flow_payloads)
+        job.journal_s = time.perf_counter() - started
+        self._stages["journal"].append(job.journal_s)
 
     # -- request-side helpers ----------------------------------------------
 
@@ -302,13 +344,13 @@ class AdmissionServer:
         with self._counters_lock:
             self._counters[counter] += 1
 
+    def record_stage(self, stage: str, seconds: float) -> None:
+        """Add one sample to a request stage's rolling window."""
+        self._stages[stage].append(seconds)
+
     def p99_latency(self) -> float:
         """Rolling p99 of worker-side latencies (seconds)."""
-        sample = sorted(self._latencies)
-        if not sample:
-            return 0.0
-        return sample[min(len(sample) - 1,
-                          int(0.99 * (len(sample) - 1) + 0.5))]
+        return _quantile(self._latencies, 0.99)
 
     def should_shed(self) -> str | None:
         """A human reason to shed the request right now, or ``None``."""
@@ -394,8 +436,19 @@ class AdmissionServer:
             "incremental_hits": self.engine.incremental_hits,
             "full_recomputes": self.engine.full_recomputes,
             "uptime": time.monotonic() - self._started,
+            "stages_ms": {stage: {"p50": _quantile(sample, 0.5) * 1e3,
+                                  "p99": _quantile(sample, 0.99) * 1e3}
+                          for stage, sample in self._stages.items()},
         })
         return counters
+
+
+def _quantile(sample, q: float) -> float:
+    """The nearest-rank ``q`` quantile of ``sample``; 0 when empty."""
+    ordered = sorted(sample)
+    if not ordered:
+        return 0.0
+    return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
 
 
 class _RequestHandler(BaseHTTPRequestHandler):
@@ -403,11 +456,27 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     serve_ref: AdmissionServer = None  # patched per server instance
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; without ``TCP_NODELAY``
+    #: Nagle's algorithm holds the body back until the client's delayed
+    #: ACK of the headers (~40 ms per keep-alive response).
+    disable_nagle_algorithm = True
+    timeout = IDLE_TIMEOUT
 
     # -- plumbing ----------------------------------------------------------
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # the access log is the stats endpoint, not stderr
+
+    def parse_request(self) -> bool:
+        self._received = time.perf_counter()
+        return super().parse_request()
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        """The stdlib's error replies (bad request line, unsupported
+        method, ...) as JSON; they close the connection as before."""
+        if message is None:
+            message = self.responses.get(code, ("???",))[0]
+        self._respond_and_close(code, {"error": message})
 
     def _respond(self, status: int, payload: dict,
                  headers: dict | None = None) -> None:
@@ -417,27 +486,65 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
+        if self.serve_ref.draining and not self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if not length:
-            return {}
-        raw = self.rfile.read(length)
+    def _respond_and_close(self, status: int, payload: dict) -> None:
+        """An error reply that closes a connection whose input may hold
+        an unread body.
+
+        Closing a socket with unread input resets the connection, and
+        the client may lose the reply (or fail its own send of the
+        body).  So the write side is shut first and what the client
+        still sends is dropped until it closes, up to
+        :data:`LINGER_TIMEOUT` seconds and :data:`MAX_BODY` bytes.
+        """
+        self._respond(status, payload, {"Connection": "close"})
+        deadline = time.monotonic() + LINGER_TIMEOUT
+        dropped = 0
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as error:
-            raise ConfigurationError(f"request body is not valid JSON: "
-                                     f"{error}") from None
-        if not isinstance(payload, dict):
-            raise ConfigurationError("request body must be a JSON object")
-        return payload
+            self.connection.shutdown(socket.SHUT_WR)
+            while dropped <= MAX_BODY:
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    break
+                self.connection.settimeout(left)
+                chunk = self.connection.recv(65536)
+                if not chunk:
+                    break
+                dropped += len(chunk)
+        except OSError:
+            pass  # reset or timed out: the reply went out either way
+
+    def _read_raw(self) -> bytes | None:
+        """The request body, or ``None`` once a framing error is answered.
+
+        Every route reads the body before it answers, so an unread body
+        is never parsed as the next request on a keep-alive connection.
+        A body whose length cannot be known closes the connection.
+        """
+        length = self.headers.get("Content-Length", "0")
+        if "Transfer-Encoding" in self.headers:
+            status, error = 501, "Transfer-Encoding is not supported; " \
+                "send a Content-Length"
+        elif not (length.isascii() and length.isdigit()):
+            status, error = 400, f"invalid Content-Length {length!r}"
+        elif int(length) > MAX_BODY:
+            status, error = 413, f"Content-Length {length} is over " \
+                f"the {MAX_BODY}-byte limit"
+        else:
+            return self.rfile.read(int(length))
+        self._respond_and_close(status, {"error": error})
+        return None
 
     # -- routes ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
         server = self.serve_ref
+        if self._read_raw() is None:
+            return
         if self.path == "/health":
             self._respond(200, server.health_payload())
         elif self.path == "/stats":
@@ -447,15 +554,19 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         server = self.serve_ref
+        raw = self._read_raw()
+        if raw is None:
+            return
         route = self.path.rstrip("/")
         if route not in ("/admit", "/remove", "/check"):
             self._respond(404, {"error": f"unknown path {self.path!r}"})
             return
         try:
-            body = self._read_body()
+            body = _decode_body(raw)
         except ConfigurationError as error:
             self._respond(400, {"error": str(error)})
             return
+        server.record_stage("parse", time.perf_counter() - self._received)
         if route == "/admit":
             status, payload, headers = server.submit(
                 "admit", body.get("flow"), force=bool(body.get("force")))
@@ -469,4 +580,20 @@ class _RequestHandler(BaseHTTPRequestHandler):
         else:
             status, payload, headers = server.submit(
                 "check", body.get("flow"))
+        started = time.perf_counter()
         self._respond(status, payload, headers)
+        server.record_stage("respond", time.perf_counter() - started)
+
+
+def _decode_body(raw: bytes) -> dict:
+    """A request body as a JSON object (``{}`` when empty)."""
+    if not raw:
+        return {}
+    try:
+        payload = json.loads(raw.decode("utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as error:
+        raise ConfigurationError(f"request body is not valid JSON: "
+                                 f"{error}") from None
+    if not isinstance(payload, dict):
+        raise ConfigurationError("request body must be a JSON object")
+    return payload

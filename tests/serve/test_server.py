@@ -1,7 +1,13 @@
 """The HTTP admission-control server: routing, watchdogs, shedding,
-fault injection, journal durability and crash recovery."""
+fault injection, journal durability, crash recovery and keep-alive
+connections."""
 
 import contextlib
+import http.client
+import json
+import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -16,6 +22,7 @@ from repro.serve import (
     ServeClient,
     ServeConfig,
 )
+from repro.serve import server as server_module
 from repro.store import ResultStore
 
 
@@ -49,6 +56,7 @@ def serving(engine=None, config=None, journal=None, faults=None):
         yield server, client
     finally:
         server.drain(timeout=10.0)
+        client.close()
 
 
 class TestRoutes:
@@ -127,6 +135,23 @@ class TestRoutes:
             assert body["shed"] == 0
             assert body["incremental_hits"] >= 2
             assert body["p99_latency"] >= 0.0
+            stages = body["stages_ms"]
+            assert tuple(stages) == ("parse", "queue_wait", "engine",
+                                     "journal", "respond")
+            for stage, quantiles in stages.items():
+                assert set(quantiles) == {"p50", "p99"}, stage
+                assert 0.0 <= quantiles["p50"] <= quantiles["p99"], stage
+            for stage in ("parse", "engine", "respond"):
+                assert stages[stage]["p50"] > 0.0, stage
+            # No journal: nothing was appended, so its window is empty.
+            assert stages["journal"] == {"p50": 0.0, "p99": 0.0}
+
+    def test_journal_stage_is_timed_when_journaling(self, tmp_path):
+        with serving(journal=AdmissionJournal(tmp_path / "j")) \
+                as (_, client):
+            client.admit(probe())
+            _, body, _ = client.stats()
+            assert body["stages_ms"]["journal"]["p50"] > 0.0
 
 
 class TestWatchdogAndShedding:
@@ -161,6 +186,7 @@ class TestWatchdogAndShedding:
             assert status == 503
             assert body["shed"] is True
             assert headers.get("Retry-After") == "1"
+            assert headers.get("Connection") == "close"
             server.draining = False  # let the fixture drain cleanly
 
     def test_p99_over_threshold_sheds(self):
@@ -276,6 +302,7 @@ class TestJournalDurability:
         # SIGKILL-equivalent: stop without draining (no final checkpoint).
         server._httpd.shutdown()
         server._httpd.server_close()
+        client.close()
         journal.close()
         state = AdmissionJournal(tmp_path / "j").recover()
         assert state.corrupt_lines == 1  # the torn probe-1 append
@@ -304,6 +331,7 @@ class TestCrashRecovery:
         # SIGKILL-equivalent: no drain, no final checkpoint.
         server._httpd.shutdown()
         server._httpd.server_close()
+        client.close()
         journal.close()
 
         recovered_journal = AdmissionJournal(tmp_path / "j")
@@ -385,6 +413,7 @@ class TestDrain:
         client.wait_ready()
         client.admit(probe())
         assert server.drain(timeout=10.0) is True
+        client.close()
         state = AdmissionJournal(tmp_path / "j").recover()
         assert state.operations == ()
         names = [flow["name"] for flow in state.flows]
@@ -401,3 +430,206 @@ class TestDrain:
         assert body["status"] == "draining"
         assert body["ready"] is False
         assert server.drain(timeout=10.0) is True
+        client.close()
+
+
+def raw_connection(server):
+    return http.client.HTTPConnection("127.0.0.1", server.port, timeout=5)
+
+
+def exchange(connection, method, path, body=None, headers=None):
+    connection.request(method, path, body=body, headers=headers or {})
+    response = connection.getresponse()
+    return response, json.loads(response.read())
+
+
+class TestKeepAliveFraming:
+    """Requests and responses on one persistent connection stay framed."""
+
+    @pytest.mark.parametrize("method, path, status", [
+        ("POST", "/nope", 404), ("GET", "/nope", 404),
+        ("GET", "/health", 200)])
+    def test_a_body_is_read_before_the_answer(self, method, path, status):
+        with serving() as (server, _):
+            connection = raw_connection(server)
+            response, _ = exchange(connection, method, path,
+                                   b'{"flow": null}')
+            assert response.status == status
+            response, body = exchange(connection, "POST", "/check", b"{}")
+            assert response.status == 200
+            assert body["degraded"] is False
+            connection.close()
+
+    @pytest.mark.parametrize("length, status", [
+        ("abc", 400), ("-1", 400), ("+2", 400), ("", 400),
+        (str(server_module.MAX_BODY + 1), 413), ("9" * 30, 413)])
+    def test_a_bad_content_length_is_a_json_error_that_closes(self, length,
+                                                              status):
+        with serving() as (server, _):
+            connection = raw_connection(server)
+            connection.putrequest("POST", "/check")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == status
+            assert "Content-Length" in body["error"]
+            assert response.getheader("Connection") == "close"
+            connection.close()
+
+    def test_a_chunked_body_is_a_json_501_that_closes(self):
+        with serving() as (server, _):
+            connection = raw_connection(server)
+            connection.request("POST", "/check", body=iter([b"{}"]),
+                               encode_chunked=True)
+            response = connection.getresponse()
+            body = json.loads(response.read())
+            assert response.status == 501
+            assert "Transfer-Encoding" in body["error"]
+            assert response.getheader("Connection") == "close"
+            connection.close()
+
+    def test_an_oversized_body_sent_in_full_still_gets_the_413(self):
+        # The server answers after the headers; the body it never reads
+        # must be drained, not reset, or the client loses the reply.
+        size = server_module.MAX_BODY + 1
+        with serving() as (server, _):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5) as sock:
+                sock.sendall(b"POST /check HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: %d\r\n\r\n" % size)
+                sock.sendall(b" " * size)
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                body = json.loads(response.read())
+            assert response.status == 413
+            assert "Content-Length" in body["error"]
+            assert response.getheader("Connection") == "close"
+
+    def test_an_unsupported_method_is_a_json_501(self):
+        with serving() as (server, client):
+            status, body, headers = client.request("PUT", "/admit", {})
+            assert status == 501
+            assert "Unsupported method" in body["error"]
+            assert headers["Content-Type"] == "application/json"
+            assert headers["Connection"] == "close"
+            assert client.health()[0] == 200  # reconnects
+
+    def test_a_malformed_request_line_is_a_json_400(self):
+        with serving() as (server, _):
+            with socket.create_connection(("127.0.0.1", server.port),
+                                          timeout=5) as sock:
+                sock.sendall(b"GET /a b HTTP/1.1\r\nHost: x\r\n\r\n")
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                body = json.loads(response.read())
+            assert response.status == 400
+            assert "Bad request syntax" in body["error"]
+            assert response.getheader("Content-Type") == "application/json"
+
+
+class TestClientConnections:
+    def test_one_client_shared_by_four_threads(self):
+        per_thread = 25
+        errors = []
+        with serving() as (server, client):
+            def work(index):
+                try:
+                    for step in range(per_thread):
+                        name = f"t{index}-{step}"
+                        status, body, _ = client.admit(probe(name))
+                        assert (status, body["flow"]) == (200, name), body
+                        status, body, _ = client.check(probe(name + "-w"))
+                        assert status == 200
+                        assert body["flow"] == name + "-w", body
+                except Exception as error:  # reported by the main thread
+                    errors.append(error)
+                finally:
+                    client.close()
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                threads = [threading.Thread(target=work, args=(index,))
+                           for index in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            names = set(server.engine.flow_names())
+            assert {f"t{index}-{step}" for index in range(4)
+                    for step in range(per_thread)} <= names
+            assert server.engine.verify()
+
+    def test_a_connection_closed_by_the_server_is_replaced(self,
+                                                          monkeypatch):
+        monkeypatch.setattr(server_module._RequestHandler, "timeout", 0.2)
+        with serving() as (_, client):
+            assert client.health()[0] == 200
+            first = client._local.connection.sock
+            assert first is not None  # kept open for the next request
+            time.sleep(0.6)  # the server closes the idle connection
+            status, body, _ = client.admit(probe())
+            assert status == 200 and body["applied"] is True
+            assert client._local.connection.sock is not first
+
+    def test_a_failed_request_is_never_replayed(self):
+        """A server that reads one request and hangs up: the client
+        raises, and the server saw that one request only."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(0.1)
+        seen = []
+        stop = threading.Event()
+
+        def serve():
+            while not stop.is_set():
+                try:
+                    connection, _ = listener.accept()
+                except TimeoutError:
+                    continue
+                with connection:
+                    connection.settimeout(5)
+                    seen.append(connection.recv(65536))
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        client = ServeClient(f"http://127.0.0.1:"
+                             f"{listener.getsockname()[1]}")
+        try:
+            with pytest.raises(OSError):
+                client.admit(probe())
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+            listener.close()
+        assert not thread.is_alive()
+        assert len(seen) == 1
+        assert seen[0].startswith(b"POST /admit ")
+
+
+class TestDrainWithOpenConnections:
+    def test_drain_is_not_held_up_by_an_idle_connection(self):
+        engine = AdmissionEngine(scenario(), "strict-priority")
+        server = AdmissionServer(engine, ServeConfig(port=0, deadline=2.0))
+        server.start()
+        client = ServeClient(f"http://127.0.0.1:{server.port}")
+        try:
+            client.wait_ready()
+            assert client._local.connection.sock is not None  # held open
+            started = time.monotonic()
+            assert server.drain(timeout=10.0) is True
+            assert time.monotonic() - started < 1.0
+            # The held connection still gets an answer: shed, and closed.
+            status, body, headers = client.admit(probe())
+            assert status == 503
+            assert body["error"] == "server is draining"
+            assert headers.get("Connection") == "close"
+            assert engine.flow_names().count("probe-1") == 0
+            with pytest.raises(OSError):
+                client.health()  # nothing listens any more
+        finally:
+            client.close()

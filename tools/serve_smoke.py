@@ -15,7 +15,8 @@ Drives a real server subprocess through the full robustness contract:
    identical** to the last acknowledged pre-kill state (the torn journal
    line is survivable because its flow was removed again before the
    kill — at-most-once semantics);
-4. SIGTERM the restarted server and assert it drains and exits 0.
+4. SIGTERM the restarted server while the client holds an idle
+   keep-alive connection, and assert it drains and exits 0.
 
 Run from the repository root::
 
@@ -193,6 +194,11 @@ def main() -> None:
         raise
 
     # -- phase 4: SIGTERM drains and exits 0 ----------------------------
+    # The client's connection stays open and idle across the signal: an
+    # idle keep-alive connection must not hold the drain up.
+    status, _, headers = client.health()
+    expect("connection held open before SIGTERM",
+           (status, headers.get("Connection")), (200, None))
     process.send_signal(signal.SIGTERM)
     try:
         code = process.wait(timeout=30)
