@@ -8,7 +8,10 @@ Three regressions the engine sweep must never see:
    policy evaluation shares one network and one routed template, and
    the calculus engine reuses the rows the runner just computed.  This
    is pinned deterministically by counting ``scenario_inputs``,
-   ``RoutingEngine.route_flow`` and ``scenario_rows`` calls,
+   ``RoutingEngine.route_flow`` and ``scenario_rows`` calls; and every
+   fixed point over a template with a feed-forward schedule runs each
+   port's rule exactly once, pinned by counting rule calls per
+   ``run_fixed_point``,
 3. the default (``calculus``-only) campaign path must stay the
    pre-engine path — the engine hook is a single tuple comparison per
    scenario and never calls into the engine registry, which is pinned
@@ -28,10 +31,10 @@ ROUNDS = 5
 #: Every row is one (scenario, engine, policy, class) bound.  The x8
 #: ladder rung dominates: 1,152 routed flows under the iterative
 #: engines.  With one routed template per scenario, per-(port, level)
-#: trajectory aggregates, a dirty-port fixed point and the calculus
-#: rows reused from the runner, a 2-vCPU Xeon host measures ~300 rows/s
-#: on this campaign, so the floor sits far below that to absorb CI
-#: noise.
+#: trajectory aggregates, a feed-forward fixed point (each port once)
+#: and the calculus rows reused from the runner, a 2-vCPU Xeon host
+#: measures ~400 rows/s on this campaign, so the floor sits far below
+#: that to absorb CI noise.
 ENGINE_ROWS_PER_S_FLOOR = 30.0
 
 
@@ -66,6 +69,7 @@ def test_bench_engines(benchmark, report, monkeypatch):
     # ... lowering and routing each scenario exactly once for all
     # engines × policies, and computing its campaign rows once.
     from repro.analysis.engines import calculus as calculus_module
+    from repro.analysis.engines import iteration
     from repro.campaigns import runner as runner_module
     from repro.topology.routing import RoutingEngine
 
@@ -87,6 +91,20 @@ def test_bench_engines(benchmark, report, monkeypatch):
         routed.append(flow.name)
         return original_route_flow(self, flow)
 
+    # (ports, has a schedule, rule calls) of every fixed point.
+    fixed_points = []
+
+    def counting_fixed_point(states, ports, rule, schedule=None):
+        calls = []
+
+        def counted(port):
+            calls.append(port)
+            rule(port)
+
+        converged = original_fixed_point(states, ports, counted, schedule)
+        fixed_points.append((len(ports), schedule is not None, len(calls)))
+        return converged
+
     original_inputs = runner_module.scenario_inputs
     original_rows = runner_module.scenario_rows
     original_route_flow = RoutingEngine.route_flow
@@ -96,6 +114,12 @@ def test_bench_engines(benchmark, report, monkeypatch):
     monkeypatch.setattr(runner_module, "scenario_rows", counting_rows)
     monkeypatch.setattr(calculus_module, "scenario_rows", counting_rows)
     monkeypatch.setattr(RoutingEngine, "route_flow", counting_route_flow)
+    original_fixed_point = iteration.run_fixed_point
+    for module in ("repro.analysis.engines.holistic",
+                   "repro.analysis.engines.trajectory",
+                   "repro.analysis.multihop", "repro.core.endtoend"):
+        monkeypatch.setattr(f"{module}.run_fixed_point",
+                            counting_fixed_point)
     route_calls = {}
     for scenario in scenarios:
         routed.clear()
@@ -148,6 +172,12 @@ def test_bench_engines(benchmark, report, monkeypatch):
                           if scenario.topology.kind == "graph" else 0)
         assert route_calls[scenario.name] == flows * (1 + graph_analyses), (
             scenario.name)
+    # ... and runs each port's rule once wherever the template has a
+    # feed-forward schedule (every template of this campaign).
+    scheduled = [(ports, calls) for ports, has_schedule, calls
+                 in fixed_points if has_schedule]
+    assert scheduled and len(scheduled) == len(fixed_points)
+    assert all(calls == ports for ports, calls in scheduled), scheduled
     # ... at batch-friendly throughput.
     assert engine_rate >= ENGINE_ROWS_PER_S_FLOOR, (
         f"cross-engine throughput {engine_rate:,.0f} rows/s fell below "

@@ -15,8 +15,10 @@ the bound.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import reduce
 
 from repro import units
 from repro.analysis.validation import star_for_message_set, wire_level_messages
@@ -84,8 +86,8 @@ def buffer_requirements(message_set: MessageSet,
         latency = (network.technology_delay(node)
                    if network.is_switch(node) else 0.0)
         aggregate = TokenBucketArrivalCurve(
-            bucket=sum(f.burst for f in members),
-            token_rate=sum(f.rate for f in members))
+            bucket=reduce(operator.add, (f.burst for f in members), 0),
+            token_rate=reduce(operator.add, (f.rate for f in members), 0))
         service = RateLatencyServiceCurve(rate=link.rate, delay=latency)
         requirements.append(PortBufferRequirement(
             node=node, toward=toward, flow_count=len(members),

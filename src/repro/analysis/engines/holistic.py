@@ -87,7 +87,8 @@ class HolisticEngine(ScenarioBoundEngine):
         if not states:
             return {}
         run_fixed_point(states, ports,
-                        lambda port: self._port_delays(port, policy))
+                        lambda port: self._port_delays(port, policy),
+                        template.schedule)
         mapping: dict[PriorityClass, float] = {}
         for state in states:
             delay = self._end_to_end(state)

@@ -11,57 +11,87 @@ This module is the only place that runs that loop.  It routes the flows,
 holds their per-hop state, groups them by directed port and iterates;
 :class:`~repro.analysis.multihop.GraphPathAnalysis`,
 :class:`~repro.core.endtoend.EndToEndAnalysis` and the holistic and
-trajectory engines each supply only their per-port delay rule.  The
-rules of the loop:
+trajectory engines each supply only their per-port delay rule.  A rule
+is a pure function of its members' bursts at the port's hop, and
+upstream delay accumulates hop by hop as ``(acc + delay) +
+propagation``.
 
-* upstream delay accumulates hop by hop as ``(acc + delay) +
-  propagation``, and a flow has settled only when its upstream values
-  are exactly equal between two passes;
-* a rule is a pure function of its members' bursts at the port's hop,
-  so after the first pass the loop re-runs a port only when some
-  member's upstream *at that port's hop index* changed in the last
-  accumulation (a flow that moved at another hop leaves the port's
-  inputs, and therefore its outputs, unchanged);
+**Feed-forward schedule.**  A port ``q`` depends on a port ``p`` when
+some flow crosses ``p`` at hop *k* and ``q`` at hop *k + 1*.  When that
+graph is acyclic (every star, tree and most meshes), one pass in
+topological order reaches the fixed point (Le Boudec & Thiran,
+*Network Calculus*, 2001): each port runs once, after every port
+upstream of it, and then extends its members' upstream prefix by its
+own delay.  :func:`route_template` computes that order once per
+template (Kahn's algorithm, lowest port position first, so on a star
+the station egress ports run before the switch's, as the pass-by-pass
+loop ran them) and stores it as :attr:`RoutedTemplate.schedule`.  The
+result is the pass-by-pass loop's, bit for bit: when that loop
+converges, each port's last evaluation saw the final upstream values,
+and that is the one evaluation the schedule makes.
+
+**Pass-by-pass loop.**  The schedule is ``None`` when the dependency
+graph has a cycle (rings can feed their own growth), or when its
+longest chain is more than :data:`MAX_ITERATIONS` dependencies deep
+(the loop below needs one pass per level plus one, and would give up
+first).  Those templates, and every run without a template, iterate:
+
+* a flow has settled only when its upstream values are exactly equal
+  between two passes;
+* after the first pass the loop re-runs a port only when some member's
+  upstream *at that port's hop index* changed in the last accumulation
+  (a flow that moved at another hop leaves the port's inputs, and
+  therefore its outputs, unchanged);
 * after :data:`MAX_ITERATIONS` passes one extra pass runs, and the flows
   still moving are then marked *diverged* (their bursts become
-  infinite — cyclic topologies can feed their own growth below nominal
-  capacity);
+  infinite);
 * at most ``len(states) + 1`` further passes, each over every port, let
   those infinities reach every flow sharing a port with a diverged one
   (``inf`` is absorbing, so this terminates), and the fixed point
   reports non-convergence.
+
+A rule that raises an :class:`~repro.errors.AnalysisError` (an
+overloaded multiplexer) during a scheduled run is re-run pass by pass
+from fresh state, so the error is the one the loop meets first,
+whatever the schedule's order.
 
 The core does not reorder flows: callers pass them in the order their
 rule sums bursts in, and every port lists its members in that order.
 Float addition is not associative, so a rule that summed the same
 members in another order (or subtracted its own term from a port total)
 would move bounds in the last bits and break the byte-identical
-goldens; every rule therefore accumulates in member order.  A rule (or
-a final composition) may share aggregates per ``(port, priority
-level)`` between the members of a level, because the strictly-higher
-and lower sums of a level never include the flow itself.
+goldens; every rule therefore accumulates in member order, left to
+right (Python 3.12's builtin ``sum`` is compensated, so it is not used
+on floats).  A rule (or a final composition) may share aggregates per
+``(port, priority level)`` between the members of a level, because the
+strictly-higher and lower sums of a level never include the flow
+itself.
 
 Routing happens once per flow set: :func:`route_template` builds a
-:class:`RoutedTemplate` (routed flows, hops, propagation and each port's
-members as ``(flow position, hop index)``), and every analysis run
-instantiates fresh per-hop state from it.  Neither the policy nor the
-rule changes a route, so one template serves every engine and policy
-of a scenario.  The flows' token-bucket parameters and priority levels
-are copied onto the template once; the rules run once per member pair
-per pass, so they read those plain fields instead of going through
-``Flow`` → ``Message`` properties and the priority enum on every
-access.  The copies are equal to the values the properties return, so
-every sum is unchanged.  Bursts only move between passes, so
-:func:`port_leftovers` also computes each member's inflated burst once
-per port rather than once per member pair.
+:class:`RoutedTemplate` (routed flows, hops, propagation, each port's
+members as ``(flow position, hop index)`` and the schedule), and every
+analysis run instantiates fresh per-hop state from it.  Neither the
+policy nor the rule changes a route, so one template serves every
+engine and policy of a scenario.  The flows' token-bucket parameters
+and priority levels are copied onto the template once; the rules run
+once per member pair per port evaluation, so they read those plain
+fields instead of going through ``Flow`` → ``Message`` properties and
+the priority enum on every access.  The copies are equal to the values
+the properties return, so every sum is unchanged.  Bursts only move
+between port evaluations, so :func:`port_leftovers` also computes each
+member's inflated burst once per port rather than once per member
+pair.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, NamedTuple
+from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
+                    Sequence)
 
+from repro.errors import AnalysisError
 from repro.flows.flow import Flow
 from repro.flows.priorities import PriorityClass
 
@@ -69,7 +99,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.network import Network
 
 __all__ = ["RoutedFlowState", "PortContext", "RoutedTemplate",
-           "route_template", "route", "network_template", "port_leftovers",
+           "route_template", "network_template", "port_leftovers",
            "run_fixed_point", "MAX_ITERATIONS"]
 
 #: Burst-inflation passes before the divergence check.
@@ -166,6 +196,9 @@ class RoutedTemplate:
     flows: tuple[_RoutedFlow, ...]
     #: Sorted by ``(node, toward)``.
     ports: tuple[_TemplatePort, ...]
+    #: Port positions in feed-forward order, or ``None`` when the ports
+    #: must be iterated pass by pass (see the module docstring).
+    schedule: tuple[int, ...] | None
 
     def instantiate(self) -> tuple[list[RoutedFlowState], list[PortContext]]:
         """Fresh states (zero upstream and delays) and their ports."""
@@ -188,7 +221,8 @@ def route_template(flows: Iterable, route_flow: Callable[[Any], Flow],
 
     ``route_flow`` turns each item into a routed :class:`Flow` and
     ``port`` describes a directed port.  Flows keep the input order;
-    ports come back sorted by ``(node, toward)``.
+    ports come back sorted by ``(node, toward)``, with their
+    feed-forward schedule.
     """
     membership: dict[tuple[str, str], list[tuple[int, int]]] = {}
     attributes: dict[tuple[str, str], tuple[float, float, float]] = {}
@@ -205,17 +239,49 @@ def route_template(flows: Iterable, route_flow: Callable[[Any], Flow],
             rate=flow.rate, burst=flow.burst, level=flow.priority.value,
             hops=hops,
             propagation=tuple(attributes[hop][2] for hop in hops)))
-    return RoutedTemplate(flows=tuple(routed), ports=tuple(
-        _TemplatePort(node, toward, *attributes[(node, toward)][:2],
-                      tuple(membership[(node, toward)]))
-        for node, toward in sorted(membership)))
+    keys = sorted(membership)
+    positions = {key: position for position, key in enumerate(keys)}
+    return RoutedTemplate(
+        flows=tuple(routed),
+        ports=tuple(_TemplatePort(node, toward,
+                                  *attributes[(node, toward)][:2],
+                                  tuple(membership[(node, toward)]))
+                    for node, toward in keys),
+        schedule=_port_schedule(
+            [[positions[hop] for hop in flow.hops] for flow in routed],
+            len(keys)))
 
 
-def route(flows: Iterable, route_flow: Callable[[Any], Flow],
-          port: PortAttributes
-          ) -> tuple[list[RoutedFlowState], list[PortContext]]:
-    """Fresh states and ports of :func:`route_template` (one-shot runs)."""
-    return route_template(flows, route_flow, port).instantiate()
+def _port_schedule(paths: list[list[int]], count: int
+                   ) -> tuple[int, ...] | None:
+    """Feed-forward order of ``count`` ports crossed along ``paths``.
+
+    Kahn's algorithm over "``q`` follows ``p`` on some path", always
+    taking the lowest ready position.  ``None`` when the graph has a
+    cycle or a chain more than :data:`MAX_ITERATIONS` dependencies deep.
+    """
+    successors: list[set[int]] = [set() for _ in range(count)]
+    for path in paths:
+        for here, after in zip(path, path[1:]):
+            successors[here].add(after)
+    waiting = [0] * count
+    for following in successors:
+        for after in following:
+            waiting[after] += 1
+    ready = [position for position in range(count) if not waiting[position]]
+    depth = [0] * count
+    order = []
+    while ready:
+        position = heapq.heappop(ready)
+        order.append(position)
+        for after in successors[position]:
+            depth[after] = max(depth[after], depth[position] + 1)
+            waiting[after] -= 1
+            if not waiting[after]:
+                heapq.heappush(ready, after)
+    if len(order) < count or max(depth, default=0) > MAX_ITERATIONS:
+        return None
+    return tuple(order)
 
 
 def network_template(network: "Network", messages: Iterable
@@ -307,17 +373,39 @@ def _accumulate(states: Iterable[RoutedFlowState],
 
 def run_fixed_point(states: list[RoutedFlowState],
                     ports: list[PortContext],
-                    rule: Callable[[PortContext], None]) -> bool:
+                    rule: Callable[[PortContext], None],
+                    schedule: Sequence[int] | None = None) -> bool:
     """Apply ``rule`` to the ports and accumulate until settled.
 
     ``rule`` refreshes ``delays`` (and optionally ``details``) of every
     member of one port from the members' current bursts at that port.
-    The first pass runs every port, later passes only the ports whose
+    With a ``schedule`` (the template's, for these ``ports``) every port
+    runs once, in that order, and the result is ``True``.  Without one
+    the first pass runs every port, later passes only the ports whose
     members' upstream at that hop moved.  Returns ``True`` when every
     flow settled; otherwise the flows still moving are marked diverged
     and their infinite bursts propagated over every port, as the module
     docstring describes.
     """
+    if schedule is not None:
+        try:
+            for position in schedule:
+                port = ports[position]
+                rule(port)
+                for state, index in port.members:
+                    upstream = state.upstream
+                    if index + 1 < len(upstream):
+                        upstream[index + 1] = (upstream[index]
+                                               + state.delays[index]) \
+                            + state.propagation[index]
+            return True
+        except AnalysisError:
+            # Raise what the pass-by-pass loop would raise first.
+            for state in states:
+                hops = len(state.hops)
+                state.upstream = [0.0] * hops
+                state.delays = [0.0] * hops
+                state.details = [None] * hops
     # ``{id(state): [position of the port at each hop]}``.
     ports_of = {id(state): [0] * len(state.hops) for state in states}
     for position, port in enumerate(ports):

@@ -35,9 +35,9 @@ interferes with itself as higher or lower traffic.  A flow's
 companions are its group minus itself, and since the flow belongs to
 every group on its path, comparing groups delimits the same segments
 as comparing companion sets.  The everyone-but-me sums run over the
-group with the flow's own entry sliced out, in member order, with the
-same summation (builtin ``sum`` or sequential addition) as a per-flow
-rescan, so the bounds are bit-identical to one.
+group with the flow's own entry sliced out, in member order and left
+to right, as a per-flow rescan adds them, so the bounds are
+bit-identical to one.
 
 Under FIFO every competing flow counts as same-class, so the engine
 degenerates to blind-multiplexing concatenation per segment; at a
@@ -110,7 +110,8 @@ class TrajectoryEngine(ScenarioBoundEngine):
         if not states:
             return {}
         run_fixed_point(states, ports,
-                        lambda port: self._port_delays(port, policy))
+                        lambda port: self._port_delays(port, policy),
+                        template.schedule)
         paths: dict[int, list[_Hop]] = {
             id(state): [None] * len(state.hops) for state in states}
         for port in ports:
@@ -212,12 +213,12 @@ class TrajectoryEngine(ScenarioBoundEngine):
         # Store-and-forward: each relaying hop re-serialises the burst.
         packetisation = 0.0
         for group, position in path[:-1]:
-            local_rate = group.leftover[0] - sum(
-                _without(group.rates, position))
+            local_rate = group.leftover[0] - reduce(
+                operator.add, _without(group.rates, position), 0)
             if local_rate <= 0:
                 return math.inf
             packetisation += state.burst / local_rate
-        propagation = sum(state.propagation)
+        propagation = reduce(operator.add, state.propagation, 0)
         return (total_latency + state.burst / slowest_segment
                 + packetisation + propagation)
 
@@ -230,9 +231,11 @@ class TrajectoryEngine(ScenarioBoundEngine):
         charged as cross traffic once, at the segment entrance.
         """
         rate = min(group.leftover[0] for group, _ in segment)
-        latency = sum(group.leftover[1] for group, _ in segment)
+        latency = reduce(operator.add,
+                         (group.leftover[1] for group, _ in segment), 0)
         entrance, position = segment[0]
-        companion_rate = sum(_without(entrance.rates, position))
+        companion_rate = reduce(operator.add,
+                                _without(entrance.rates, position), 0)
         companion_burst = reduce(
             operator.add, _without(entrance.bursts, position), 0.0)
         if not math.isfinite(companion_burst):

@@ -15,7 +15,9 @@ jitter by making every instance experience the same contention).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 from repro import units
 from repro.analysis.validation import star_for_message_set
@@ -73,7 +75,7 @@ def _rows_from_stream_samples(technology: str,
         rows.append(JitterRow(
             technology=technology, priority=cls,
             worst_jitter=max(jitters),
-            mean_jitter=sum(jitters) / len(jitters),
+            mean_jitter=reduce(operator.add, jitters, 0) / len(jitters),
             worst_latency=max(worst for __, worst in values),
             streams=len(values)))
     return rows

@@ -46,11 +46,13 @@ realise — bound and simulation always talk about the same ports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable
 
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              port_leftovers, route,
+                                              port_leftovers, route_template,
                                               run_fixed_point)
 from repro.errors import ConfigurationError, EmptyAggregateError
 from repro.flows.flow import Flow
@@ -188,11 +190,13 @@ class GraphPathAnalysis:
     def analyze(self, flows: Iterable[Flow | Message]
                 ) -> MultiHopAnalysisResult:
         """Bound every flow end to end and every port's backlog."""
-        states, ports = route(sorted(flows, key=lambda item: item.name),
-                              self.engine.route_flow, self._port)
+        template = route_template(sorted(flows, key=lambda item: item.name),
+                                  self.engine.route_flow, self._port)
+        states, ports = template.instantiate()
         if not states:
             raise EmptyAggregateError("no flow to analyse")
-        converged = run_fixed_point(states, ports, self._leftover)
+        converged = run_fixed_point(states, ports, self._leftover,
+                                    template.schedule)
 
         flow_bounds = []
         for state in states:
@@ -247,10 +251,11 @@ class GraphPathAnalysis:
         min_rate = min(hop.rate for hop in hops)
         if min_rate <= 0.0 or state.rate > min_rate:
             return math.inf
-        packetisation = sum(state.burst / hop.rate for hop in hops[:-1])
-        return sum(hop.latency for hop in hops) + packetisation \
-            + state.burst / min_rate \
-            + sum(hop.propagation for hop in hops)
+        packetisation = reduce(operator.add, (state.burst / hop.rate
+                                              for hop in hops[:-1]), 0)
+        return reduce(operator.add, (hop.latency for hop in hops), 0) \
+            + packetisation + state.burst / min_rate \
+            + reduce(operator.add, (hop.propagation for hop in hops), 0)
 
     def _backlogs(self, ports: list[PortContext]
                   ) -> tuple[list[PortBacklogBound],
@@ -269,9 +274,11 @@ class GraphPathAnalysis:
             members = members_at.get((node, toward), ())
             link = self.spec.edge(node, toward)
             latency0 = self.spec.technology_delay(node)
-            total_rate = sum(member.rate for member, _ in members)
-            total_burst = sum(member.burst_at(index)
-                              for member, index in members)
+            total_rate = reduce(operator.add,
+                                (member.rate for member, _ in members), 0)
+            total_burst = reduce(operator.add,
+                                 (member.burst_at(index)
+                                  for member, index in members), 0)
             if total_rate > link.rate or math.isinf(total_burst):
                 aggregate = math.inf
             else:

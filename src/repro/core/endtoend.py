@@ -26,10 +26,12 @@ inflated bursts settle.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Literal
 
-from repro.analysis.engines.iteration import (PortContext, route,
+from repro.analysis.engines.iteration import (PortContext, route_template,
                                               run_fixed_point)
 from repro.core.multiplexer import (
     FcfsMultiplexerAnalysis,
@@ -98,7 +100,7 @@ class FlowBound:
     @property
     def total_delay(self) -> float:
         """End-to-end worst-case delay bound (seconds)."""
-        return sum(hop.total for hop in self.hops)
+        return reduce(operator.add, (hop.total for hop in self.hops), 0)
 
     @property
     def meets_deadline(self) -> bool:
@@ -202,8 +204,9 @@ class EndToEndAnalysis:
         UnstableSystemError
             If some multiplexing point is overloaded.
         """
-        states, ports = route(flows, self._route_flow, self._port)
-        run_fixed_point(states, ports, self._port_bounds)
+        template = route_template(flows, self._route_flow, self._port)
+        states, ports = template.instantiate()
+        run_fixed_point(states, ports, self._port_bounds, template.schedule)
 
         result = NetworkAnalysisResult(policy=self.policy)
         for state in states:

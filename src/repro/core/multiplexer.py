@@ -32,7 +32,9 @@ several multiplexing points with the standard network-calculus machinery.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.netcalc.arrival import TokenBucketArrivalCurve
@@ -271,8 +273,10 @@ class FcfsMultiplexerAnalysis:
         if not any(a.count for a in aggregates.values()):
             raise EmptyAggregateError(
                 "the FCFS bound needs at least one flow")
-        total_burst = sum(a.burst for a in aggregates.values())
-        total_rate = sum(a.rate for a in aggregates.values())
+        total_burst = reduce(operator.add,
+                             (a.burst for a in aggregates.values()), 0)
+        total_rate = reduce(operator.add,
+                            (a.rate for a in aggregates.values()), 0)
         unstable = total_rate > self.capacity
         if unstable and strict:
             raise UnstableSystemError(
@@ -328,8 +332,9 @@ class FcfsMultiplexerAnalysis:
         if not flows:
             raise EmptyAggregateError("empty aggregate")
         return TokenBucketArrivalCurve(
-            bucket=sum(float(f.burst) for f in flows),
-            token_rate=sum(float(f.rate) for f in flows))
+            bucket=reduce(operator.add, (float(f.burst) for f in flows), 0),
+            token_rate=reduce(operator.add,
+                              (float(f.rate) for f in flows), 0))
 
     def service_curve(self) -> RateLatencyServiceCurve:
         """Service offered to the aggregate: rate ``C`` after ``t_techno``."""
@@ -421,13 +426,15 @@ class StrictPriorityMultiplexerAnalysis:
             raise EmptyAggregateError(
                 f"no flow of class {priority.name} traverses the multiplexer")
 
-        burst_term = sum(a.burst for cls, a in aggregates.items()
-                         if cls <= priority)
+        burst_term = reduce(operator.add,
+                            (a.burst for cls, a in aggregates.items()
+                             if cls <= priority), 0)
         blocking_term = 0.0 if self.preemptive else safe_max(
             (a.max_burst for cls, a in aggregates.items()
              if cls > priority and a.count), default=0.0)
-        higher_rate = sum(a.rate for cls, a in aggregates.items()
-                          if cls < priority)
+        higher_rate = reduce(operator.add,
+                             (a.rate for cls, a in aggregates.items()
+                              if cls < priority), 0)
         residual_rate = self.capacity - higher_rate
 
         if residual_rate <= 0:
@@ -437,8 +444,9 @@ class StrictPriorityMultiplexerAnalysis:
                 f"has no residual capacity",
                 offered_rate=higher_rate, capacity=self.capacity)
 
-        higher_or_equal_rate = sum(a.rate for cls, a in aggregates.items()
-                                   if cls <= priority)
+        higher_or_equal_rate = reduce(
+            operator.add, (a.rate for cls, a in aggregates.items()
+                           if cls <= priority), 0)
         unstable = higher_or_equal_rate > self.capacity
         if unstable and strict:
             raise UnstableSystemError(
@@ -508,8 +516,9 @@ class StrictPriorityMultiplexerAnalysis:
             priority: PriorityClass) -> RateLatencyServiceCurve:
         """:meth:`residual_service_curve` evaluated on pre-computed aggregates."""
         priority = PriorityClass(priority)
-        higher_rate = sum(a.rate for cls, a in aggregates.items()
-                          if cls < priority)
+        higher_rate = reduce(operator.add,
+                             (a.rate for cls, a in aggregates.items()
+                              if cls < priority), 0)
         residual_rate = self.capacity - higher_rate
         if residual_rate <= 0:
             raise UnstableSystemError(
@@ -613,8 +622,8 @@ def compute_arrival_curve(aggregates: Mapping[PriorityClass, ClassAggregate],
     included = [a for cls, a in aggregates.items()
                 if up_to is None or cls <= up_to]
     return TokenBucketArrivalCurve(
-        bucket=sum(a.burst for a in included),
-        token_rate=sum(a.rate for a in included))
+        bucket=reduce(operator.add, (a.burst for a in included), 0),
+        token_rate=reduce(operator.add, (a.rate for a in included), 0))
 
 
 def compute_service_curve(aggregates: Mapping[PriorityClass, ClassAggregate],

@@ -10,9 +10,9 @@ lazily (:meth:`MessageSet.arrays`) and invalidates it on mutation.
 
 Numerical contract: every reduction used for bound computation goes through
 :func:`sequential_sum`, a left-to-right accumulation that is bit-identical
-to Python's builtin ``sum`` over the same values — so the array backend
+to adding the same values one by one in order — so the array backend
 reproduces the per-message reference loops exactly, not merely
-approximately.
+approximately, on every Python version.
 """
 
 from __future__ import annotations
@@ -28,12 +28,13 @@ __all__ = ["MessageArrays", "sequential_sum"]
 
 
 def sequential_sum(values: np.ndarray | Iterable[float]) -> float:
-    """Left-to-right float sum, bit-identical to ``sum()`` over the values.
+    """Left-to-right float sum: ``total += value`` over the values in order.
 
     ``np.add.accumulate`` applies the ufunc sequentially (unlike ``np.sum``,
     which sums pairwise and may differ in the last ulp), so the result
     matches the Python reference loops the analytic formulas were validated
-    against.
+    against.  It is not the builtin ``sum`` of Python 3.12 and later, which
+    compensates float rounding and so may differ in the last bits.
     """
     array = np.asarray(values, dtype=float)
     if array.size == 0:

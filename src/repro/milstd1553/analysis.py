@@ -25,7 +25,9 @@ check.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -159,8 +161,9 @@ class Milstd1553Analysis:
             for station in self.schedule.polled_terminals():
                 offset += POLL_DURATION
                 offsets[station] = offset
-                offset += sum(self._message_duration(m)
-                              for m in by_station[station])
+                offset += reduce(operator.add,
+                                 (self._message_duration(m)
+                                  for m in by_station[station]), 0)
             self._sporadic_context = (offsets, by_station)
         return self._sporadic_context
 

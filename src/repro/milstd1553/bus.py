@@ -25,8 +25,10 @@ transaction on the bus:
 
 from __future__ import annotations
 
+import operator
 from collections import deque
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -261,8 +263,9 @@ class Milstd1553BusSimulator:
         #    time left in the minor frame; whatever does not fit stays
         #    pending for the next frame.
         for station, pending in deferred:
-            duration = sum(t.duration for t in transactions_for_message(
-                pending.message, self.schedule.transfer_format))
+            duration = reduce(operator.add, (
+                t.duration for t in transactions_for_message(
+                    pending.message, self.schedule.transfer_format)), 0)
             if cursor + duration > frame_end:
                 self._pending_sporadic[station].appendleft(pending)
                 continue

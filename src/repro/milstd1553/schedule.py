@@ -25,7 +25,9 @@ The paper's case study uses the classical cyclic-executive organisation:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -59,7 +61,8 @@ class MinorFrameSlot:
 
     def periodic_duration(self) -> float:
         """Bus time used by the periodic transactions (seconds)."""
-        return sum(t.duration for t in self.transactions)
+        return reduce(operator.add,
+                      (t.duration for t in self.transactions), 0)
 
 
 class MajorFrameSchedule:
@@ -261,7 +264,8 @@ class MajorFrameSchedule:
             "periodic_messages": len(self._intervals),
             "polled_terminals": len(self.polled_terminals()),
             "max_minor_frame_ms": max(durations) * 1e3,
-            "mean_utilization": sum(self.utilizations()) / len(self.slots),
+            "mean_utilization": reduce(operator.add, self.utilizations(), 0)
+            / len(self.slots),
             "max_utilization": max(self.utilizations()),
             "feasible": self.is_feasible(),
         }

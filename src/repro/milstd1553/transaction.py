@@ -101,9 +101,9 @@ def message_duration(message: Message,
                      ) -> float:
     """Total bus time needed to carry one instance of ``message`` (seconds).
 
-    Equals ``sum(t.duration for t in transactions_for_message(message,
-    transfer_format))`` without materialising the transactions; the value is
-    cached per (format, word count).
+    Equals the durations of ``transactions_for_message(message,
+    transfer_format)`` added left to right, without materialising the
+    transactions; the value is cached per (format, word count).
     """
     return _message_duration_for_words(transfer_format,
                                        data_word_count(message.size))

@@ -18,7 +18,8 @@ badge the top of the generated ``REPORT.md``:
 
 from __future__ import annotations
 
-from functools import lru_cache
+import operator
+from functools import lru_cache, reduce
 
 from repro import units
 from repro.analysis import (
@@ -918,7 +919,8 @@ def _build_engines() -> ExperimentResult:
         for name in names:
             key = (family, name)
             family_ratios = ratios.get(key, [])
-            mean_ratio = (sum(family_ratios) / len(family_ratios)
+            mean_ratio = (reduce(operator.add, family_ratios, 0)
+                          / len(family_ratios)
                           if family_ratios else math.inf)
             scored.append((unstable.get(key, 0), mean_ratio, name))
         scored.sort()

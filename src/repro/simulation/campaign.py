@@ -27,8 +27,10 @@ The grid is exposed on the CLI as ``repro simulate`` and feeds the
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -559,7 +561,8 @@ class SimulationCampaign:
                             seeds=len(group),
                             analytic_bound=bounds[cls],
                             worst_simulated=worst,
-                            mean_simulated=sum(means) / len(means),
+                            mean_simulated=reduce(operator.add, means, 0)
+                            / len(means),
                             samples=samples))
         return rows
 

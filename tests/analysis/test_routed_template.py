@@ -1,19 +1,23 @@
-"""One routed template per lowering, and the dirty-port fixed point.
+"""One routed template per lowering, and the feed-forward fixed point.
 
 ``scenario_inputs`` routes a scenario's flows once into a
 :class:`~repro.analysis.engines.iteration.RoutedTemplate`; every
 holistic or trajectory run instantiates fresh per-hop state from it.
 These tests pin that sharing one template is bit-identical to routing
 afresh for every run — whatever the engine order, and however often the
-template is reused — and that the fixed point re-runs a port's rule
-only when a member's upstream at that port's hop moved, with exactly
-the result of re-running every port on every pass.
+template is reused.  They also pin both ways ``run_fixed_point`` can
+run against a reference that re-runs every port on every pass: the
+template's feed-forward schedule (each port once, in dependency order)
+and the dirty-port loop (a port re-runs only when a member's upstream
+at that port's hop moved), which cyclic or too-deep templates fall
+back to.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro import units
 from repro.analysis.engines import HolisticEngine, TrajectoryEngine, get_engine
 from repro.analysis.engines.base import scenario_inputs
 from repro.analysis.engines.iteration import (MAX_ITERATIONS,
@@ -22,9 +26,13 @@ from repro.analysis.engines.iteration import (MAX_ITERATIONS,
                                               run_fixed_point)
 from repro.analysis.validation import wire_level_messages
 from repro.campaigns import builtin_scenarios
+from repro.core.endtoend import EndToEndAnalysis
+from repro.errors import UnstableSystemError
+from repro.flows.messages import Message, MessageKind
 from repro.topology.builders import single_switch_star
-from repro.topology.graph import (diamond_graph_spec, random_graph_spec,
-                                  ring_graph_spec)
+from repro.topology.graph import (GraphLink, GraphNode, GraphTopologySpec,
+                                  diamond_graph_spec, random_graph_spec,
+                                  ring_graph_spec, star_graph_spec)
 from repro.workloads.realcase import RealCaseParameters, generate_real_case
 
 from tests.analysis.test_fixed_point_golden import diverging_ring
@@ -77,10 +85,14 @@ def test_instantiate_gives_fresh_state():
     assert all(first.members[0][0] in first_states for first in first_ports)
 
 
-# -- the dirty-port fixed point ---------------------------------------------
+# -- the fixed point: feed-forward schedule and dirty ports ------------------
 
-def every_port_fixed_point(states, ports, rule) -> bool:
-    """The fixed point re-running every port on every pass (reference)."""
+def every_port_fixed_point(states, ports, rule, schedule=None) -> bool:
+    """The fixed point re-running every port on every pass (reference).
+
+    ``schedule`` is accepted, and ignored, so the reference can stand in
+    for ``run_fixed_point`` in a caller.
+    """
     def accumulate():
         moved = []
         for state in states:
@@ -128,6 +140,58 @@ RULES = {
         port, policy),
 }
 
+
+def switch_line(depth: int):
+    """Switches in a line whose port chain is ``depth`` dependencies deep.
+
+    ``depth`` switches sit between two stations; flows of three classes
+    cross the whole line both ways, so each route crosses ``depth + 1``
+    ports in a chain.
+    """
+    switches = [f"sw-{index:02d}" for index in range(depth)]
+    nodes = [GraphNode(name, "switch", technology_delay=units.us(16))
+             for name in switches]
+    nodes += [GraphNode("station-00", "end-system"),
+              GraphNode("station-01", "end-system")]
+    links = [GraphLink(first, second)
+             for first, second in zip(switches, switches[1:])]
+    links += [GraphLink("station-00", switches[0]),
+              GraphLink("station-01", switches[-1])]
+    messages = []
+    for source, destination in (("station-00", "station-01"),
+                                ("station-01", "station-00")):
+        messages += [
+            Message(f"urgent-{source}", MessageKind.SPORADIC, units.ms(4),
+                    800.0, source, destination, deadline=units.ms(3)),
+            Message(f"periodic-{source}", MessageKind.PERIODIC,
+                    units.ms(2), 4000.0, source, destination),
+            Message(f"background-{source}", MessageKind.SPORADIC,
+                    units.ms(20), 12000.0, source, destination)]
+    spec = GraphTopologySpec(name=f"line-{depth}", nodes=tuple(nodes),
+                             links=tuple(links))
+    return spec.to_network(), messages
+
+
+def wrapping_ring():
+    """A lightly loaded five-switch ring whose routes wrap and settle.
+
+    Every ring station sends one small flow two switches clockwise, so
+    the port dependencies form a cycle, but the burst inflation round
+    it shrinks every pass and the dirty-port loop converges.
+    """
+    spec = ring_graph_spec(5, switch_count=5)
+    messages = [Message(f"ring-{index}", MessageKind.PERIODIC, units.ms(20),
+                        400.0, f"station-{index:02d}",
+                        f"station-{(index + 2) % 5:02d}")
+                for index in range(5)]
+    return spec.to_network(), messages
+
+
+#: Port chains around the fall-back boundary: ``MAX_ITERATIONS``
+#: dependencies deep is the deepest the dirty-port loop settles in, so
+#: it is the deepest chain that gets a schedule.
+LINE_DEPTHS = range(MAX_ITERATIONS - 1, MAX_ITERATIONS + 3)
+
 TOPOLOGIES = {
     "star": lambda: (single_switch_star(8), real_case_messages()),
     "diamond": lambda: (diamond_graph_spec(8).to_network(),
@@ -137,40 +201,55 @@ TOPOLOGIES = {
                        real_case_messages()),
     "diverging-ring": lambda: (diverging_ring()[0].to_network(),
                                diverging_ring()[1]),
+    "wrapping-ring": wrapping_ring,
+    **{f"line-{depth}": (lambda depth=depth: switch_line(depth))
+       for depth in LINE_DEPTHS},
 }
 
+#: Topologies without a schedule: a dependency cycle or too deep a chain.
+UNSCHEDULED = {"diverging-ring", "wrapping-ring",
+               *(f"line-{depth}" for depth in LINE_DEPTHS
+                 if depth > MAX_ITERATIONS)}
 
+#: Topologies on which the fixed point does not settle.
+DIVERGING = UNSCHEDULED - {"wrapping-ring"}
+
+
+@pytest.mark.parametrize("scheduled", [True, False],
+                         ids=["schedule", "dirty-ports"])
 @pytest.mark.parametrize("policy", ["fcfs", "strict-priority"])
 @pytest.mark.parametrize("rule_name", sorted(RULES))
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-def test_dirty_ports_match_every_port_passes(topology, rule_name, policy):
+def test_dirty_ports_match_every_port_passes(topology, rule_name, policy,
+                                             scheduled):
     network, messages = TOPOLOGIES[topology]()
     template = network_template(network, messages)
+    assert (template.schedule is None) == (topology in UNSCHEDULED)
     rule = RULES[rule_name](policy)
-    dirty_states, dirty_ports = template.instantiate()
+    states, ports = template.instantiate()
     reference_states, reference_ports = template.instantiate()
-    converged = run_fixed_point(dirty_states, dirty_ports, rule)
+    converged = run_fixed_point(
+        states, ports, rule, template.schedule if scheduled else None)
     assert converged == every_port_fixed_point(
         reference_states, reference_ports, rule)
-    assert converged == (topology != "diverging-ring")
-    for dirty, reference in zip(dirty_states, reference_states):
-        assert dirty.upstream == reference.upstream
-        assert dirty.delays == reference.delays
-        assert dirty.details == reference.details
-        assert dirty.diverged == reference.diverged
+    assert converged == (topology not in DIVERGING)
+    for state, reference in zip(states, reference_states):
+        assert state.upstream == reference.upstream
+        assert state.delays == reference.delays
+        assert state.details == reference.details
+        assert state.diverged == reference.diverged
 
 
 @pytest.mark.parametrize("policy", ["fcfs", "strict-priority"])
-def test_star_second_pass_reruns_only_switch_to_station_ports(policy):
-    """Hop-0 upstream never moves, so station egress ports run once.
+def test_acyclic_star_runs_each_port_once_in_port_order(policy):
+    """Station egress ports sort before the switch's and feed them.
 
-    Re-running every port would take ``2 * len(ports)`` rule calls; the
-    dirty-port loop takes one full pass plus one over the switch's
-    egress ports, whose members' hop-1 upstream moved in pass one.
+    The feed-forward schedule of a star is therefore the port order
+    itself, and each port's rule runs exactly once.
     """
     network = single_switch_star(8)
-    states, ports = network_template(network,
-                                     real_case_messages()).instantiate()
+    template = network_template(network, real_case_messages())
+    states, ports = template.instantiate()
     calls = []
     rule = leftover_rule(policy)
 
@@ -178,10 +257,41 @@ def test_star_second_pass_reruns_only_switch_to_station_ports(policy):
         calls.append(port)
         rule(port)
 
-    assert run_fixed_point(states, ports, counting)
-    switch_ports = [port for port in ports if network.is_switch(port.node)]
-    assert switch_ports and len(switch_ports) < len(ports)
-    assert len(calls) == len(ports) + len(switch_ports) < 2 * len(ports)
+    assert template.schedule == tuple(range(len(ports)))
+    assert run_fixed_point(states, ports, counting, template.schedule)
+    assert any(network.is_switch(port.node) for port in ports)
+    assert len(calls) == len(ports)
     assert all(call is port for call, port in zip(calls, ports))
-    assert all(call is port
-               for call, port in zip(calls[len(ports):], switch_ports))
+
+
+def overloaded_star(switch_name: str):
+    """The 8-station case plus one 12 Mbps flow on 10 Mbps links.
+
+    The flow overloads its station's egress port and the switch's port
+    toward its destination, and each port reports its own rate.
+    """
+    network = star_graph_spec(8, switch_name=switch_name).to_network()
+    return network, real_case_messages() + [Message(
+        "overload", MessageKind.PERIODIC, units.ms(1), 12000.0,
+        "station-00", "station-01")]
+
+
+@pytest.mark.parametrize("policy", ["fcfs", "strict-priority"])
+@pytest.mark.parametrize("switch_name", ["switch-0", "a-switch"])
+def test_overloaded_star_raises_the_reference_error(monkeypatch, policy,
+                                                   switch_name):
+    """The scheduled run raises what the every-port passes raise first.
+
+    With ``a-switch`` the switch's ports sort before the stations', so
+    the pass-by-pass loop meets the overloaded switch port first while
+    the schedule would meet the station port first.
+    """
+    network, messages = overloaded_star(switch_name)
+    with pytest.raises(UnstableSystemError) as scheduled:
+        EndToEndAnalysis(network, policy=policy).analyze(messages)
+    monkeypatch.setattr("repro.core.endtoend.run_fixed_point",
+                        every_port_fixed_point)
+    with pytest.raises(UnstableSystemError) as reference:
+        EndToEndAnalysis(network, policy=policy).analyze(messages)
+    assert str(scheduled.value) == str(reference.value)
+    assert scheduled.value.offered_rate == reference.value.offered_rate

@@ -43,9 +43,13 @@ class TestSequentialSum:
         assert sequential_sum([]) == 0.0
 
     def test_adversarial_magnitudes(self):
-        # Mixed magnitudes where pairwise and sequential summation differ.
+        # Mixed magnitudes where pairwise, compensated (Python 3.12's
+        # builtin ``sum``) and sequential summation all differ.
         values = [1e16, 1.0, -1e16, 1.0] * 50
-        assert sequential_sum(values) == sum(values)
+        total = 0.0
+        for value in values:
+            total += value
+        assert sequential_sum(values) == total
 
 
 class TestMessageArrays:

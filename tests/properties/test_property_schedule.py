@@ -10,6 +10,9 @@ same transaction tables, same minor-frame durations.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +40,11 @@ def _reference_interval(message: Message) -> int:
     return interval
 
 
+def _left_to_right(values) -> float:
+    """The seed's float sums, added in order (never compensated)."""
+    return reduce(operator.add, values, 0)
+
+
 def _reference_build(message_set: MessageSet,
                      transfer_format: TransferFormat):
     """(phases, intervals, slot name lists, slot load sums) — seed greedy."""
@@ -48,13 +56,14 @@ def _reference_build(message_set: MessageSet,
     for message in periodic:
         interval = _reference_interval(message)
         intervals[message.name] = interval
-        message_duration = sum(
+        message_duration = _left_to_right(
             t.duration for t in transactions_for_message(
                 message, transfer_format))
         best_phase, best_load = 0, float("inf")
         for phase in range(interval):
             load = max(
-                sum(t.duration for t in slots[i]) + message_duration
+                _left_to_right(t.duration for t in slots[i])
+                + message_duration
                 for i in range(phase, FRAMES, interval))
             if load < best_load:
                 best_phase, best_load = phase, load
@@ -64,7 +73,7 @@ def _reference_build(message_set: MessageSet,
             for slot_index in range(best_phase, FRAMES, interval):
                 slots[slot_index].append(transaction)
     names = [[t.name for t in slot] for slot in slots]
-    loads = [sum(t.duration for t in slot) for slot in slots]
+    loads = [_left_to_right(t.duration for t in slot) for slot in slots]
     return phases, intervals, names, loads
 
 
