@@ -15,10 +15,9 @@ the bound.
 
 from __future__ import annotations
 
-import operator
+import math
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import reduce
 
 from repro import units
 from repro.analysis.validation import star_for_message_set, wire_level_messages
@@ -86,8 +85,8 @@ def buffer_requirements(message_set: MessageSet,
         latency = (network.technology_delay(node)
                    if network.is_switch(node) else 0.0)
         aggregate = TokenBucketArrivalCurve(
-            bucket=reduce(operator.add, (f.burst for f in members), 0),
-            token_rate=reduce(operator.add, (f.rate for f in members), 0))
+            bucket=math.fsum(f.burst for f in members),
+            token_rate=math.fsum(f.rate for f in members))
         service = RateLatencyServiceCurve(rate=link.rate, delay=latency)
         requirements.append(PortBufferRequirement(
             node=node, toward=toward, flow_count=len(members),

@@ -35,7 +35,7 @@ from repro.analysis.engines.base import ScenarioBoundEngine
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
                                               RoutedTemplate,
                                               network_template,
-                                              run_fixed_point)
+                                              port_levels, run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -101,31 +101,17 @@ class HolisticEngine(ScenarioBoundEngine):
     def _port_delays(self, port: PortContext, policy: str) -> None:
         """Refresh every member's delay at one port from current bursts.
 
-        The members' bursts are computed once and shared by every class
-        present at the port.
+        A level's busy period covers the more urgent members and the
+        level itself; every member of the level gets its delay.
         """
-        bursts = [state.burst_at(index) for state, index in port.members]
-        delays: dict[int, float] = {}
-        for state, index in port.members:
-            if state.level not in delays:
-                delays[state.level] = self._class_delay(
-                    port, bursts, state.level, policy)
-            state.delays[index] = delays[state.level]
-
-    def _class_delay(self, port: PortContext, bursts: list[float],
-                     level: int, policy: str) -> float:
-        """Busy-period delay of the class at priority ``level``."""
-        work = 0.0
-        rate = 0.0
-        blocking = 0.0
-        for (state, _), burst in zip(port.members, bursts):
-            if policy == "fcfs" or state.level <= level:
-                work += burst
-                rate += state.rate
-            else:
-                blocking = max(blocking, burst)
-        queuing = _busy_period(work + blocking, rate, port.capacity)
-        return queuing + port.technology_delay
+        for level in port_levels(port, policy):
+            work = math.fsum(level.higher_bursts + level.bursts)
+            rate = math.fsum(level.higher_rates + level.rates)
+            delay = _busy_period(work + level.blocking, rate,
+                                 port.capacity) + port.technology_delay
+            for position in level.positions:
+                state, index = port.members[position]
+                state.delays[index] = delay
 
     def _end_to_end(self, state: RoutedFlowState) -> float:
         """Sum of per-hop busy-period delays plus propagation."""

@@ -55,17 +55,14 @@ overloaded multiplexer) during a scheduled run is re-run pass by pass
 from fresh state, so the error is the one the loop meets first,
 whatever the schedule's order.
 
-The core does not reorder flows: callers pass them in the order their
-rule sums bursts in, and every port lists its members in that order.
-Float addition is not associative, so a rule that summed the same
-members in another order (or subtracted its own term from a port total)
-would move bounds in the last bits and break the byte-identical
-goldens; every rule therefore accumulates in member order, left to
-right (Python 3.12's builtin ``sum`` is compensated, so it is not used
-on floats).  A rule (or a final composition) may share aggregates per
-``(port, priority level)`` between the members of a level, because the
-strictly-higher and lower sums of a level never include the flow
-itself.
+Every rule reads the same per-port partition, :func:`port_levels`: the
+members of each priority level with their inflated bursts and rates,
+the bursts and rates of the strictly more urgent members, and the
+largest less urgent burst (the non-preemptive blocking term).  Sums
+over members go through :func:`math.fsum`, which rounds the exact sum
+once (Shewchuk's algorithm), so a bound depends on the set of flows at
+a port and not on the order they are listed in, and is the same on
+every Python version.
 
 Routing happens once per flow set: :func:`route_template` builds a
 :class:`RoutedTemplate` (routed flows, hops, propagation, each port's
@@ -76,11 +73,9 @@ engine and policy of a scenario.  The flows' token-bucket parameters
 and priority levels are copied onto the template once; the rules run
 once per member pair per port evaluation, so they read those plain
 fields instead of going through ``Flow`` → ``Message`` properties and
-the priority enum on every access.  The copies are equal to the values
-the properties return, so every sum is unchanged.  Bursts only move
-between port evaluations, so :func:`port_leftovers` also computes each
-member's inflated burst once per port rather than once per member
-pair.
+the priority enum on every access.  Bursts only move between port
+evaluations, so :func:`port_levels` computes each member's inflated
+burst once per port evaluation.
 """
 
 from __future__ import annotations
@@ -99,8 +94,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.network import Network
 
 __all__ = ["RoutedFlowState", "PortContext", "RoutedTemplate",
-           "route_template", "network_template", "port_leftovers",
-           "run_fixed_point", "MAX_ITERATIONS"]
+           "PortLevel", "route_template", "network_template", "port_levels",
+           "port_leftovers", "run_fixed_point", "MAX_ITERATIONS"]
 
 #: Burst-inflation passes before the divergence check.
 MAX_ITERATIONS = 16
@@ -300,6 +295,52 @@ def network_template(network: "Network", messages: Iterable
                           network.route_flow, port)
 
 
+class PortLevel(NamedTuple):
+    """One priority level of one port, at the members' current bursts."""
+
+    #: Positions in ``port.members`` of the level's members.
+    positions: list[int]
+    #: The level's inflated bursts and rates, one per position.
+    bursts: list[float]
+    rates: list[float]
+    #: Inflated bursts and rates of every strictly more urgent member.
+    higher_bursts: list[float]
+    higher_rates: list[float]
+    #: Largest inflated burst of a less urgent member (0 when none).
+    blocking: float
+
+
+def port_levels(port: PortContext, policy: str) -> list[PortLevel]:
+    """Partition a port's members by priority level, most urgent first.
+
+    Under FIFO (``"fcfs"``) every member shares one level, with nothing
+    more urgent and no blocking.  Each member's burst is inflated once.
+    """
+    members = port.members
+    bursts = [state.burst_at(index) for state, index in members]
+    rates = [state.rate for state, _ in members]
+    if policy == "fcfs":
+        return [PortLevel(list(range(len(members))), bursts, rates,
+                          [], [], 0.0)]
+    grouped: dict[int, list[int]] = {}
+    for position, (state, _) in enumerate(members):
+        grouped.setdefault(state.level, []).append(position)
+    levels = []
+    higher_bursts: list[float] = []
+    higher_rates: list[float] = []
+    for level in sorted(grouped):
+        positions = grouped[level]
+        own_bursts = [bursts[position] for position in positions]
+        own_rates = [rates[position] for position in positions]
+        levels.append(PortLevel(
+            positions, own_bursts, own_rates, higher_bursts, higher_rates,
+            max((burst for (state, _), burst in zip(members, bursts)
+                 if state.level > level), default=0.0)))
+        higher_bursts = higher_bursts + own_bursts
+        higher_rates = higher_rates + own_rates
+    return levels
+
+
 def port_leftovers(port: PortContext, policy: str
                    ) -> list[tuple[float, float, float]]:
     """Calculus left-over ``(rate, latency, delay)`` of every port member.
@@ -310,37 +351,27 @@ def port_leftovers(port: PortContext, policy: str
     with ``R = C - r_cross`` and ``T = (C * t_techno + blocking +
     b_cross) / R``, and the hop delay is ``T + b / R`` for the flow's
     inflated burst ``b`` (``inf`` when the port cannot serve the flow).
-    Results follow ``port.members``.  Bursts cannot change while a rule
-    runs, so each member's is computed once; the cross sums still add
-    the other members in member order.
+    Results follow ``port.members``.
     """
-    members = port.members
-    bursts = [state.burst_at(index) for state, index in members]
-    fifo = policy == "fcfs"
-    leftovers = []
-    for (state, _), burst in zip(members, bursts):
-        own = state.level
-        cross_burst = 0.0
-        cross_rate = 0.0
-        blocking = 0.0
-        for (other, _), other_burst in zip(members, bursts):
-            if other is state:
+    leftovers: list[tuple[float, float, float]] = [None] * len(port.members)
+    for level in port_levels(port, policy):
+        bursts = level.higher_bursts + level.bursts
+        rates = level.higher_rates + level.rates
+        for own, position in enumerate(level.positions, len(
+                level.higher_bursts)):
+            burst = bursts[own]
+            cross_burst = math.fsum(bursts[:own] + bursts[own + 1:])
+            rate = port.capacity - math.fsum(rates[:own] + rates[own + 1:])
+            if rate <= 0.0 or math.isinf(cross_burst) or \
+                    math.isinf(level.blocking):
+                leftovers[position] = (rate, math.inf, math.inf)
                 continue
-            if not fifo and other.level > own:
-                blocking = max(blocking, other_burst)
-                continue
-            cross_burst += other_burst
-            cross_rate += other.rate
-        rate = port.capacity - cross_rate
-        if rate <= 0.0 or math.isinf(cross_burst) or math.isinf(blocking):
-            leftovers.append((rate, math.inf, math.inf))
-            continue
-        latency = (port.capacity * port.technology_delay + blocking
-                   + cross_burst) / rate
-        if math.isinf(burst) or state.rate > rate:
-            leftovers.append((rate, latency, math.inf))
-        else:
-            leftovers.append((rate, latency, latency + burst / rate))
+            latency = (port.capacity * port.technology_delay
+                       + level.blocking + cross_burst) / rate
+            if math.isinf(burst) or rates[own] > rate:
+                leftovers[position] = (rate, latency, math.inf)
+            else:
+                leftovers[position] = (rate, latency, latency + burst / rate)
     return leftovers
 
 

@@ -26,18 +26,16 @@ calculus), and the segment concatenation is applied in the final
 end-to-end composition only — the iteration stays monotone and either
 settles or flags the flow unstable.
 
-The final composition aggregates once per ``(port, priority level)``:
-the strictly-higher rate and burst sums, the blocking maximum, the
-resulting left-over ``(rate, latency)`` and the level's same-class
-group (names, rates and inflated bursts in member order).  None of
-them depends on which member of the level asks, because a flow never
-interferes with itself as higher or lower traffic.  A flow's
-companions are its group minus itself, and since the flow belongs to
-every group on its path, comparing groups delimits the same segments
-as comparing companion sets.  The everyone-but-me sums run over the
-group with the flow's own entry sliced out, in member order and left
-to right, as a per-flow rescan adds them, so the bounds are
-bit-identical to one.
+The final composition reads the per-port partition of the fixed point
+(:func:`~repro.analysis.engines.iteration.port_levels`) once per
+``(port, priority level)``: the strictly-higher sums and the blocking
+term give the level's left-over ``(rate, latency)``, and the level's
+own members form its same-class group.  None of them depends on which
+member of the level asks, because a flow never interferes with itself
+as higher or lower traffic.  A flow's companions are its group minus
+itself, and since the flow belongs to every group on its path,
+comparing groups delimits the same segments as comparing companion
+sets.
 
 Under FIFO every competing flow counts as same-class, so the engine
 degenerates to blind-multiplexing concatenation per segment; at a
@@ -49,16 +47,14 @@ per segment beats paying them per hop.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from functools import reduce
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
 from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
                                               RoutedTemplate,
                                               network_template,
-                                              port_leftovers,
+                                              port_leftovers, port_levels,
                                               run_fixed_point)
 from repro.flows.priorities import PriorityClass
 
@@ -79,7 +75,7 @@ class _LevelGroup:
     leftover: tuple[float, float] | None
     #: Names of the level's flows at the port (the segment key).
     names: frozenset[str]
-    #: Rates and inflated bursts of the level's flows, in member order.
+    #: Rates and inflated bursts of the level's flows.
     rates: list[float]
     bursts: list[float]
 
@@ -150,38 +146,20 @@ class TrajectoryEngine(ScenarioBoundEngine):
         Under FIFO every flow at the port is same-class, so the port
         holds a single group with no higher or blocking traffic.
         """
-        members = port.members
-        bursts = [state.burst_at(index) for state, index in members]
-        fifo = policy == "fcfs"
-        positions: dict[int | None, list[int]] = {}
-        for position, (state, _) in enumerate(members):
-            positions.setdefault(None if fifo else state.level,
-                                 []).append(position)
         groups = []
-        for level, chosen in positions.items():
-            higher_rate = 0.0
-            higher_burst = 0.0
-            blocking = 0.0
-            if level is not None:
-                for (other, _), burst in zip(members, bursts):
-                    if other.level < level:
-                        higher_rate += other.rate
-                        higher_burst += burst
-                    elif other.level > level:
-                        blocking = max(blocking, burst)
-            rate = port.capacity - higher_rate
+        for level in port_levels(port, policy):
+            higher_burst = math.fsum(level.higher_bursts)
+            rate = port.capacity - math.fsum(level.higher_rates)
             leftover = None
             if rate > 0 and math.isfinite(higher_burst) \
-                    and math.isfinite(blocking):
+                    and math.isfinite(level.blocking):
                 leftover = (rate, (port.capacity * port.technology_delay
-                                   + blocking + higher_burst) / rate)
-            level_members = [members[position] for position in chosen]
+                                   + level.blocking + higher_burst) / rate)
+            members = [port.members[position] for position in level.positions]
             groups.append((_LevelGroup(
                 leftover=leftover,
-                names=frozenset(state.name for state, _ in level_members),
-                rates=[state.rate for state, _ in level_members],
-                bursts=[bursts[position] for position in chosen]),
-                level_members))
+                names=frozenset(state.name for state, _ in members),
+                rates=level.rates, bursts=level.bursts), members))
         return groups
 
     def _end_to_end(self, state: RoutedFlowState,
@@ -213,12 +191,12 @@ class TrajectoryEngine(ScenarioBoundEngine):
         # Store-and-forward: each relaying hop re-serialises the burst.
         packetisation = 0.0
         for group, position in path[:-1]:
-            local_rate = group.leftover[0] - reduce(
-                operator.add, _without(group.rates, position), 0)
+            local_rate = group.leftover[0] - math.fsum(
+                _without(group.rates, position))
             if local_rate <= 0:
                 return math.inf
             packetisation += state.burst / local_rate
-        propagation = reduce(operator.add, state.propagation, 0)
+        propagation = math.fsum(state.propagation)
         return (total_latency + state.burst / slowest_segment
                 + packetisation + propagation)
 
@@ -231,13 +209,10 @@ class TrajectoryEngine(ScenarioBoundEngine):
         charged as cross traffic once, at the segment entrance.
         """
         rate = min(group.leftover[0] for group, _ in segment)
-        latency = reduce(operator.add,
-                         (group.leftover[1] for group, _ in segment), 0)
+        latency = math.fsum(group.leftover[1] for group, _ in segment)
         entrance, position = segment[0]
-        companion_rate = reduce(operator.add,
-                                _without(entrance.rates, position), 0)
-        companion_burst = reduce(
-            operator.add, _without(entrance.bursts, position), 0.0)
+        companion_rate = math.fsum(_without(entrance.rates, position))
+        companion_burst = math.fsum(_without(entrance.bursts, position))
         if not math.isfinite(companion_burst):
             return 0.0, math.inf
         segment_rate = rate - companion_rate

@@ -15,9 +15,8 @@ jitter by making every instance experience the same contention).
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 from repro import units
 from repro.analysis.validation import star_for_message_set
@@ -75,7 +74,7 @@ def _rows_from_stream_samples(technology: str,
         rows.append(JitterRow(
             technology=technology, priority=cls,
             worst_jitter=max(jitters),
-            mean_jitter=reduce(operator.add, jitters, 0) / len(jitters),
+            mean_jitter=math.fsum(jitters) / len(jitters),
             worst_latency=max(worst for __, worst in values),
             streams=len(values)))
     return rows

@@ -46,14 +46,13 @@ realise — bound and simulation always talk about the same ports.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable
 
-from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              port_leftovers, route_template,
-                                              run_fixed_point)
+from repro.analysis.engines.iteration import (PortContext, PortLevel,
+                                              RoutedFlowState,
+                                              port_leftovers, port_levels,
+                                              route_template, run_fixed_point)
 from repro.errors import ConfigurationError, EmptyAggregateError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
@@ -251,17 +250,23 @@ class GraphPathAnalysis:
         min_rate = min(hop.rate for hop in hops)
         if min_rate <= 0.0 or state.rate > min_rate:
             return math.inf
-        packetisation = reduce(operator.add, (state.burst / hop.rate
-                                              for hop in hops[:-1]), 0)
-        return reduce(operator.add, (hop.latency for hop in hops), 0) \
+        packetisation = math.fsum(state.burst / hop.rate
+                                  for hop in hops[:-1])
+        return math.fsum(hop.latency for hop in hops) \
             + packetisation + state.burst / min_rate \
-            + reduce(operator.add, (hop.propagation for hop in hops), 0)
+            + math.fsum(hop.propagation for hop in hops)
 
     def _backlogs(self, ports: list[PortContext]
                   ) -> tuple[list[PortBacklogBound],
                              dict[PriorityClass, float]]:
-        members_at = {(port.node, port.toward): port.members
-                      for port in ports}
+        """Every topology port's aggregate bound and each class's worst.
+
+        The class-``p`` queue holds class-``p`` traffic served by the
+        link's residual after the strictly higher classes (plus the
+        blocking term); under FCFS every class shares the single queue,
+        so each gets the aggregate bound.
+        """
+        contexts = {(port.node, port.toward): port for port in ports}
         port_bounds = []
         class_backlogs: dict[PriorityClass, float] = {}
         # Every directed port of the topology gets a bound: the simulator
@@ -271,62 +276,40 @@ class GraphPathAnalysis:
                      for node, successors in self.spec.successors().items()
                      for successor in successors}
         for (node, toward) in sorted(all_ports):
-            members = members_at.get((node, toward), ())
-            link = self.spec.edge(node, toward)
+            port = contexts.get((node, toward))
+            levels = [] if port is None else port_levels(port, self.policy)
+            capacity = self.spec.edge(node, toward).rate
             latency0 = self.spec.technology_delay(node)
-            total_rate = reduce(operator.add,
-                                (member.rate for member, _ in members), 0)
-            total_burst = reduce(operator.add,
-                                 (member.burst_at(index)
-                                  for member, index in members), 0)
-            if total_rate > link.rate or math.isinf(total_burst):
+            total_rate = math.fsum(rate for level in levels
+                                   for rate in level.rates)
+            total_burst = math.fsum(burst for level in levels
+                                    for burst in level.bursts)
+            if total_rate > capacity or math.isinf(total_burst):
                 aggregate = math.inf
             else:
                 aggregate = total_burst + total_rate * latency0
             port_bounds.append(PortBacklogBound(
-                node=node, toward=toward, flow_count=len(members),
+                node=node, toward=toward,
+                flow_count=0 if port is None else len(port.members),
                 backlog_bits=aggregate))
-            for priority, backlog in self._class_port_backlogs(
-                    members, link.rate, latency0).items():
-                previous = class_backlogs.get(priority, 0.0)
-                class_backlogs[priority] = max(previous, backlog)
+            for level in levels:
+                backlog = _level_backlog(level, capacity, latency0)
+                for priority in {port.members[position][0].priority
+                                 for position in level.positions}:
+                    class_backlogs[priority] = max(
+                        class_backlogs.get(priority, 0.0), backlog)
         return port_bounds, class_backlogs
 
-    def _class_port_backlogs(self,
-                             members: tuple[tuple[RoutedFlowState, int],
-                                            ...],
-                             capacity: float, latency0: float
-                             ) -> dict[PriorityClass, float]:
-        """Per-class queue bounds at one port.
 
-        The class-``p`` queue holds class-``p`` traffic served by the
-        link's residual after the strictly higher classes (plus the
-        blocking term); under FCFS every class shares the single queue,
-        so each gets the aggregate bound.
-        """
-        present = sorted({member.priority for member, _ in members},
-                         key=lambda priority: priority.value)
-        backlogs: dict[PriorityClass, float] = {}
-        for priority in present:
-            level = priority.value
-            own_burst = own_rate = 0.0
-            cross_burst = cross_rate = 0.0
-            blocking = 0.0
-            for member, index in members:
-                if self.policy == "fcfs" or member.level == level:
-                    own_burst += member.burst_at(index)
-                    own_rate += member.rate
-                elif member.level < level:
-                    cross_burst += member.burst_at(index)
-                    cross_rate += member.rate
-                else:
-                    blocking = max(blocking, member.burst_at(index))
-            rate = capacity - cross_rate
-            if rate <= 0.0 or own_rate > rate or \
-                    math.isinf(cross_burst) or math.isinf(own_burst) or \
-                    math.isinf(blocking):
-                backlogs[priority] = math.inf
-                continue
-            latency = (capacity * latency0 + blocking + cross_burst) / rate
-            backlogs[priority] = own_burst + own_rate * latency
-        return backlogs
+def _level_backlog(level: PortLevel, capacity: float,
+                   latency0: float) -> float:
+    """Queue bound of one priority level at a port (``inf`` if unbounded)."""
+    own_burst = math.fsum(level.bursts)
+    own_rate = math.fsum(level.rates)
+    cross_burst = math.fsum(level.higher_bursts)
+    rate = capacity - math.fsum(level.higher_rates)
+    if rate <= 0.0 or own_rate > rate or math.isinf(cross_burst) or \
+            math.isinf(own_burst) or math.isinf(level.blocking):
+        return math.inf
+    latency = (capacity * latency0 + level.blocking + cross_burst) / rate
+    return own_burst + own_rate * latency

@@ -26,9 +26,8 @@ inflated bursts settle.
 
 from __future__ import annotations
 
-import operator
+import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Literal
 
 from repro.analysis.engines.iteration import (PortContext, route_template,
@@ -100,7 +99,7 @@ class FlowBound:
     @property
     def total_delay(self) -> float:
         """End-to-end worst-case delay bound (seconds)."""
-        return reduce(operator.add, (hop.total for hop in self.hops), 0)
+        return math.fsum(hop.total for hop in self.hops)
 
     @property
     def meets_deadline(self) -> bool:
@@ -236,9 +235,9 @@ class EndToEndAnalysis:
     def _port_bounds(self, port: PortContext) -> None:
         """The paper's multiplexer bound of every flow at one port.
 
-        Members keep the input flow order, so the multiplexer sums their
-        (possibly inflated) bursts in that order.  The FCFS multiplexer
-        reports its single bound under every class present.
+        The multiplexer sees the members' (possibly inflated) bursts.  The
+        FCFS multiplexer reports its single bound under every class
+        present.
         """
         analysis = (FcfsMultiplexerAnalysis if self.policy == "fcfs"
                     else StrictPriorityMultiplexerAnalysis)

@@ -32,16 +32,14 @@ several multiplexing points with the standard network-calculus machinery.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Iterable, Mapping, Sequence
 
 from repro.core.netcalc.arrival import TokenBucketArrivalCurve
 from repro.core.netcalc.bounds import backlog_bound
 from repro.core.netcalc.service import RateLatencyServiceCurve
 from repro.errors import EmptyAggregateError, UnstableSystemError
-from repro.flows.arrays import MessageArrays, sequential_sum
+from repro.flows.arrays import MessageArrays
 from repro.flows.flow import Flow
 from repro.flows.message_set import MessageSet
 from repro.flows.messages import Message
@@ -123,17 +121,16 @@ def aggregate_from_arrays(arrays: MessageArrays
     """Per-class :class:`ClassAggregate` of a struct-of-arrays population.
 
     Vectorised counterpart of the per-flow loop: per-class masks select the
-    columns, :func:`~repro.flows.arrays.sequential_sum` reduces them with
-    the same left-to-right accumulation as the reference loop, so the
-    aggregates are bit-identical.
+    columns, and :func:`math.fsum` adds them exactly as the loop does, so
+    the aggregates are bit-identical.
     """
     aggregates: dict[PriorityClass, ClassAggregate] = {}
     for cls in arrays.present_classes():
         mask = arrays.class_mask(cls)
         bursts = arrays.bursts[mask]
         aggregates[cls] = ClassAggregate(
-            burst=sequential_sum(bursts),
-            rate=sequential_sum(arrays.rates[mask]),
+            burst=math.fsum(bursts.tolist()),
+            rate=math.fsum(arrays.rates[mask].tolist()),
             max_burst=float(bursts.max()),
             count=int(mask.sum()))
     return aggregates
@@ -163,20 +160,16 @@ def aggregate_flows(flows: Iterable[Flow | Message] | MessageSet |
         return aggregate_from_arrays(flows.arrays())
     if isinstance(flows, MessageArrays):
         return aggregate_from_arrays(flows)
-    bursts: dict[PriorityClass, float] = {}
-    rates: dict[PriorityClass, float] = {}
-    max_bursts: dict[PriorityClass, float] = {}
-    counts: dict[PriorityClass, int] = {}
+    classes: dict[PriorityClass, list[tuple[float, float]]] = {}
     for flow in flows:
-        cls = priority_of(flow)
-        burst = float(flow.burst)
-        bursts[cls] = bursts.get(cls, 0.0) + burst
-        rates[cls] = rates.get(cls, 0.0) + float(flow.rate)
-        max_bursts[cls] = max(max_bursts.get(cls, 0.0), burst)
-        counts[cls] = counts.get(cls, 0) + 1
-    return {cls: ClassAggregate(burst=bursts[cls], rate=rates[cls],
-                                max_burst=max_bursts[cls], count=counts[cls])
-            for cls in sorted(bursts)}
+        classes.setdefault(priority_of(flow), []).append(
+            (float(flow.burst), float(flow.rate)))
+    return {cls: ClassAggregate(
+                burst=math.fsum(burst for burst, _ in members),
+                rate=math.fsum(rate for _, rate in members),
+                max_burst=max(burst for burst, _ in members),
+                count=len(members))
+            for cls, members in sorted(classes.items())}
 
 
 @dataclass(frozen=True)
@@ -273,10 +266,8 @@ class FcfsMultiplexerAnalysis:
         if not any(a.count for a in aggregates.values()):
             raise EmptyAggregateError(
                 "the FCFS bound needs at least one flow")
-        total_burst = reduce(operator.add,
-                             (a.burst for a in aggregates.values()), 0)
-        total_rate = reduce(operator.add,
-                            (a.rate for a in aggregates.values()), 0)
+        total_burst = math.fsum(a.burst for a in aggregates.values())
+        total_rate = math.fsum(a.rate for a in aggregates.values())
         unstable = total_rate > self.capacity
         if unstable and strict:
             raise UnstableSystemError(
@@ -332,9 +323,8 @@ class FcfsMultiplexerAnalysis:
         if not flows:
             raise EmptyAggregateError("empty aggregate")
         return TokenBucketArrivalCurve(
-            bucket=reduce(operator.add, (float(f.burst) for f in flows), 0),
-            token_rate=reduce(operator.add,
-                              (float(f.rate) for f in flows), 0))
+            bucket=math.fsum(float(f.burst) for f in flows),
+            token_rate=math.fsum(float(f.rate) for f in flows))
 
     def service_curve(self) -> RateLatencyServiceCurve:
         """Service offered to the aggregate: rate ``C`` after ``t_techno``."""
@@ -426,15 +416,13 @@ class StrictPriorityMultiplexerAnalysis:
             raise EmptyAggregateError(
                 f"no flow of class {priority.name} traverses the multiplexer")
 
-        burst_term = reduce(operator.add,
-                            (a.burst for cls, a in aggregates.items()
-                             if cls <= priority), 0)
+        burst_term = math.fsum(a.burst for cls, a in aggregates.items()
+                               if cls <= priority)
         blocking_term = 0.0 if self.preemptive else safe_max(
             (a.max_burst for cls, a in aggregates.items()
              if cls > priority and a.count), default=0.0)
-        higher_rate = reduce(operator.add,
-                             (a.rate for cls, a in aggregates.items()
-                              if cls < priority), 0)
+        higher_rate = math.fsum(a.rate for cls, a in aggregates.items()
+                                if cls < priority)
         residual_rate = self.capacity - higher_rate
 
         if residual_rate <= 0:
@@ -444,9 +432,8 @@ class StrictPriorityMultiplexerAnalysis:
                 f"has no residual capacity",
                 offered_rate=higher_rate, capacity=self.capacity)
 
-        higher_or_equal_rate = reduce(
-            operator.add, (a.rate for cls, a in aggregates.items()
-                           if cls <= priority), 0)
+        higher_or_equal_rate = math.fsum(
+            a.rate for cls, a in aggregates.items() if cls <= priority)
         unstable = higher_or_equal_rate > self.capacity
         if unstable and strict:
             raise UnstableSystemError(
@@ -516,9 +503,8 @@ class StrictPriorityMultiplexerAnalysis:
             priority: PriorityClass) -> RateLatencyServiceCurve:
         """:meth:`residual_service_curve` evaluated on pre-computed aggregates."""
         priority = PriorityClass(priority)
-        higher_rate = reduce(operator.add,
-                             (a.rate for cls, a in aggregates.items()
-                              if cls < priority), 0)
+        higher_rate = math.fsum(a.rate for cls, a in aggregates.items()
+                                if cls < priority)
         residual_rate = self.capacity - higher_rate
         if residual_rate <= 0:
             raise UnstableSystemError(
@@ -622,8 +608,8 @@ def compute_arrival_curve(aggregates: Mapping[PriorityClass, ClassAggregate],
     included = [a for cls, a in aggregates.items()
                 if up_to is None or cls <= up_to]
     return TokenBucketArrivalCurve(
-        bucket=reduce(operator.add, (a.burst for a in included), 0),
-        token_rate=reduce(operator.add, (a.rate for a in included), 0))
+        bucket=math.fsum(a.burst for a in included),
+        token_rate=math.fsum(a.rate for a in included))
 
 
 def compute_service_curve(aggregates: Mapping[PriorityClass, ClassAggregate],

@@ -18,6 +18,7 @@ burst the flow may emit (``b`` for a token bucket).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Protocol, runtime_checkable
 
@@ -225,9 +226,9 @@ class AggregateArrivalCurve:
     @property
     def rate(self) -> float:
         """Sum of the component long-term rates (bits per second)."""
-        return sum(curve.rate for curve in self._curves)
+        return math.fsum(curve.rate for curve in self._curves)
 
     @property
     def burst(self) -> float:
         """Sum of the component bursts (bits)."""
-        return sum(curve.burst for curve in self._curves)
+        return math.fsum(curve.burst for curve in self._curves)

@@ -24,8 +24,7 @@ Public API
 * :class:`ReplicatedMessageSet` — lazy ``k``-fold station replication with
   arithmetic aggregate shortcuts (the scalability ladder's workhorse),
 * :class:`MessageArrays` — struct-of-arrays numeric view consumed by the
-  vectorised analytic paths (:func:`sequential_sum` is its bit-exact
-  reduction helper),
+  vectorised analytic paths,
 * :class:`VirtualLink` — AFDX-style (BAG, s_max) description of a shaped
   flow, convertible to a token bucket.
 """
@@ -38,7 +37,7 @@ from repro.flows.priorities import (
     PriorityClass,
     assign_priority,
 )
-from repro.flows.arrays import MessageArrays, sequential_sum
+from repro.flows.arrays import MessageArrays
 from repro.flows.flow import Flow
 from repro.flows.message_set import MessageSet, ReplicatedMessageSet
 from repro.flows.virtual_link import VirtualLink
@@ -55,6 +54,5 @@ __all__ = [
     "MessageSet",
     "ReplicatedMessageSet",
     "MessageArrays",
-    "sequential_sum",
     "VirtualLink",
 ]

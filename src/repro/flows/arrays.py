@@ -8,15 +8,15 @@ hot loops become vectorised reductions instead of per-message Python
 iterations.  A :class:`~repro.flows.message_set.MessageSet` builds its view
 lazily (:meth:`MessageSet.arrays`) and invalidates it on mutation.
 
-Numerical contract: every reduction used for bound computation goes through
-:func:`sequential_sum`, a left-to-right accumulation that is bit-identical
-to adding the same values one by one in order — so the array backend
-reproduces the per-message reference loops exactly, not merely
-approximately, on every Python version.
+Numerical contract: every reduction used for bound computation is
+:func:`math.fsum` over the column's values, the correctly rounded sum —
+so the array backend reproduces the per-message reference loops exactly,
+not merely approximately, on every Python version.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterable
 
 import numpy as np
@@ -24,22 +24,7 @@ import numpy as np
 from repro.flows.messages import Message
 from repro.flows.priorities import PriorityClass, assign_priority
 
-__all__ = ["MessageArrays", "sequential_sum"]
-
-
-def sequential_sum(values: np.ndarray | Iterable[float]) -> float:
-    """Left-to-right float sum: ``total += value`` over the values in order.
-
-    ``np.add.accumulate`` applies the ufunc sequentially (unlike ``np.sum``,
-    which sums pairwise and may differ in the last ulp), so the result
-    matches the Python reference loops the analytic formulas were validated
-    against.  It is not the builtin ``sum`` of Python 3.12 and later, which
-    compensates float rounding and so may differ in the last bits.
-    """
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        return 0.0
-    return float(np.add.accumulate(array)[-1])
+__all__ = ["MessageArrays"]
 
 
 class MessageArrays:
@@ -101,11 +86,11 @@ class MessageArrays:
 
     def total_rate(self) -> float:
         """Sum of the token-bucket rates ``r_i`` (bits per second)."""
-        return sequential_sum(self.rates)
+        return math.fsum(self.rates.tolist())
 
     def total_burst(self) -> float:
         """Sum of the token-bucket bursts ``b_i`` (bits)."""
-        return sequential_sum(self.sizes)
+        return math.fsum(self.sizes.tolist())
 
     def max_burst(self) -> float:
         """Largest single burst ``b_i`` (bits); 0 for an empty population."""

@@ -9,14 +9,12 @@ any deadline?*
 **Incrementality.**  For the single-multiplexer topologies (star,
 dual-switch, tree) the closed-form bounds only depend on the per-class
 :class:`~repro.core.multiplexer.ClassAggregate` sufficient statistics.
-Admitting a flow appends it to its class and derives the class's new
-aggregate in O(1) — ``burst + b``, ``rate + r``, ``max(max_burst, b)``,
-``count + 1`` — which is **bit-identical** to re-aggregating the member
-list left-to-right, because floating-point addition at the end of the
-sequence is exactly what the from-scratch ``aggregate_flows`` loop
-would do.  Removing a flow re-aggregates *only the touched class* (a
-mid-sequence subtraction would not be bit-identical, so the engine
-never subtracts).  Every other class keeps its committed aggregate
+Admitting or removing a flow re-aggregates *only the touched class*,
+through the same :func:`~repro.core.multiplexer.aggregate_flows` that
+:meth:`AdmissionEngine.verify` uses as its reference; its sums are
+correctly rounded, so the aggregate of a class is **bit-identical**
+whatever order its members were admitted in (the engine never derives
+one by subtraction).  Every other class keeps its committed aggregate
 untouched, and the per-class closed forms are re-evaluated in
 O(classes).
 
@@ -251,31 +249,14 @@ class _ClassState:
     members: tuple[str, ...] = ()
 
 
-def _tighter(current: float | None, candidate: float | None) -> float | None:
-    """The binding deadline after adding one more member."""
-    if candidate is None:
-        return current
-    if current is None:
-        return candidate
-    return min(current, candidate)
-
-
 def _class_state_of(messages: list[Message]) -> _ClassState:
-    """Re-aggregate one class from its member list (the reference loop)."""
-    burst = rate = max_burst = 0.0
-    deadline: float | None = None
-    names = []
-    for message in messages:
-        value = float(message.burst)
-        burst += value
-        rate += float(message.rate)
-        max_burst = max(max_burst, value)
-        deadline = _tighter(deadline, message.deadline)
-        names.append(message.name)
+    """Re-aggregate one class from its member list."""
+    [aggregate] = aggregate_flows(messages).values()
     return _ClassState(
-        aggregate=ClassAggregate(burst=burst, rate=rate,
-                                 max_burst=max_burst, count=len(messages)),
-        deadline=deadline, members=tuple(names))
+        aggregate=aggregate,
+        deadline=min((message.deadline for message in messages
+                      if message.deadline is not None), default=None),
+        members=tuple(message.name for message in messages))
 
 
 class AdmissionEngine:
@@ -455,47 +436,27 @@ class AdmissionEngine:
         admitting."""
         cls = assign_priority(message)
         classes = dict(self._classes)
-        current = classes.get(cls)
-        burst = float(message.burst)
-        if current is None:
-            classes[cls] = _ClassState(
-                aggregate=ClassAggregate(burst=burst,
-                                         rate=float(message.rate),
-                                         max_burst=burst, count=1),
-                deadline=message.deadline, members=(message.name,))
-        else:
-            # Appending at the end of the member sequence: the new sums
-            # are exactly what the from-scratch left-to-right loop would
-            # produce, so the aggregate stays bit-identical.
-            aggregate = current.aggregate
-            classes[cls] = _ClassState(
-                aggregate=ClassAggregate(
-                    burst=aggregate.burst + burst,
-                    rate=aggregate.rate + float(message.rate),
-                    max_burst=max(aggregate.max_burst, burst),
-                    count=aggregate.count + 1),
-                deadline=_tighter(current.deadline, message.deadline),
-                members=current.members + (message.name,))
+        classes[cls] = _class_state_of([*self._members(cls), message])
         fragment = canonical_json(message_to_payload(message))
         snapshot = self._request_snapshot(
             classes, [*self._flows.values(), message],
             self._state_fingerprint(fragment))
         return classes, fragment, snapshot
 
-    def _drop(self, message: Message) -> None:
-        """Take one flow out of the table and re-aggregate its class.
+    def _members(self, cls: PriorityClass) -> list[Message]:
+        """The committed members of one class, in table order."""
+        current = self._classes.get(cls)
+        return [] if current is None else \
+            [self._flows[name] for name in current.members]
 
-        The touched class is re-aggregated from its remaining members,
-        never derived by subtraction, to keep the committed aggregates
-        bit-identical to a from-scratch pass.
-        """
+    def _drop(self, message: Message) -> None:
+        """Take one flow out of the table and re-aggregate its class."""
+        cls = assign_priority(message)
+        remaining = [member for member in self._members(cls)
+                     if member.name != message.name]
         del self._flows[message.name]
         del self._fragments[message.name]
-        cls = assign_priority(message)
         classes = dict(self._classes)
-        remaining = [self._flows[member]
-                     for member in classes[cls].members
-                     if member != message.name]
         if remaining:
             classes[cls] = _class_state_of(remaining)
         else:
@@ -580,10 +541,7 @@ class AdmissionEngine:
             raise ConfigurationError(
                 f"duplicate flow name {message.name!r} in the workload")
         cls = assign_priority(message)
-        current = self._classes.get(cls)
-        members = [] if current is None else \
-            [self._flows[name] for name in current.members]
-        members.append(message)
+        members = [*self._members(cls), message]
         self._flows[message.name] = message
         self._fragments[message.name] = canonical_json(
             message_to_payload(message))

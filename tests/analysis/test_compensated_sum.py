@@ -1,12 +1,14 @@
-"""Bounds do not depend on the Python version's builtin ``sum``.
+"""No bound path reaches the builtin ``sum``.
 
 From Python 3.12 on, the builtin ``sum`` compensates float rounding
-(Neumaier's algorithm), so it can differ in the last bits from adding
-the same values one by one.  The bound arithmetic therefore adds floats
-left to right itself.  These tests install a transcription of 3.12's
-float ``sum`` as the builtin on whatever version runs them and check
-that the fixed-point goldens and a fuzz corpus replay still hold byte
-for byte.
+(Neumaier's algorithm), so it can differ in the last bits from the
+plain left-to-right ``sum`` of earlier versions.  Sums over flows go
+through :func:`math.fsum`, which is correctly rounded on every version,
+and the sequences that stay left to right add explicitly.  These tests
+install a transcription of 3.12's float ``sum`` as the builtin on
+whatever version runs them and check that the fixed-point goldens and a
+fuzz corpus replay still hold byte for byte, which they could not if a
+bound path called the builtin.
 """
 
 import builtins
@@ -22,8 +24,7 @@ from tests.analysis.test_fixed_point_golden import (
     NETWORK_DIGESTS, GRAPHS, diverging_ring, engine_bounds, graph_digest,
     network_digest, real_case_messages, with_latency)
 
-#: A corpus entry whose replay moves under a compensated ``sum`` unless
-#: every bound sum adds left to right.
+#: The fuzz corpus entry replayed under the compensated ``sum``.
 CORPUS_ENTRY = "near-tight-0022b9a5cf4a.json"
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro import Message, MessageSet, units
-from repro.flows.arrays import MessageArrays, sequential_sum
+from repro.flows.arrays import MessageArrays
 from repro.flows.message_set import ReplicatedMessageSet
 from repro.flows.priorities import PriorityClass, assign_priority
 from repro.core.multiplexer import aggregate_flows, aggregate_from_arrays
@@ -32,24 +32,6 @@ def _reference_aggregates(messages):
         counts[cls] = counts.get(cls, 0) + 1
     return {cls: (bursts[cls], rates[cls], max_bursts[cls], counts[cls])
             for cls in sorted(bursts)}
-
-
-class TestSequentialSum:
-    def test_matches_builtin_sum_bit_for_bit(self, real_case):
-        rates = [m.rate for m in real_case]
-        assert sequential_sum(rates) == sum(rates)
-
-    def test_empty(self):
-        assert sequential_sum([]) == 0.0
-
-    def test_adversarial_magnitudes(self):
-        # Mixed magnitudes where pairwise, compensated (Python 3.12's
-        # builtin ``sum``) and sequential summation all differ.
-        values = [1e16, 1.0, -1e16, 1.0] * 50
-        total = 0.0
-        for value in values:
-            total += value
-        assert sequential_sum(values) == total
 
 
 class TestMessageArrays:

@@ -60,6 +60,16 @@ class TestArrivalCurveProperties:
         aggregate = AggregateArrivalCurve(curves)
         assert aggregate(t) == sum(curve(t) for curve in curves)
 
+    @given(params=st.lists(st.tuples(bursts, rates), min_size=1,
+                           max_size=12), data=st.data())
+    def test_aggregate_rate_and_burst_ignore_component_order(self, params,
+                                                             data):
+        curves = [TokenBucketArrivalCurve(b, r) for b, r in params]
+        aggregate = AggregateArrivalCurve(curves)
+        shuffled = AggregateArrivalCurve(data.draw(st.permutations(curves)))
+        assert (shuffled.rate, shuffled.burst) == \
+            (aggregate.rate, aggregate.burst)
+
 
 class TestBoundProperties:
     @given(burst=bursts, rate=rates, capacity=capacities, latency=latencies)
