@@ -6,9 +6,10 @@ delay rule at every egress port and inflating each burst by its upstream
 delay until the bounds settle.  The digests below are canonical-JSON
 SHA-256 values of their complete output — per-hop rate, latency and
 delay, port and class backlogs, ``converged``, per-flow hop bounds and
-per-class engine bounds — recorded before the four analyses shared one
-fixed-point core, so any change to that core must reproduce them byte
-for byte.  One ring is loaded so that burst inflation never settles,
+per-class engine bounds.  They were recorded before the four analyses
+shared one fixed-point core and refreshed once, when sums over port
+members became correctly rounded (``math.fsum``); any other change to
+that core must reproduce them byte for byte.  One ring is loaded so that burst inflation never settles,
 which pins the divergence path (``converged=False``, unstable flows)
 as well.
 
@@ -136,17 +137,17 @@ def endtoend_worst(topology: str, policy: str) -> dict:
 
 GRAPH_DIGESTS = {
     ("graph-diamond", "fcfs"):
-        "e481791e94246908b7e0228e216a5fccdf0e849f16bee58fee8cc1ae6e91f8ff",
+        "17db36212b5e8e62281672913d9351c9fcdcde61f7b314d66863635c9847634c",
     ("graph-diamond", "strict-priority"):
-        "925ff344c1d38a07ebb04e0bd660134bc75bfb841b3c0489394bd49cb3b76d0e",
+        "0737c206c564c8bfbbb6f7e0217d60b1e45baaa0802b42692674f65405d1fb64",
     ("graph-random", "fcfs"):
-        "646a087d03080c72a82d769c25703468186dd817e25e9d96b17608811f75a221",
+        "f275169fd327723e40adf5efa07bb8642308a71fa101d5e2885f6684a295cff7",
     ("graph-random", "strict-priority"):
-        "d1d4f7fa394c8be13a6c6985764490081678e6fb56ac415d8e90fe8001a28bbc",
+        "835e016cf0759d0bc1cbdc305920fa1c7e9ec8a7b1364efc0f8b7368f37773e7",
     ("graph-ring", "fcfs"):
-        "64b5ad0b735b5ace9710db223c2b7060e1ad63faa30bd144b77f8185920868b1",
+        "cc46130327b7e54aeae79cca0c4e50c938626942a0a021e852b9a95f8b9eb9dd",
     ("graph-ring", "strict-priority"):
-        "8dfa0adcbc2d0492fe316f52e66ee11c1b1d40dd308a1550ba7262a2699b6dfc",
+        "cc13f34b0ad5e1f43006af6309d11cf27d60878805cee156e4d30f4b3b890932",
 }
 
 DIVERGING_DIGESTS = {
@@ -166,32 +167,32 @@ DIVERGING_DIGESTS = {
 
 NETWORK_DIGESTS = {
     ("dual-switch", "fcfs"):
-        "1caa2cc213a97da4a61e2da10739373d4ba8cbe459de7b688d866e932e143cd2",
+        "e9549bc9dc5e73f346d8ade9b585ff734e01b239bc45f6c358080daec2b91939",
     ("dual-switch", "strict-priority"):
-        "58c8162ade254bbdbb049b1a64d365a8a06d662345326648f735e7f2f7082ec5",
+        "22307727d3f63f8b03882e3dfa07a2e1ab05a9a28a0645e08fb6029841a32933",
     ("star", "fcfs"):
-        "1cf33053abd9f59277921dfc4ab22611e5e1650268d36c383f3fdad033317c3c",
+        "1786baf86d3db92a515935c3883572cc04cde97e338aca9ae5d87ec37977197c",
     ("star", "strict-priority"):
-        "01d837434546558fc044a757547c1ed1ccbbe659ca755e88d13cfa39ea8b6c20",
+        "e431fdd9e12988d07659bc48cf5b8133280e58f00647d728d44e64883050e30c",
     ("tree", "fcfs"):
-        "3f75ad806a7c81930a07be26d9f9e20087b4142117c7441de4171aa8ef3e83f4",
+        "7a2b44dfb6a84a3bf810d2f1434cecc4128b1890848cd8c6533f98c99c395c98",
     ("tree", "strict-priority"):
-        "e670dfa641b1b3e81cbb5876e70f6240020fcf302be451885cc62023900b148f",
+        "d3e9b70210f88623effb23aafd1108b05abadef88251ccbf31b7e307b216fb5e",
 }
 
 ENGINE_DIGESTS = {
     ("holistic", "dual-switch", "fcfs"):
         "79d76314adad276f289f560958b1e6fac60cd3a027a7fefa803cb8a54e1e0321",
     ("holistic", "dual-switch", "strict-priority"):
-        "004444f4449d9714f683eeee5c9dffb1ed8ab86652e54ef44b4977f1e3342413",
+        "cf72d9c137a3b2fc258004ff23b3e468da6a1a6e0eb1b649ba24d2fdd8c03e96",
     ("holistic", "graph-diamond", "fcfs"):
         "66037e81a64659d9e83995b7838c966d28e4b0c42db1fc41b53fdde30f0104d6",
     ("holistic", "graph-diamond", "strict-priority"):
         "a069929cd941fe11a0fb60a4dd31edbdd9f094ae835052739995372e1b3efdd5",
     ("holistic", "graph-random", "fcfs"):
-        "54fb7a70f2b5893ced4b3529f6f581b81fb84b756aad4a1231447febff8bc1c5",
+        "44ec8bb83a431d0e6ab2d41225692b11104aebde544f27a1382cb3556afe5513",
     ("holistic", "graph-random", "strict-priority"):
-        "787fb24385c1c130ebc79d703c061f323e9a50b1053f5955921e0bbd8ff9ac14",
+        "257704314bc3ab328fcd5e12a022f89566ffdbf43a8d7a42210ec6329f6264ce",
     ("holistic", "graph-ring", "fcfs"):
         "aca0ebaa42d83605afd15196678c3b018afdec592b71b48eb2d4a4ddbc23b76d",
     ("holistic", "graph-ring", "strict-priority"):
@@ -199,50 +200,50 @@ ENGINE_DIGESTS = {
     ("holistic", "star", "fcfs"):
         "ffb6a532c2bac0eb333762643c7729346ea478e43cf60d303054ec157d29bf5b",
     ("holistic", "star", "strict-priority"):
-        "8fdd822c84c2fd9ebc4ff5285bbe4104b398f82cd307bd7da38b06ea1dc7e1a9",
+        "efff43f0993bbfb357ba1fa876657a025c2a5dd21e5fcea583d44ee4ccdb6279",
     ("holistic", "tree", "fcfs"):
         "66037e81a64659d9e83995b7838c966d28e4b0c42db1fc41b53fdde30f0104d6",
     ("holistic", "tree", "strict-priority"):
         "a069929cd941fe11a0fb60a4dd31edbdd9f094ae835052739995372e1b3efdd5",
     ("trajectory", "dual-switch", "fcfs"):
-        "f333cc4cffb6f1133a303eb29d14de76f17ece514e3f86d7394eab9de1696795",
+        "90b8b42b0ebeea195aed44f5c9b7518c32bc35fd54f4b4b91396ba87c9fe4c25",
     ("trajectory", "dual-switch", "strict-priority"):
-        "ae431a9a14286bcefc26331792f63ba35b66ec73a2464defc726fecc86fd9df2",
+        "7e07b107d40c15bb8f815c85cf370ebe092a58dc2575678aa9d40a534a740352",
     ("trajectory", "graph-diamond", "fcfs"):
-        "dc1ae3dce65dccbd1bf4ba6c56dd3215513eec9e7fae530685e2f2421e5a5d55",
+        "6191acab4902d1bcac493b25e394e067e45492386a37ece796bc9ab73f077d94",
     ("trajectory", "graph-diamond", "strict-priority"):
         "1597f6ed89fa8a998f479485e716cc437c78847eec763b67908b2863368fecae",
     ("trajectory", "graph-random", "fcfs"):
-        "1f0885622247450c6395924fd4d9bf93fa786af92a5a982ebd819da64834d9e8",
+        "25d3190fd86b6c3cde405431602f7390b6f859495e556076954c0c38cec9fe50",
     ("trajectory", "graph-random", "strict-priority"):
         "6fbba4729020a861cedc93674542c597754cb04509ac10662861ea7c4dc84240",
     ("trajectory", "graph-ring", "fcfs"):
         "e3baa596b1f0e1a3cffbb812b66c76868d7b2552ddf331d9770f937e841a79e9",
     ("trajectory", "graph-ring", "strict-priority"):
-        "469d160a9c297a92cf92644a436337d4a3f736ccad2651ec0f4c988a8eddd9c8",
+        "121ce674281c4a9cd64635309ad15b5ce6e13bd86393268f1d8d7f0fb68acba6",
     ("trajectory", "star", "fcfs"):
         "d482f6c8dc8b4534be9f4f764fef726c35dc942bd1c6b19fe56ceca32c589739",
     ("trajectory", "star", "strict-priority"):
-        "a075249d1194f056ebcefd1784ca6080559ef24300acf1fce814860f37401d2f",
+        "a5ae50314ee242f9367048f531423e9ccd3a71479dc641d191a29ddf26d98e27",
     ("trajectory", "tree", "fcfs"):
-        "dc1ae3dce65dccbd1bf4ba6c56dd3215513eec9e7fae530685e2f2421e5a5d55",
+        "6191acab4902d1bcac493b25e394e067e45492386a37ece796bc9ab73f077d94",
     ("trajectory", "tree", "strict-priority"):
         "1597f6ed89fa8a998f479485e716cc437c78847eec763b67908b2863368fecae",
 }
 
 LATENCY_GRAPH_DIGESTS = {
     ("graph-diamond", "fcfs"):
-        "57679d6ecd81822f1320de05dcda67a7bd60b691c673ac983598af2ca9e1ff28",
+        "4e04f59cca73fb264270823c506da4bda5b071ee662c9033b66c90bee6e107b3",
     ("graph-diamond", "strict-priority"):
-        "1dc3c701d28a7683667b99ca62470603d63ad72c9e9cf6d6ee32d8a571807012",
+        "dadcd6300b590a1dbd85bc35d44ae97c19a8d4e9e291af60aea5f36cc2fc3c9f",
     ("graph-random", "fcfs"):
-        "94687587997ecb4212ae92ba4b581d0cdedce2cff030d521c8480ccf946595d0",
+        "800af8de6d8f240eead7718ab13f8a04caec8cc96f9a43985241500bdae77eab",
     ("graph-random", "strict-priority"):
-        "d730484c71e7abe2730490f412ec3e5904bb890d724f19051b455a59be5f9731",
+        "5bfd15bc1c4d9a94d2cf346f7c1539df8f7aa25345d5a4862e5412405c9c9104",
     ("graph-ring", "fcfs"):
-        "2e25cac031170bd9db2fb2e1527a0cb5a037fa3a3fbfe2290e2cd790158dd319",
+        "e6c48ca3aed80160a7f3fb5dc78206ee6500b5d57b07ed86c54e6a3cfc4e9553",
     ("graph-ring", "strict-priority"):
-        "2c7cd08b8a7dd600752eff72e8104bccec1702b4ed77634098c27389d393d110",
+        "9ab4b79410c07b35536191d47fa174811d9e82547e644962966264e1215e696c",
 }
 
 LATENCY_VALUES = {

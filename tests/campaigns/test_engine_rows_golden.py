@@ -4,9 +4,10 @@
 template and the runner's own calculus rows between every engine ×
 policy evaluation of a scenario.  The digest below is the
 canonical-JSON SHA-256 of every engine row of the full catalogue,
-recorded before any of that sharing existed, so the shared path must
-reproduce the per-engine, per-policy recomputation byte for byte —
-memoized and naive alike.
+recorded before any of that sharing existed and refreshed once, when
+sums over port members became correctly rounded (``math.fsum``), so
+the shared path must reproduce the per-engine, per-policy recomputation
+byte for byte — memoized and naive alike.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from repro.store import fingerprint
 #: ``fingerprint([[scenario, engine, policy, class, repr(bound), stable]
 #: ...])`` over the 360 engine rows of ``select("all")``.
 ENGINE_ROWS_DIGEST = (
-    "ba5a065753079c396d65f920a1c1784d2900d8bdfe37375c7abd1b1ad552aa13")
+    "66d6d33e20b7c1e8e271a2f61c04cee0432a6774c2b32324430ea3db5a73c58d")
 
 
 @pytest.mark.parametrize("memoize", [True, False],
