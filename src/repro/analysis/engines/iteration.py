@@ -353,7 +353,7 @@ def port_leftovers(port: PortContext, policy: str
     inflated burst ``b`` (``inf`` when the port cannot serve the flow).
     Results follow ``port.members``.
     """
-    leftovers: list[tuple[float, float, float]] = [None] * len(port.members)
+    leftovers: list = [None] * len(port.members)
     for level in port_levels(port, policy):
         bursts = level.higher_bursts + level.bursts
         rates = level.higher_rates + level.rates

@@ -160,16 +160,15 @@ def aggregate_flows(flows: Iterable[Flow | Message] | MessageSet |
         return aggregate_from_arrays(flows.arrays())
     if isinstance(flows, MessageArrays):
         return aggregate_from_arrays(flows)
-    classes: dict[PriorityClass, list[tuple[float, float]]] = {}
+    classes: dict[PriorityClass, tuple[list[float], list[float]]] = {}
     for flow in flows:
-        classes.setdefault(priority_of(flow), []).append(
-            (float(flow.burst), float(flow.rate)))
-    return {cls: ClassAggregate(
-                burst=math.fsum(burst for burst, _ in members),
-                rate=math.fsum(rate for _, rate in members),
-                max_burst=max(burst for burst, _ in members),
-                count=len(members))
-            for cls, members in sorted(classes.items())}
+        bursts, rates = classes.setdefault(priority_of(flow), ([], []))
+        bursts.append(float(flow.burst))
+        rates.append(float(flow.rate))
+    return {cls: ClassAggregate(burst=math.fsum(bursts),
+                                rate=math.fsum(rates),
+                                max_burst=max(bursts), count=len(bursts))
+            for cls, (bursts, rates) in sorted(classes.items())}
 
 
 @dataclass(frozen=True)
