@@ -664,12 +664,12 @@ def _command_simulate(ctx: CommandContext) -> int:
         return 2
     result = campaign.run()
     _print(result.to_markdown() if args.markdown else result.to_table())
-    # Resumed cells carry their *original* event counts; only freshly
-    # simulated events may enter the throughput figure, or a warm
-    # --resume run would report an absurd events/s.
+    # Resumed and copied cells carry the event counts of a simulation
+    # run elsewhere; only this run's simulations may enter the throughput
+    # figure, or a warm --resume run would report an absurd events/s.
     fresh_events = sum(outcome.events_processed
                        for outcome in result.outcomes
-                       if not outcome.resumed)
+                       if not (outcome.resumed or outcome.copied))
     jobs_note = f", {args.jobs} jobs" if args.jobs > 1 else ""
     if fresh_events and result.elapsed > 0:
         rate_note = (f" ({fresh_events / result.elapsed:,.0f} events/s"

@@ -31,10 +31,15 @@ from repro.simulation.statistics import LatencyRecorder, SummaryStatistics
 from repro.simulation.trace import TraceRecorder
 from repro.topology.network import Network
 
-__all__ = ["EthernetNetworkSimulator", "SimulationResults"]
+__all__ = ["EthernetNetworkSimulator", "SimulationResults",
+           "SEED_FREE_SCENARIOS"]
 
 Policy = Literal["fcfs", "strict-priority"]
 Scenario = Literal["synchronized", "staggered", "random"]
+#: Scenarios that never draw from the seed's random streams: every source
+#: is released at ``t = 0`` and sporadic sources run greedily, so a run's
+#: results are the same for every seed.
+SEED_FREE_SCENARIOS = frozenset({"synchronized"})
 
 
 @dataclass

@@ -9,12 +9,15 @@ any deadline?*
 **Incrementality.**  For the single-multiplexer topologies (star,
 dual-switch, tree) the closed-form bounds only depend on the per-class
 :class:`~repro.core.multiplexer.ClassAggregate` sufficient statistics.
-Admitting or removing a flow re-aggregates *only the touched class*,
-through the same :func:`~repro.core.multiplexer.aggregate_flows` that
-:meth:`AdmissionEngine.verify` uses as its reference; its sums are
-correctly rounded, so the aggregate of a class is **bit-identical**
-whatever order its members were admitted in (the engine never derives
-one by subtraction).  Every other class keeps its committed aggregate
+Admitting or removing a flow re-aggregates *only the touched class*:
+each class keeps its members' bursts and rates in table order, and the
+new aggregate is a :func:`math.fsum` over those columns plus (or minus,
+by position) the mutated flow.  The reference
+:func:`~repro.core.multiplexer.aggregate_flows` that
+:meth:`AdmissionEngine.verify` checks against takes the same correctly
+rounded sums, so the aggregate of a class is **bit-identical** whatever
+order its members were admitted in (the engine never derives one by
+subtraction).  Every other class keeps its committed aggregate
 untouched, and the per-class closed forms are re-evaluated in
 O(classes).
 
@@ -246,17 +249,46 @@ class _ClassState:
     #: Binding (smallest) deadline among the members, or ``None``.
     deadline: float | None
     #: Member flow names, in table insertion order.
-    members: tuple[str, ...] = ()
+    members: tuple[str, ...]
+    #: The members' bursts (bits), rates (bits/s) and deadlines, in the
+    #: same order as ``members``.
+    bursts: tuple[float, ...]
+    rates: tuple[float, ...]
+    deadlines: tuple[float | None, ...]
 
 
-def _class_state_of(messages: list[Message]) -> _ClassState:
-    """Re-aggregate one class from its member list."""
-    [aggregate] = aggregate_flows(messages).values()
+def _class_state(members: tuple[str, ...], bursts: tuple[float, ...],
+                 rates: tuple[float, ...],
+                 deadlines: tuple[float | None, ...]) -> _ClassState:
+    """Aggregate one class from its member columns."""
     return _ClassState(
-        aggregate=aggregate,
-        deadline=min((message.deadline for message in messages
-                      if message.deadline is not None), default=None),
-        members=tuple(message.name for message in messages))
+        aggregate=ClassAggregate(burst=math.fsum(bursts),
+                                 rate=math.fsum(rates),
+                                 max_burst=max(bursts), count=len(bursts)),
+        deadline=min((deadline for deadline in deadlines
+                      if deadline is not None), default=None),
+        members=members, bursts=bursts, rates=rates, deadlines=deadlines)
+
+
+def _admitted(state: _ClassState | None, message: Message) -> _ClassState:
+    """``state`` with ``message`` appended (``None``: an empty class)."""
+    members, bursts, rates, deadlines = (
+        ((), (), (), ()) if state is None else
+        (state.members, state.bursts, state.rates, state.deadlines))
+    return _class_state(members + (message.name,),
+                        bursts + (float(message.burst),),
+                        rates + (float(message.rate),),
+                        deadlines + (message.deadline,))
+
+
+def _dropped(state: _ClassState, name: str) -> _ClassState | None:
+    """``state`` without member ``name`` (``None`` once empty)."""
+    if len(state.members) == 1:
+        return None
+    index = state.members.index(name)
+    return _class_state(*(column[:index] + column[index + 1:]
+                          for column in (state.members, state.bursts,
+                                         state.rates, state.deadlines)))
 
 
 class AdmissionEngine:
@@ -436,31 +468,24 @@ class AdmissionEngine:
         admitting."""
         cls = assign_priority(message)
         classes = dict(self._classes)
-        classes[cls] = _class_state_of([*self._members(cls), message])
+        classes[cls] = _admitted(classes.get(cls), message)
         fragment = canonical_json(message_to_payload(message))
         snapshot = self._request_snapshot(
             classes, [*self._flows.values(), message],
             self._state_fingerprint(fragment))
         return classes, fragment, snapshot
 
-    def _members(self, cls: PriorityClass) -> list[Message]:
-        """The committed members of one class, in table order."""
-        current = self._classes.get(cls)
-        return [] if current is None else \
-            [self._flows[name] for name in current.members]
-
     def _drop(self, message: Message) -> None:
         """Take one flow out of the table and re-aggregate its class."""
         cls = assign_priority(message)
-        remaining = [member for member in self._members(cls)
-                     if member.name != message.name]
         del self._flows[message.name]
         del self._fragments[message.name]
         classes = dict(self._classes)
-        if remaining:
-            classes[cls] = _class_state_of(remaining)
-        else:
+        remaining = _dropped(classes[cls], message.name)
+        if remaining is None:
             del classes[cls]
+        else:
+            classes[cls] = remaining
         self._classes = classes
 
     # -- snapshot computation ----------------------------------------------
@@ -541,11 +566,10 @@ class AdmissionEngine:
             raise ConfigurationError(
                 f"duplicate flow name {message.name!r} in the workload")
         cls = assign_priority(message)
-        members = [*self._members(cls), message]
         self._flows[message.name] = message
         self._fragments[message.name] = canonical_json(
             message_to_payload(message))
-        self._classes[cls] = _class_state_of(members)
+        self._classes[cls] = _admitted(self._classes.get(cls), message)
 
     def replay(self, operations: list[dict]) -> None:
         """Re-apply journaled operations, then recompute the snapshot.

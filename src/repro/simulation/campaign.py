@@ -18,7 +18,10 @@ out over worker processes exactly like the analytic campaign runner
 (``jobs=N``, the machinery of :class:`repro.campaigns.runner.CampaignRunner`);
 each worker lazily builds and caches the per-size-factor workload and
 topology.  Every cell is fully deterministic given its seed, so the
-aggregated rows are identical regardless of ``jobs``.
+aggregated rows are identical regardless of ``jobs``.  Seed-free scenarios
+(:data:`~repro.ethernet.network_sim.SEED_FREE_SCENARIOS`) give the same
+results for every seed, so each worker simulates such a configuration
+once per run and hands every other seed a copy of that outcome.
 
 The grid is exposed on the CLI as ``repro simulate`` and feeds the
 ``monte-carlo`` report experiment (REPORT.md's all-bounds-hold badge).
@@ -29,7 +32,7 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -40,7 +43,8 @@ from repro.analysis.engines import (DEFAULT_ENGINE, DEFAULT_ENGINES,
 from repro.analysis.validation import star_for_message_set, wire_level_messages
 from repro.campaigns.scenario import TopologySpec
 from repro.errors import ConfigurationError
-from repro.ethernet.network_sim import EthernetNetworkSimulator
+from repro.ethernet.network_sim import (SEED_FREE_SCENARIOS,
+                                       EthernetNetworkSimulator)
 from repro.exec import ExecPolicy, ExecutionReport, ParallelExecutor
 from repro.flows.message_set import MessageSet
 from repro.flows.priorities import PriorityClass
@@ -113,6 +117,10 @@ class CellOutcome:
     #: True when this cell was served from the result store (``--resume``);
     #: ``elapsed``/``events_processed`` then describe the original run.
     resumed: bool = False
+    #: True when this seed-free cell copies the outcome another seed of
+    #: the same configuration simulated earlier in the run; ``elapsed`` /
+    #: ``events_processed`` then describe that simulation.  Not stored.
+    copied: bool = False
 
 
 @dataclass(frozen=True)
@@ -601,8 +609,11 @@ class SimulationCampaign:
 
 #: Per-process campaign context set by :func:`_init_worker`.
 _WORKER_CONTEXT: dict | None = None
-#: Per-process cache: size factor -> (message_set, network).
+#: Per-process cache: size factor -> (network, routed flows).
 _WORKER_WORKLOADS: dict[int, tuple] = {}
+#: Per-run memo of seed-free outcomes:
+#: (size factor, scenario, policy) -> the one simulated outcome.
+_WORKER_SEED_FREE: dict[tuple[int, str, str], CellOutcome] = {}
 #: Per-process result store handle (``None`` disables persistence).
 _WORKER_STORE: ResultStore | None = None
 #: Whether stored cells may be reused (the ``--resume`` mode).
@@ -661,6 +672,7 @@ def _init_worker(context: dict, store_root: str | None = None,
     _WORKER_STORE = store
     _WORKER_RESUME = bool(resume)
     _WORKER_WORKLOADS.clear()
+    _WORKER_SEED_FREE.clear()
 
 
 def _cell_key(context: dict, cell: SimulationCell) -> dict:
@@ -731,7 +743,16 @@ def _evaluate_cell(cell: SimulationCell) -> CellOutcome:
 
 
 def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
-    """Actually run one cell's discrete-event simulation."""
+    """Run one cell's discrete-event simulation.
+
+    A seed-free cell whose configuration this worker already simulated
+    in the current run gets a copy of that outcome instead.
+    """
+    seed_free = cell.scenario in SEED_FREE_SCENARIOS
+    configuration = (cell.size_factor, cell.scenario, cell.policy)
+    if seed_free and configuration in _WORKER_SEED_FREE:
+        return replace(_WORKER_SEED_FREE[configuration], cell=cell,
+                       copied=True)
     cached = _WORKER_WORKLOADS.get(cell.size_factor)
     if cached is None:
         message_set = _workload(context, cell.size_factor)
@@ -742,12 +763,12 @@ def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
             network = star_for_message_set(
                 message_set, capacity=context["capacity"],
                 technology_delay=context["technology_delay"])
-        cached = (message_set, network)
+        cached = (network, network.route_flows(message_set.messages))
         _WORKER_WORKLOADS[cell.size_factor] = cached
-    message_set, network = cached
+    network, flows = cached
     started = time.perf_counter()
     simulator = EthernetNetworkSimulator(
-        network, message_set.messages, policy=cell.policy,
+        network, flows, policy=cell.policy,
         scenario=cell.scenario, seed=cell.seed)
     results = simulator.run(duration=context["duration"])
     elapsed = time.perf_counter() - started
@@ -761,7 +782,7 @@ def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
         worst[cls] = summary.maximum
         mean[cls] = summary.mean
         samples[cls] = summary.count
-    return CellOutcome(
+    outcome = CellOutcome(
         cell=cell,
         worst_per_class=worst,
         mean_per_class=mean,
@@ -771,3 +792,6 @@ def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
         frames_dropped=results.frames_dropped,
         events_processed=simulator.simulator.events_processed,
         elapsed=elapsed)
+    if seed_free:
+        _WORKER_SEED_FREE[configuration] = outcome
+    return outcome

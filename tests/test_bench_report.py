@@ -1,0 +1,33 @@
+"""``tools/bench_report.py`` distils the committed benchmark CSVs."""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_bench_report():
+    spec = importlib.util.spec_from_file_location(
+        "bench_report", REPO_ROOT / "tools" / "bench_report.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault("bench_report", module)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_report = _load_bench_report()
+
+
+def test_report_carries_the_monte_carlo_grid(tmp_path, capsys):
+    output = tmp_path / "BENCH_report.json"
+    assert bench_report.main(["--output", str(output)]) == 0
+    assert "monte_carlo_grid" in capsys.readouterr().out
+    grid = json.loads(output.read_text())["monte_carlo_grid"]
+    assert sorted(grid) == ["cells", "events_total", "wall_time_s"]
+    committed = bench_report._metric_rows("monte_carlo_grid")
+    assert grid["cells"] == float(committed["cells"])
+    assert grid["events_total"] == float(committed["events_total"])
+    assert grid["wall_time_s"] == float(committed["wall_time_s"])
+    assert grid["wall_time_s"] > 0

@@ -1,6 +1,7 @@
 """Command-line interface."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -673,6 +674,22 @@ class TestSimulateCommand:
                      "--seeds", "2", "--scenarios", "synchronized",
                      "--policies", "fcfs", "--jobs", "2"]) == 0
         assert "2 jobs" in capsys.readouterr().out
+
+    def test_rate_counts_each_seed_free_simulation_once(self, capsys):
+        """Seeds 2 and 3 of a synchronized grid copy seed 1's outcome, so
+        the status line reports the events of one run per policy."""
+        argv = ["--stations", "6", "--seed", "3", "simulate",
+                "--scenarios", "synchronized", "--duration-ms", "40",
+                "--no-store", "--seeds"]
+        events = []
+        for seeds in ("1", "3"):
+            assert main(argv + [seeds]) == 0
+            match = re.search(r"(\d+) cells, \d+ rows, (\d+) events in",
+                              capsys.readouterr().out)
+            events.append((int(match[1]), int(match[2])))
+        (one_seed_cells, two_runs), (cells, reported) = events
+        assert (one_seed_cells, cells) == (2, 6)
+        assert two_runs > 0 and reported == two_runs
 
     def test_invalid_seeds_rejected(self, capsys):
         assert main(["simulate", "--seeds", "0"]) == 2

@@ -4,9 +4,10 @@
 The benchmark harness persists every exhibit as human-oriented tables
 under ``benchmarks/results/``; CI wants one machine-readable summary it
 can upload as an artifact and plot across runs.  This script distils the
-key performance trajectory — simulation kernel events/second, analytic
-sweep wall time, campaign memoization speedup and result-store warm-run
-numbers — from those committed CSVs into a single JSON document.
+key performance trajectory — simulation kernel events/second, Monte-Carlo
+grid wall time, analytic sweep wall time, campaign memoization speedup
+and result-store warm-run numbers — from those committed CSVs into a
+single JSON document.
 
 Run after the benchmarks (``pytest benchmarks -q``)::
 
@@ -68,6 +69,16 @@ def build_report() -> dict:
         report["simulation_kernel"] = simulation
     else:
         report["missing"].append("sim_throughput.csv")
+
+    grid = _metric_rows("monte_carlo_grid")
+    if grid:
+        report["monte_carlo_grid"] = {
+            "cells": _number(grid.get("cells", "")),
+            "events_total": _number(grid.get("events_total", "")),
+            "wall_time_s": _number(grid.get("wall_time_s", "")),
+        }
+    else:
+        report["missing"].append("monte_carlo_grid.csv")
 
     scaling = _metric_rows("perf_scaling")
     if scaling:
