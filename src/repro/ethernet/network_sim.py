@@ -295,3 +295,16 @@ class EthernetNetworkSimulator:
     def transmitter(self, upstream: str, downstream: str) -> LinkTransmitter:
         """The transmitter serving the directed hop ``upstream -> downstream``."""
         return self._transmitters[(upstream, downstream)]
+
+    def release(self) -> None:
+        """Break the model's reference cycles once its results are read.
+
+        Every link transmitter delivers to the node at its far end, and
+        every node holds the transmitters it sends on, so a finished
+        model is a web of cycles that only the cyclic garbage collector
+        would free.  Dropping the delivery callbacks leaves a tree that
+        reference counting frees as soon as the simulator is dropped.
+        The results stay valid; the model cannot run again.
+        """
+        for transmitter in self._transmitters.values():
+            transmitter.deliver = None

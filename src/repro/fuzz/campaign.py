@@ -632,6 +632,7 @@ def _measure(cell: FuzzCell, runner: CampaignRunner) -> tuple[
         results = simulator.run(duration=cell.duration)
         events += simulator.simulator.events_processed
         dropped += results.frames_dropped
+        simulator.release()
         for cls in sorted(PriorityClass):
             summary = results.class_summary(cls)
             if summary.count == 0:

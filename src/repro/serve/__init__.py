@@ -20,6 +20,8 @@ turns the analysis into a long-lived query engine:
 * :class:`~repro.serve.client.ServeClient` — a stdlib keep-alive
   client (one persistent connection per thread) used by the tests, the
   benchmarks and the CI smoke storm.
+* :mod:`repro.serve.wire` — the HTTP/1.1 framing both ends share: a
+  head reader with the stdlib's limits and a one-buffer encoder.
 
 See DESIGN.md §14 and the ``repro serve`` section of README.md.
 """

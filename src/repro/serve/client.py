@@ -1,21 +1,40 @@
-"""A stdlib HTTP client for the admission-control service.
+"""A keep-alive HTTP client for the admission-control service.
 
 Used by the test-suite, the benchmarks and the CI smoke storm; thin on
 purpose — one keep-alive request helper plus one method per endpoint,
 each returning ``(status, payload, headers)`` so callers can assert on
-shed responses (503 + ``Retry-After``) as easily as on successes.
+shed responses (503 + ``Retry-After``) as easily as on successes.  It
+speaks the service's own framing (:mod:`repro.serve.wire`) over a plain
+socket.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import select
+import socket
 import threading
 import time
 import urllib.parse
 
+from repro.serve import wire
+
 __all__ = ["ServeClient"]
+
+
+class _Connection:
+    """One persistent connection: the socket and its buffered reader."""
+
+    __slots__ = ("sock", "rfile")
+
+    def __init__(self, host: str, port: int, timeout: float) -> None:
+        self.sock = socket.create_connection((host, port), timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.rfile = self.sock.makefile("rb")
+
+    def close(self) -> None:
+        self.rfile.close()
+        self.sock.close()
 
 
 class ServeClient:
@@ -46,22 +65,24 @@ class ServeClient:
         if url.scheme != "http":
             raise ValueError(f"ServeClient speaks plain http, not "
                              f"{self.base_url!r}")
-        self._host, self._port, self._prefix = url.hostname, url.port, \
-            url.path
+        self._host, self._port, self._prefix = url.hostname, \
+            url.port or 80, url.path
+        self._fields = {"Host": url.netloc}
+        self._json_fields = {"Host": url.netloc,
+                             "Content-Type": "application/json"}
         self._local = threading.local()
 
-    def _connection(self) -> http.client.HTTPConnection:
+    def _connection(self) -> _Connection:
         """This thread's connection, replaced if the server closed it."""
         connection = getattr(self._local, "connection", None)
-        if connection is not None and connection.sock is not None \
+        if connection is not None \
                 and select.select([connection.sock], [], [], 0)[0]:
             # An idle keep-alive socket only turns readable when the
             # server closed it; no request is in flight on it.
-            connection.close()
+            self.close()
             connection = None
         if connection is None:
-            connection = http.client.HTTPConnection(
-                self._host, self._port, timeout=self.timeout)
+            connection = _Connection(self._host, self._port, self.timeout)
             self._local.connection = connection
         return connection
 
@@ -77,28 +98,32 @@ class ServeClient:
         """One round-trip; returns ``(status, payload, headers)``.
 
         Non-2xx responses are returned, not raised — the service speaks
-        JSON on every status code it emits.  A failed connection raises
-        an :class:`OSError` and is never retried.
+        JSON on every status code it emits.  A failed connection, or a
+        truncated or garbled response, raises an :class:`OSError` and is
+        never retried.
         """
-        body = None if payload is None else \
-            json.dumps(payload).encode("utf-8")
+        if payload is None:
+            body, fields = None, self._fields
+        else:
+            body, fields = json.dumps(payload).encode("utf-8"), \
+                self._json_fields
+        message = wire.encode(f"{method} {self._prefix}{path} HTTP/1.1",
+                              fields, body)
         connection = self._connection()
         try:
-            connection.request(method, self._prefix + path, body=body,
-                               headers={"Content-Type": "application/json"})
-            response = connection.getresponse()
-            raw = response.read().decode("utf-8", "replace")
+            connection.sock.sendall(message)
+            status, headers, raw = _read_response(connection.rfile)
         except OSError:
             self.close()
             raise
-        except http.client.HTTPException as error:  # a garbled response
+        if "close" in headers.tokens("connection"):
             self.close()
-            raise ConnectionError(f"{method} {path}: {error!r}") from error
+        text = raw.decode("utf-8", "replace")
         try:
-            decoded = json.loads(raw)
+            decoded = json.loads(text)
         except json.JSONDecodeError:
-            decoded = {"error": raw}
-        return response.status, decoded, dict(response.headers)
+            decoded = {"error": text}
+        return status, decoded, headers.as_sent()
 
     # -- endpoints ---------------------------------------------------------
 
@@ -146,3 +171,18 @@ class ServeClient:
         raise TimeoutError(
             f"server at {self.base_url} not ready after {timeout:g}s "
             f"(last error: {last_error})")
+
+
+def _read_response(rfile) -> tuple[int, wire.Fields, bytes]:
+    """``(status, fields, body)`` of the response to one request."""
+    line = wire.read_start_line(rfile)
+    if line is None:
+        raise ConnectionError("the server closed the connection without "
+                              "a response")
+    status = wire.parse_status_line(line)
+    fields = wire.read_fields(rfile)
+    length = wire.parse_length(fields.get("content-length", ""))
+    if length is None or "transfer-encoding" in fields:
+        raise wire.FramingError(502, f"a {status} response without a "
+                                     f"usable Content-Length")
+    return status, fields, wire.read_body(rfile, length)

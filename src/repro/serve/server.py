@@ -26,11 +26,13 @@ contract the service promises:
   requests), drains the in-flight queue, folds a final checkpoint and
   exits 0.  SIGKILL needs no cooperation: recovery replays the journal.
 * **Keep-alive connections.**  HTTP/1.1 connections persist between
-  requests.  Responses go out with ``TCP_NODELAY``, an idle connection
-  is closed after :data:`IDLE_TIMEOUT`, every route reads the request
-  body before answering (so it is never parsed as the next request),
-  framing errors answer a JSON error and close, and once the server is
-  draining every response closes its connection.
+  requests (HTTP/1.0 ones only on request).  Requests are read and
+  responses written by :mod:`repro.serve.wire`, each response in one
+  send with ``TCP_NODELAY``; an idle connection is closed after
+  :data:`IDLE_TIMEOUT`, every route reads the request body before
+  answering (so it is never parsed as the next request), framing errors
+  answer a JSON error and close, and once the server is draining every
+  response closes its connection.
 
 Chaos testing hooks: a :class:`~repro.exec.faults.FaultPlan` makes the
 worker wrap each job in :class:`~repro.exec.faults.request_context`
@@ -43,16 +45,17 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from queue import Full, Queue
 
 from repro.analysis.engines import DEFAULT_ENGINE
 from repro.errors import ConfigurationError
 from repro.exec.faults import FaultInjectedError, FaultPlan, request_context
+from repro.serve import wire
 from repro.serve.engine import AdmissionEngine
 from repro.serve.journal import AdmissionJournal
 from repro.store import code_version
@@ -196,7 +199,7 @@ class AdmissionServer:
         self._counters = {"served": 0, "degraded": 0, "shed": 0,
                           "errors": 0, "abandoned": 0}
         self._counters_lock = threading.Lock()
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: _HTTPServer | None = None
         self._worker: threading.Thread | None = None
         self._started = time.monotonic()
 
@@ -216,8 +219,8 @@ class AdmissionServer:
         class _Handler(_RequestHandler):
             serve_ref = server
 
-        self._httpd = ThreadingHTTPServer(
-            (self.config.host, self.config.port), _Handler)
+        self._httpd = _HTTPServer((self.config.host, self.config.port),
+                                  _Handler)
         self._worker = threading.Thread(target=self._worker_loop,
                                         name="serve-worker", daemon=True)
         self._worker.start()
@@ -451,45 +454,82 @@ def _quantile(sample, q: float) -> float:
     return ordered[min(len(ordered) - 1, int(q * (len(ordered) - 1) + 0.5))]
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Routes HTTP verbs onto the server; no engine access in here."""
+class _HTTPServer(socketserver.ThreadingTCPServer):
+    """Accepts connections; one daemon handler thread per connection."""
+
+    allow_reuse_address = True
+    #: The drain never waits for a handler thread (an idle keep-alive
+    #: connection would hold it up to :data:`IDLE_TIMEOUT`).
+    daemon_threads = True
+
+
+class _RequestHandler(socketserver.StreamRequestHandler):
+    """Reads requests off one connection and routes them onto the server.
+
+    The framing is :mod:`repro.serve.wire`; no engine access in here.
+    """
 
     serve_ref: AdmissionServer = None  # patched per server instance
-    protocol_version = "HTTP/1.1"
-    #: Headers and body go out in two writes; without ``TCP_NODELAY``
-    #: Nagle's algorithm holds the body back until the client's delayed
-    #: ACK of the headers (~40 ms per keep-alive response).
+    #: Each response goes out in one send, but a pipelined response or
+    #: the tail of a large one can still follow an unacknowledged
+    #: segment; ``TCP_NODELAY`` keeps Nagle's algorithm from holding it
+    #: for the client's delayed ACK (~40 ms).
     disable_nagle_algorithm = True
     timeout = IDLE_TIMEOUT
 
-    # -- plumbing ----------------------------------------------------------
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self._handle_one()
+        except OSError:
+            pass  # the client went away, or the idle timeout fired
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # the access log is the stats endpoint, not stderr
-
-    def parse_request(self) -> bool:
-        self._received = time.perf_counter()
-        return super().parse_request()
-
-    def send_error(self, code, message=None, explain=None) -> None:
-        """The stdlib's error replies (bad request line, unsupported
-        method, ...) as JSON; they close the connection as before."""
-        if message is None:
-            message = self.responses.get(code, ("???",))[0]
-        self._respond_and_close(code, {"error": message})
+    def _handle_one(self) -> None:
+        """Read one request, answer it, and note whether to keep going."""
+        self._version = (1, 1)  # until the request line says otherwise
+        try:
+            line = wire.read_start_line(self.rfile)
+            if line == "":  # an empty line before a request (RFC 9112 §2.2)
+                line = wire.read_start_line(self.rfile)
+            if line is None:
+                self.close_connection = True
+                return
+            self._received = time.perf_counter()
+            self.command, self.path, self._version = \
+                wire.parse_request_line(line)
+            self.headers = wire.read_fields(self.rfile)
+        except wire.FramingError as error:
+            self._respond_and_close(error.status, {"error": str(error)})
+            return
+        connection = self.headers.tokens("connection")
+        if self._version >= (1, 1):
+            self.close_connection = "close" in connection
+        else:  # HTTP/1.0 persists only on request
+            self.close_connection = "keep-alive" not in connection
+        route = _ROUTES.get(self.command)
+        if route is None:
+            self._respond_and_close(501, {
+                "error": f"Unsupported method ({self.command!r})"})
+            return
+        route(self)
 
     def _respond(self, status: int, payload: dict,
                  headers: dict | None = None) -> None:
+        """Send one JSON response in a single write."""
         body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        if self.serve_ref.draining and not self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        fields = {"Date": wire.http_date(),
+                  "Content-Type": "application/json"}
+        if headers:
+            fields.update(headers)
+        if self.serve_ref.draining:
+            self.close_connection = True
+        if self.close_connection:
+            fields["Connection"] = "close"
+        elif self._version < (1, 1):
+            fields["Connection"] = "keep-alive"
+        self.connection.sendall(
+            wire.encode(wire.status_line(status), fields, body))
 
     def _respond_and_close(self, status: int, payload: dict) -> None:
         """An error reply that closes a connection whose input may hold
@@ -501,10 +541,11 @@ class _RequestHandler(BaseHTTPRequestHandler):
         still sends is dropped until it closes, up to
         :data:`LINGER_TIMEOUT` seconds and :data:`MAX_BODY` bytes.
         """
-        self._respond(status, payload, {"Connection": "close"})
+        self.close_connection = True
         deadline = time.monotonic() + LINGER_TIMEOUT
         dropped = 0
         try:
+            self._respond(status, payload)
             self.connection.shutdown(socket.SHUT_WR)
             while dropped <= MAX_BODY:
                 left = deadline - time.monotonic()
@@ -525,23 +566,29 @@ class _RequestHandler(BaseHTTPRequestHandler):
         is never parsed as the next request on a keep-alive connection.
         A body whose length cannot be known closes the connection.
         """
-        length = self.headers.get("Content-Length", "0")
-        if "Transfer-Encoding" in self.headers:
+        headers = self.headers
+        length = headers.get("content-length", "0")
+        size = wire.parse_length(length)
+        if "transfer-encoding" in headers:
             status, error = 501, "Transfer-Encoding is not supported; " \
                 "send a Content-Length"
-        elif not (length.isascii() and length.isdigit()):
+        elif size is None:
             status, error = 400, f"invalid Content-Length {length!r}"
-        elif int(length) > MAX_BODY:
-            status, error = 413, f"Content-Length {length} is over " \
+        elif size > MAX_BODY:
+            status, error = 413, f"Content-Length {length[:20]} is over " \
                 f"the {MAX_BODY}-byte limit"
         else:
-            return self.rfile.read(int(length))
+            if size and self._version >= (1, 1) \
+                    and headers.get("expect", "").lower() == "100-continue":
+                self.connection.sendall(wire.CONTINUE)
+            return wire.read_body(self.rfile, size)
         self._respond_and_close(status, {"error": error})
         return None
 
     # -- routes ------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+    def do_GET(self) -> None:  # noqa: N802 - HTTP method casing
+        """Answer ``GET /health`` and ``GET /stats``."""
         server = self.serve_ref
         if self._read_raw() is None:
             return
@@ -552,7 +599,8 @@ class _RequestHandler(BaseHTTPRequestHandler):
         else:
             self._respond(404, {"error": f"unknown path {self.path!r}"})
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib casing
+    def do_POST(self) -> None:  # noqa: N802 - HTTP method casing
+        """Answer ``POST /admit``, ``/remove`` and ``/check``."""
         server = self.serve_ref
         raw = self._read_raw()
         if raw is None:
@@ -583,6 +631,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         self._respond(status, payload, headers)
         server.record_stage("respond", time.perf_counter() - started)
+
+
+_ROUTES = {"GET": _RequestHandler.do_GET, "POST": _RequestHandler.do_POST}
 
 
 def _decode_body(raw: bytes) -> dict:

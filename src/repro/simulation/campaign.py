@@ -792,6 +792,7 @@ def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
         frames_dropped=results.frames_dropped,
         events_processed=simulator.simulator.events_processed,
         elapsed=elapsed)
+    simulator.release()
     if seed_free:
         _WORKER_SEED_FREE[configuration] = outcome
     return outcome

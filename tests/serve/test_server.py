@@ -4,6 +4,7 @@ connections."""
 
 import contextlib
 import http.client
+import io
 import json
 import socket
 import sys
@@ -23,6 +24,7 @@ from repro.serve import (
     ServeConfig,
 )
 from repro.serve import server as server_module
+from repro.serve import wire
 from repro.store import ResultStore
 
 
@@ -526,6 +528,253 @@ class TestKeepAliveFraming:
             assert response.status == 400
             assert "Bad request syntax" in body["error"]
             assert response.getheader("Content-Type") == "application/json"
+
+
+class _OpenReader(io.BufferedReader):
+    def close(self):
+        pass  # http.client closes its file after every response
+
+
+class Responses:
+    """The responses on one socket, read one after another by the
+    stdlib's parser (a reference independent of the service's codec)."""
+
+    def __init__(self, sock):
+        self._file = _OpenReader(socket.SocketIO(sock, "rb"))
+
+    def makefile(self, mode):
+        return self._file
+
+    def next(self):
+        response = http.client.HTTPResponse(self)
+        response.begin()
+        return response, json.loads(response.read())
+
+    def closed(self):
+        return self._file.read(1) == b""
+
+
+def raw_socket(server):
+    sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+class TestServerFraming:
+    """The server's codec against requests http.client never sends."""
+
+    def test_two_pipelined_requests_in_one_send(self):
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"POST /check HTTP/1.1\r\nHost: x\r\n"
+                             b"Content-Length: 2\r\n\r\n{}"
+                             b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n")
+                responses = Responses(sock)
+                first, body = responses.next()
+                assert first.status == 200 and body["degraded"] is False
+                second, body = responses.next()
+                assert second.status == 200 and body["status"] == "ok"
+                assert second.getheader("Connection") is None
+
+    def test_an_empty_line_after_a_body_is_ignored(self):
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"POST /check HTTP/1.1\r\nContent-Length: 2"
+                             b"\r\n\r\n{}\r\nGET /health HTTP/1.1\r\n\r\n")
+                responses = Responses(sock)
+                assert responses.next()[0].status == 200
+                response, body = responses.next()
+                assert response.status == 200 and body["status"] == "ok"
+
+    def test_a_request_sent_one_byte_at_a_time(self):
+        request = (b"POST /check HTTP/1.1\r\nHost: x\r\n"
+                   b"Content-Type: application/json\r\n"
+                   b"Content-Length: 2\r\n\r\n{}")
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                for index in range(len(request)):
+                    sock.sendall(request[index:index + 1])
+                response, body = Responses(sock).next()
+            assert response.status == 200
+            assert body["operation"] == "check"
+
+    @pytest.mark.parametrize("name", ["content-length", "CONTENT-LENGTH",
+                                      "Content-length"])
+    def test_header_names_are_case_insensitive(self, name):
+        body = json.dumps({"flow": probe()}).encode()
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"POST /admit HTTP/1.1\r\nhost: x\r\n"
+                             + name.encode() + b": %d\r\n\r\n" % len(body)
+                             + body)
+                response, payload = Responses(sock).next()
+            assert response.status == 200 and payload["applied"] is True
+            assert "probe-1" in server.engine.flow_names()
+
+    def test_expect_100_continue_is_answered_before_the_body(self):
+        body = json.dumps({"flow": probe()}).encode()
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"POST /check HTTP/1.1\r\nHost: x\r\n"
+                             b"Expect: 100-continue\r\n"
+                             b"Content-Length: %d\r\n\r\n" % len(body))
+                interim = b""
+                while not interim.endswith(b"\r\n\r\n"):
+                    chunk = sock.recv(1)
+                    assert chunk, "closed before the interim response"
+                    interim += chunk
+                assert interim == wire.CONTINUE
+                sock.sendall(body)
+                response, payload = Responses(sock).next()
+            assert response.status == 200
+            assert payload["flow"] == "probe-1"
+
+    def test_http_1_0_closes_after_the_response(self):
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"GET /health HTTP/1.0\r\n\r\n")
+                responses = Responses(sock)
+                response, body = responses.next()
+                assert response.status == 200 and body["ready"] is True
+                assert response.getheader("Connection") == "close"
+                assert responses.closed()
+
+    def test_http_1_0_keep_alive_persists(self):
+        request = b"GET /health HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                responses = Responses(sock)
+                for _ in range(2):
+                    sock.sendall(request)
+                    response, body = responses.next()
+                    assert response.status == 200 and body["ready"] is True
+                    assert response.getheader("Connection") == "keep-alive"
+
+    @pytest.mark.parametrize("head", [
+        b"X-Long: " + b"a" * wire.MAX_LINE + b"\r\n",
+        b"".join(b"X-Field-%d: %d\r\n" % (index, index)
+                 for index in range(wire.MAX_HEADERS + 1))])
+    def test_an_oversized_head_is_a_json_error_that_closes(self, head):
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"GET /health HTTP/1.1\r\nHost: x\r\n" + head
+                             + b"\r\n")
+                responses = Responses(sock)
+                response, body = responses.next()
+                assert response.status == 431
+                assert "error" in body
+                assert response.getheader("Connection") == "close"
+                assert responses.closed()
+
+    def test_a_content_length_too_long_for_int_is_a_413(self):
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"POST /check HTTP/1.1\r\nContent-Length: "
+                             + b"9" * 5000 + b"\r\n\r\n")
+                responses = Responses(sock)
+                response, body = responses.next()
+                assert response.status == 413
+                assert "Content-Length" in body["error"]
+                assert responses.closed()
+
+    def test_a_head_with_the_most_headers_allowed_is_served(self):
+        head = b"".join(b"X-Field-%d: %d\r\n" % (index, index)
+                        for index in range(wire.MAX_HEADERS))
+        with serving() as (server, _):
+            with raw_socket(server) as sock:
+                sock.sendall(b"GET /health HTTP/1.1\r\n" + head + b"\r\n")
+                response, body = Responses(sock).next()
+            assert response.status == 200 and body["ready"] is True
+
+    def test_responses_carry_a_date(self):
+        with serving() as (_, client):
+            _, _, headers = client.health()
+            assert headers["Date"].endswith(" GMT")
+
+
+def fake_server(reply):
+    """A one-connection server: records what it receives and answers
+    each request with ``reply(connection)``; returns (url, seen, stop)."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5)
+    seen = []
+
+    def serve():
+        with listener:
+            connection, _ = listener.accept()
+            with connection:
+                connection.settimeout(5)
+                connection.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
+                seen.append(connection.recv(65536))
+                reply(connection)
+
+    thread = threading.Thread(target=serve)
+    thread.start()
+    return f"http://127.0.0.1:{listener.getsockname()[1]}", seen, thread
+
+
+class TestClientFraming:
+    """The client's codec against responses the service never sends."""
+
+    def test_a_response_split_across_segments(self):
+        body = b'{"applied": true, "flow": "probe-1"}'
+        response = (b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+                    b"Retry-After: 1\r\nContent-Length: %d\r\n\r\n"
+                    % len(body)) + body
+        pieces = [response[:5], response[5:31], response[31:60],
+                  response[60:-7], response[-7:]]
+
+        def reply(connection):
+            for piece in pieces:
+                connection.sendall(piece)
+                time.sleep(0.02)
+
+        url, seen, thread = fake_server(reply)
+        client = ServeClient(url, timeout=5)
+        try:
+            status, payload, headers = client.admit(probe())
+        finally:
+            client.close()
+            thread.join(timeout=5)
+        assert status == 200
+        assert payload == {"applied": True, "flow": "probe-1"}
+        assert headers["Retry-After"] == "1"
+        assert headers["Content-Type"] == "application/json"
+        assert len(seen) == 1
+
+    def test_a_close_mid_body_raises_and_is_not_resent(self):
+        def reply(connection):
+            connection.sendall(b"HTTP/1.1 200 OK\r\nContent-Length: 100"
+                               b"\r\n\r\n{\"applied\": tr")
+
+        url, seen, thread = fake_server(reply)
+        client = ServeClient(url, timeout=5)
+        try:
+            with pytest.raises(OSError):
+                client.admit(probe())
+        finally:
+            client.close()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert len(seen) == 1
+        assert seen[0].startswith(b"POST /admit ")
+
+    @pytest.mark.parametrize("response", [
+        b"HTTP/1.1 2OO OK\r\n\r\n", b"SSH-2.0-OpenSSH\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nContent-Length: x\r\n\r\n",
+        b"HTTP/1.1 200 OK\r\nbroken header\r\n\r\n"])
+    def test_a_garbled_response_raises(self, response):
+        url, _, thread = fake_server(lambda connection:
+                                     connection.sendall(response))
+        client = ServeClient(url, timeout=5)
+        try:
+            with pytest.raises(ConnectionError):
+                client.check()
+            assert client._local.connection is None
+        finally:
+            client.close()
+            thread.join(timeout=5)
 
 
 class TestClientConnections:

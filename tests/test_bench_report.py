@@ -31,3 +31,25 @@ def test_report_carries_the_monte_carlo_grid(tmp_path, capsys):
     assert grid["events_total"] == float(committed["events_total"])
     assert grid["wall_time_s"] == float(committed["wall_time_s"])
     assert grid["wall_time_s"] > 0
+
+
+def test_report_carries_the_serve_throughput(tmp_path, capsys):
+    output = tmp_path / "BENCH_report.json"
+    assert bench_report.main(["--output", str(output)]) == 0
+    assert "serve_throughput" in capsys.readouterr().out
+    serve = json.loads(output.read_text())["serve_throughput"]
+    assert sorted(serve) == ["http_qps", "keepalive_round_trip_ms",
+                             "mutation_ops_per_s", "submit_qps",
+                             "worker_p99_ms"]
+    committed = bench_report._metric_rows("serve_throughput")
+    for name, value in serve.items():
+        assert value == float(committed[name]), name
+    assert serve["http_qps"] > 0
+    assert serve["keepalive_round_trip_ms"] > 0
+
+
+def test_a_missing_serve_table_is_reported(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_report, "RESULTS_DIR", tmp_path)
+    report = bench_report.build_report()
+    assert "serve_throughput" not in report
+    assert "serve_throughput.csv" in report["missing"]

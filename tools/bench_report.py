@@ -5,9 +5,9 @@ The benchmark harness persists every exhibit as human-oriented tables
 under ``benchmarks/results/``; CI wants one machine-readable summary it
 can upload as an artifact and plot across runs.  This script distils the
 key performance trajectory — simulation kernel events/second, Monte-Carlo
-grid wall time, analytic sweep wall time, campaign memoization speedup
-and result-store warm-run numbers — from those committed CSVs into a
-single JSON document.
+grid wall time, analytic sweep wall time, campaign memoization speedup,
+result-store warm-run numbers and the admission service's warm-server
+throughput — from those committed CSVs into a single JSON document.
 
 Run after the benchmarks (``pytest benchmarks -q``)::
 
@@ -110,6 +110,20 @@ def build_report() -> dict:
         }
     else:
         report["missing"].append("store_warm.csv")
+
+    serve = _metric_rows("serve_throughput")
+    if serve:
+        report["serve_throughput"] = {
+            "submit_qps": _number(serve.get("submit_qps", "")),
+            "http_qps": _number(serve.get("http_qps", "")),
+            "keepalive_round_trip_ms": _number(
+                serve.get("keepalive_round_trip_ms", "")),
+            "mutation_ops_per_s": _number(
+                serve.get("mutation_ops_per_s", "")),
+            "worker_p99_ms": _number(serve.get("worker_p99_ms", "")),
+        }
+    else:
+        report["missing"].append("serve_throughput.csv")
 
     return report
 

@@ -9,7 +9,10 @@ Drives a real server subprocess through the full robustness contract:
 2. fire a sequential fault-injected request storm and assert every
    request is answered, degraded or shed — never hung (a client-side
    socket timeout is the failure detector) — with the injected faults
-   surfacing as their documented status codes;
+   surfacing as their documented status codes, then probe the server's
+   framing over raw sockets: two pipelined requests in one send, a
+   request sent one byte at a time and an ``Expect: 100-continue``
+   request;
 3. SIGKILL the server mid-life, restart it on the same journal and
    assert the recovered state and bounds fingerprints are **byte
    identical** to the last acknowledged pre-kill state (the torn journal
@@ -25,10 +28,12 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import signal
 import subprocess
+import socket
 import sys
 import tempfile
 import time
@@ -37,7 +42,7 @@ from pathlib import Path
 _ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(_ROOT / "src"))
 
-from repro.serve import ServeClient  # noqa: E402
+from repro.serve import ServeClient, wire  # noqa: E402
 
 #: Client-side timeout: any request slower than this counts as hung.
 CLIENT_TIMEOUT = 10.0
@@ -142,6 +147,65 @@ def storm(client: ServeClient) -> None:
     expect("seq 14 unknown remove is a 404", status, 404)
 
 
+def _read_response(rfile) -> tuple[int, dict | None]:
+    """``(status, JSON body)`` of the next response (no body for 1xx)."""
+    line = wire.read_start_line(rfile)
+    if line is None:
+        fail("the server closed the connection without a response")
+    status = wire.parse_status_line(line)
+    fields = wire.read_fields(rfile)
+    if status < 200:
+        return status, None
+    body = wire.read_body(rfile, int(fields.get("content-length", "0")))
+    return status, json.loads(body)
+
+
+def probe_framing(client: ServeClient) -> None:
+    """Requests the service's own client never sends, over raw sockets.
+
+    Each ``/check`` consumes a request sequence number, so this runs
+    after the storm: the fault plan's numbers stay where they were.
+    """
+    port = int(client.base_url.rsplit(":", 1)[1])
+    check = (b"POST /check HTTP/1.1\r\nHost: smoke\r\n"
+             b"Content-Length: 2\r\n\r\n{}")
+    health = b"GET /health HTTP/1.1\r\nHost: smoke\r\n\r\n"
+    whatif = json.dumps({"flow": flow("smoke-probe")}).encode("utf-8")
+
+    def connect():
+        sock = socket.create_connection(("127.0.0.1", port),
+                                        timeout=CLIENT_TIMEOUT)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return sock, sock.makefile("rb")
+
+    sock, rfile = connect()
+    with sock, rfile:
+        sock.sendall(check + health)
+        (first, checked), (second, healthy) = \
+            _read_response(rfile), _read_response(rfile)
+        expect("probe: pipelined pair in one send",
+               (first, checked["operation"], second, healthy["status"]),
+               (200, "check", 200, "ok"))
+    sock, rfile = connect()
+    with sock, rfile:
+        for index in range(len(check)):
+            sock.sendall(check[index:index + 1])
+        status, body = _read_response(rfile)
+        expect("probe: request sent one byte at a time",
+               (status, body["operation"]), (200, "check"))
+    sock, rfile = connect()
+    with sock, rfile:
+        sock.sendall(b"POST /check HTTP/1.1\r\nHost: smoke\r\n"
+                     b"Expect: 100-continue\r\n"
+                     b"Content-Length: %d\r\n\r\n" % len(whatif))
+        expect("probe: Expect: 100-continue is answered",
+               _read_response(rfile)[0], 100)
+        sock.sendall(whatif)
+        status, body = _read_response(rfile)
+        expect("probe: the body after 100 Continue is served",
+               (status, body["flow"]), (200, "smoke-probe"))
+
+
 def main() -> None:
     journal = Path(tempfile.mkdtemp(prefix="repro-serve-smoke-")) \
         / "journal"
@@ -153,6 +217,7 @@ def main() -> None:
         storm(client)
         print(f"serve-smoke: storm finished in "
               f"{time.monotonic() - started:.1f}s with no hung requests")
+        probe_framing(client)
         # Wait out the req-slow worker sleep so the degraded check's
         # eventual completion is not racing the SIGKILL below.
         time.sleep(1.0)
