@@ -39,6 +39,7 @@ __all__ = [
     "frames_for_instance",
     "frame_overhead_bits",
     "on_wire_bits",
+    "plan_bits",
     "wire_burst",
     "MAX_PAYLOAD_BYTES",
     "MIN_PAYLOAD_BYTES",
@@ -203,15 +204,19 @@ def wire_burst(message: Message) -> float:
     bound-vs-simulation validation uses the same value on the analytic side
     so both sides account for the framing overhead consistently.
     """
-    total_bits = message.size
-    max_payload_bits = MAX_PAYLOAD_BYTES * units.BITS_PER_BYTE
-    fragment_count = max(1, math.ceil(total_bits / max_payload_bits))
+    return plan_bits(frame_plan(message))
+
+
+def plan_bits(plan: tuple[tuple[float, int, int, float], ...]) -> float:
+    """Total on-wire size of a :func:`frame_plan`, added left to right.
+
+    An explicit loop from ``0.0``: the builtin ``sum`` is compensated on
+    Python 3.12 and ``math.fsum`` rounds once, and either would change
+    the bits of a multi-fragment total.
+    """
     total = 0.0
-    remaining = total_bits
-    for __ in range(fragment_count):
-        payload = min(remaining, max_payload_bits)
-        total += on_wire_bits(payload)
-        remaining -= payload
+    for *_, size in plan:
+        total += size
     return total
 
 

@@ -23,7 +23,7 @@ from repro.ethernet.frame import (
     EthernetFrame,
     MessageInstance,
     frame_plan,
-    wire_burst,
+    plan_bits,
 )
 from repro.ethernet.link import LinkTransmitter
 from repro.flows.flow import Flow
@@ -101,14 +101,14 @@ class EndStation:
             raise ConfigurationError(
                 f"flow {flow.name!r} already registered on {self.name!r}")
         self._flows[flow.name] = flow
-        burst = wire_burst(flow.message)
+        plan = frame_plan(flow.message)
+        burst = plan_bits(plan)
         shaper = FlowShaper(
             name=flow.name,
             bucket=TokenBucket(bucket_size=burst,
                                token_rate=burst / flow.message.period))
         self._shapers[flow.name] = shaper
-        self._flow_state[flow.name] = (
-            shaper, frame_plan(flow.message), flow.priority)
+        self._flow_state[flow.name] = (shaper, plan, flow.priority)
 
     def add_delivery_listener(self, listener: DeliveryListener) -> None:
         """Register a callback invoked for every fully received instance."""

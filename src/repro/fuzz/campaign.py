@@ -589,7 +589,6 @@ def _measure(cell: FuzzCell, runner: CampaignRunner) -> tuple[
     campaign_rows = tuple(runner.run([scenario]).results[0].rows)
 
     message_set = scenario.workload.build()
-    messages = message_set.messages  # materialises replicas if any
     graph_spec = None
     if scenario.topology.kind == "graph":
         graph_spec = scenario.topology.build_graph(
@@ -601,6 +600,9 @@ def _measure(cell: FuzzCell, runner: CampaignRunner) -> tuple[
                                     scenario.capacity,
                                     scenario.technology_delay)
     wire_messages = wire_level_messages(message_set)
+    # Routed once per evaluation (replicas materialised); every policy's
+    # simulator shares the routed flows.
+    flows = network.route_flows(message_set.messages)
 
     bound_rows: list[FuzzBoundRow] = []
     port_rows: list[FuzzPortRow] = []
@@ -627,7 +629,7 @@ def _measure(cell: FuzzCell, runner: CampaignRunner) -> tuple[
                 # still runs so the cell exercises the saturated data path.
                 bounds = {}
         simulator = EthernetNetworkSimulator(
-            network, messages, policy=policy,
+            network, flows, policy=policy,
             scenario="synchronized", seed=cell.sim_seed)
         results = simulator.run(duration=cell.duration)
         events += simulator.simulator.events_processed

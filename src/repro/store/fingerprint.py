@@ -23,6 +23,7 @@ import dataclasses
 import enum
 import hashlib
 import json
+import re
 from typing import Any
 
 __all__ = ["canonical", "canonical_json", "fingerprint", "list_frame",
@@ -30,6 +31,14 @@ __all__ = ["canonical", "canonical_json", "fingerprint", "list_frame",
 
 #: Placeholder item whose encoding marks where :func:`list_frame` splits.
 _FRAME_MARKER = "\x00list-frame\x00"
+
+#: Declared field names per dataclass type (``None`` for other types).
+_FIELD_NAMES: dict[type, tuple[str, ...] | None] = {}
+
+#: Matches a string of "plain" characters, ``#`` to ``~`` except ``\``:
+#: JSON writes such a string as itself in quotes, and each of them sorts
+#: above the closing ``"``, so plain keys sort raw as their JSON texts do.
+_plain = re.compile(r"[#-\[\]-~]*").fullmatch
 
 
 def canonical(obj: Any) -> Any:
@@ -45,21 +54,36 @@ def canonical(obj: Any) -> Any:
         return obj
     if isinstance(obj, enum.Enum):
         return {"__enum__": type(obj).__name__, "name": obj.name}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    names = _field_names(type(obj))
+    if names is not None:
         return {"__dataclass__": type(obj).__name__,
-                "fields": {field.name: canonical(getattr(obj, field.name))
-                           for field in dataclasses.fields(obj)}}
+                "fields": {name: canonical(getattr(obj, name))
+                           for name in names}}
     if isinstance(obj, (list, tuple)):
         return [canonical(item) for item in obj]
     if isinstance(obj, (set, frozenset)):
         items = [canonical(item) for item in obj]
         return {"__set__": sorted(items, key=_sort_key)}
     if isinstance(obj, dict):
+        if all(type(key) is str for key in obj) and _plain("".join(obj)):
+            return {"__dict__": [[key, canonical(obj[key])]
+                                 for key in sorted(obj)]}
         pairs = [[canonical(key), canonical(value)]
                  for key, value in obj.items()]
         return {"__dict__": sorted(pairs, key=lambda kv: _sort_key(kv[0]))}
     raise TypeError(f"cannot canonicalise {type(obj).__name__!r} "
                     f"for fingerprinting: {obj!r}")
+
+
+def _field_names(cls: type) -> tuple[str, ...] | None:
+    """The declared field names of dataclass type ``cls``, else ``None``."""
+    try:
+        return _FIELD_NAMES[cls]
+    except KeyError:
+        names = (tuple(field.name for field in dataclasses.fields(cls))
+                 if dataclasses.is_dataclass(cls) else None)
+        _FIELD_NAMES[cls] = names
+        return names
 
 
 def _sort_key(value: Any) -> str:

@@ -266,7 +266,8 @@ class RoutingEngine:
     def route_flow(self, flow: Flow | Message) -> Flow:
         """Attach the deterministic shortest route to a flow/message."""
         if isinstance(flow, Message):
-            flow = Flow(message=flow)
+            return Flow(message=flow, path=self.shortest_path(
+                flow.source, flow.destination))
         if flow.path:
             return flow
         return flow.with_path(self.shortest_path(flow.source,

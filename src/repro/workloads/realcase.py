@@ -32,7 +32,9 @@ headline properties (checked by the test suite and the Figure 1 benchmark):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Sequence, TypeVar
 
 import numpy as np
 
@@ -45,6 +47,8 @@ __all__ = ["RealCaseParameters", "generate_real_case"]
 
 #: The binary ladder of periods used by the case study (seconds).
 PERIOD_LADDER = (units.ms(20), units.ms(40), units.ms(80), units.ms(160))
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -94,6 +98,13 @@ class RealCaseParameters:
         if self.station_count < 4:
             raise InvalidWorkloadError(
                 "the case study needs at least 4 stations")
+        if len(self.period_weights) != len(PERIOD_LADDER):
+            raise InvalidWorkloadError(
+                f"period weights need one entry per ladder period "
+                f"({len(PERIOD_LADDER)}), got {len(self.period_weights)}")
+        if not all(weight >= 0.0 for weight in self.period_weights):
+            raise InvalidWorkloadError(
+                "period weights must be non-negative numbers")
         if abs(sum(self.period_weights) - 1.0) > 1e-9:
             raise InvalidWorkloadError("period weights must sum to 1")
         if self.mission_computer_index == self.concentrator_index:
@@ -106,6 +117,29 @@ class RealCaseParameters:
 
 def _station_name(index: int) -> str:
     return f"station-{index:02d}"
+
+
+# The draws below read numpy's stream exactly as ``Generator.choice`` does,
+# without its per-call array conversion and validation: a weighted choice
+# is one ``random()`` searched in the normalised CDF (side="right"), and a
+# uniform choice is one ``integers(0, len)``.  The generator's stream is
+# pinned by ``tests/workloads/test_realcase.py``.
+
+def _cdf(weights: Sequence[float]) -> list[float]:
+    """The normalised cumulative weights, computed as numpy's ``choice``."""
+    cdf = np.asarray(weights, dtype=np.float64).cumsum()
+    cdf /= cdf[-1]
+    return cdf.tolist()
+
+
+def _draw_index(rng: np.random.Generator, cdf: list[float]) -> int:
+    """``rng.choice(len(cdf), p=weights)`` for the weights behind ``cdf``."""
+    return bisect_right(cdf, rng.random())
+
+
+def _pick(rng: np.random.Generator, items: Sequence[_T]) -> _T:
+    """``rng.choice(items)``, returning the item itself."""
+    return items[int(rng.integers(0, len(items)))]
 
 
 def generate_real_case(parameters: RealCaseParameters | None = None,
@@ -130,16 +164,17 @@ def generate_real_case(parameters: RealCaseParameters | None = None,
     mission_computer = _station_name(params.mission_computer_index)
     concentrator = _station_name(params.concentrator_index)
     stations = [_station_name(i) for i in range(params.station_count)]
+    period_cdf = _cdf(params.period_weights)
+    others = {station: [s for s in stations if s != station]
+              for station in stations}
 
     def pick_destination(source: str) -> str:
         """Regular stations mostly talk to the sinks; sinks talk to everyone."""
         if source in (mission_computer, concentrator):
-            candidates = [s for s in stations if s != source]
-            return str(rng.choice(candidates))
+            return _pick(rng, others[source])
         if rng.random() < params.convergence_ratio:
             return (mission_computer if rng.random() < 0.7 else concentrator)
-        candidates = [s for s in stations if s != source]
-        return str(rng.choice(candidates))
+        return _pick(rng, others[source])
 
     def draw_words(word_range: tuple[int, int]) -> int:
         low, high = word_range
@@ -148,8 +183,7 @@ def generate_real_case(parameters: RealCaseParameters | None = None,
     for station in stations:
         # Periodic messages -------------------------------------------------
         for index in range(params.periodic_per_station):
-            ladder_index = int(rng.choice(len(PERIOD_LADDER),
-                                          p=params.period_weights))
+            ladder_index = _draw_index(rng, period_cdf)
             period = PERIOD_LADDER[ladder_index]
             words = draw_words(params.periodic_word_ranges[ladder_index])
             message_set.add(Message.periodic(
@@ -173,7 +207,7 @@ def generate_real_case(parameters: RealCaseParameters | None = None,
         # Medium sporadic (20-160 ms deadline) -------------------------------
         for index in range(params.medium_per_station):
             words = draw_words(params.medium_words)
-            deadline = float(rng.choice(params.medium_deadlines))
+            deadline = float(_pick(rng, params.medium_deadlines))
             message_set.add(Message.sporadic(
                 name=f"{station}-spo-{index:02d}",
                 min_interarrival=max(units.ms(20), deadline),

@@ -1,20 +1,26 @@
 """Canonical fingerprinting: stability, order-independence, sensitivity."""
 
+import dataclasses
+import enum
+import hashlib
+import json
 import math
 import subprocess
 import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Any
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.campaigns import builtin_scenarios
 from repro.flows.priorities import PriorityClass
+from repro.fuzz import FuzzCampaign, GeneratorConfig, load_entries
 from repro.store import canonical, canonical_json, fingerprint
-from repro.store.fingerprint import list_frame, text_fingerprint
+from repro.store.fingerprint import _sort_key, list_frame, text_fingerprint
 
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -28,6 +34,12 @@ class Colour(Enum):
 class Point:
     x: float
     y: float
+
+
+@dataclass(frozen=True)
+class Box:
+    label: str
+    content: Any
 
 
 class TestCanonical:
@@ -134,3 +146,100 @@ class TestListFrame:
     def test_a_mapping_holding_the_marker_text_is_refused(self):
         with pytest.raises(ValueError, match="marker"):
             list_frame({"name": "\x00list-frame\x00"}, "flows")
+
+
+def _reference_canonical(obj: Any) -> Any:
+    """``canonical`` without its fast paths: every dict sorts by JSON text."""
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    if isinstance(obj, enum.Enum):
+        return {"__enum__": type(obj).__name__, "name": obj.name}
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {"__dataclass__": type(obj).__name__,
+                "fields": {field.name: _reference_canonical(
+                    getattr(obj, field.name))
+                    for field in dataclasses.fields(obj)}}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_canonical(item) for item in obj]
+    if isinstance(obj, (set, frozenset)):
+        items = [_reference_canonical(item) for item in obj]
+        return {"__set__": sorted(items, key=_sort_key)}
+    if isinstance(obj, dict):
+        pairs = [[_reference_canonical(key), _reference_canonical(value)]
+                 for key, value in obj.items()]
+        return {"__dict__": sorted(pairs, key=lambda kv: _sort_key(kv[0]))}
+    raise TypeError(type(obj).__name__)
+
+
+def _reference_json(obj: Any) -> str:
+    return json.dumps(_reference_canonical(obj), sort_keys=True,
+                      separators=(",", ":"), ensure_ascii=True,
+                      allow_nan=True)
+
+
+#: Key characters on both sides of the fast path's "plain" range
+#: (``#`` to ``~`` except ``\``): space, ``!``, ``"``, ``\``, control
+#: characters, DEL and non-ASCII, next to plain letters and digits.
+_KEY_ALPHABET = (" !\"#$\\\x00\x01\x1f\x7f\x80\xe9\u2028\U0001f600"
+                 "-.09AZ[]_az{}~")
+
+_KEYS = (st.text(alphabet=_KEY_ALPHABET, max_size=6)
+         | st.text(alphabet="#-.09AZ_az~", max_size=6)
+         | st.integers(-5, 5)
+         | st.sampled_from(list(Colour))
+         | st.tuples(st.integers(0, 3), st.text(alphabet="ab\"", max_size=2)))
+
+_NESTED = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=4)
+    | st.floats(allow_nan=False),
+    lambda children: (
+        st.lists(children, max_size=3)
+        | st.dictionaries(_KEYS, children, max_size=5)
+        | st.builds(Box, label=st.text(max_size=3), content=children)),
+    max_leaves=20)
+
+
+class TestCanonicalFastPath:
+    """The plain-key sort and the field-name cache change no byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_NESTED)
+    def test_property_canonical_json_equals_the_reference(self, payload):
+        assert canonical_json(payload) == _reference_json(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.dictionaries(st.text(alphabet=_KEY_ALPHABET, max_size=4),
+                           st.integers(), min_size=2))
+    def test_property_str_keyed_dicts_equal_the_reference(self, mapping):
+        assert canonical_json(mapping) == _reference_json(mapping)
+
+    def test_keys_below_the_quote_sort_by_their_json_text(self):
+        # Raw order puts "a" first; JSON text order puts "a!" first,
+        # because '!' sorts below the closing quote.
+        mapping = {"a": 1, "a!": 2, "a#": 3}
+        assert canonical(mapping)["__dict__"] == [["a!", 2], ["a", 1],
+                                                  ["a#", 3]]
+        assert canonical_json(mapping) == _reference_json(mapping)
+
+
+def _group_digest(objects) -> str:
+    return hashlib.sha256(
+        "\n".join(fingerprint(obj) for obj in objects).encode()).hexdigest()
+
+
+class TestStoreKeysArePinned:
+    """Fingerprints recorded before the fast path: store keys stay put."""
+
+    def test_builtin_scenarios(self):
+        assert _group_digest(builtin_scenarios()) == (
+            "bc315ff11c4ff573983e21a142d713aa4577cc407ecae1e92c9acddaeb306aa5")
+
+    def test_fuzz_corpus_scenarios(self):
+        assert _group_digest(entry.scenario for entry in load_entries()) == (
+            "e48d84d790c8506e1077d98247e8c8a4504abaa72912d0f2db066bbdd55ba017")
+
+    def test_multi_hop_fuzz_cells(self):
+        cells = FuzzCampaign(count=200, seed=0,
+                             config=GeneratorConfig.multi_hop()).cells()
+        assert _group_digest(cells) == (
+            "8cd95a201e5ce26f0ce6cd064f3e7817cd5d5755f19322f31db45b21df47c5fc")

@@ -48,6 +48,28 @@ def test_report_carries_the_serve_throughput(tmp_path, capsys):
     assert serve["keepalive_round_trip_ms"] > 0
 
 
+def test_report_carries_the_fuzz_throughput(tmp_path, capsys):
+    output = tmp_path / "BENCH_report.json"
+    assert bench_report.main(["--output", str(output)]) == 0
+    assert "fuzz_throughput" in capsys.readouterr().out
+    fuzz = json.loads(output.read_text())["fuzz_throughput"]
+    assert sorted(fuzz) == ["cells_per_sec", "events_total",
+                            "generated_per_sec"]
+    committed = bench_report._metric_rows("fuzz_throughput")
+    assert fuzz["cells_per_sec"] == float(committed["cells_per_sec"])
+    assert fuzz["events_total"] == float(committed["events_total"])
+    assert fuzz["generated_per_sec"] == float(
+        committed["generated_per_sec"].replace(",", ""))
+    assert fuzz["cells_per_sec"] > 0
+
+
+def test_a_missing_fuzz_table_is_reported(tmp_path, monkeypatch):
+    monkeypatch.setattr(bench_report, "RESULTS_DIR", tmp_path)
+    report = bench_report.build_report()
+    assert "fuzz_throughput" not in report
+    assert "fuzz_throughput.csv" in report["missing"]
+
+
 def test_a_missing_serve_table_is_reported(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_report, "RESULTS_DIR", tmp_path)
     report = bench_report.build_report()

@@ -1,10 +1,22 @@
 """The synthetic real-case workload generator."""
 
+import hashlib
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import PriorityClass, units
 from repro.errors import InvalidWorkloadError
 from repro.workloads import RealCaseParameters, generate_real_case
+from repro.workloads.realcase import _cdf, _draw_index, _pick
+
+#: SHA-256 of the generator's output over :func:`_stream_configurations`
+#: x seeds 0-49, recorded when the draws still went through
+#: ``Generator.choice``.  A change here means every seeded workload moved.
+STREAM_DIGEST = (
+    "e4f87570cee7e89fd706bddcda209038d911e0b5b5a26e9b05b847eb359a8490")
 
 
 class TestStructure:
@@ -89,6 +101,57 @@ class TestDeterminism:
         assert len(message_set.stations()) == 8
 
 
+def _stream_configurations():
+    custom = RealCaseParameters(
+        station_count=9, period_weights=(0.25, 0.05, 0.3, 0.4),
+        medium_deadlines=(units.ms(10), units.ms(50), units.ms(120)),
+        convergence_ratio=0.35)
+    return [RealCaseParameters(station_count=count)
+            for count in (4, 5, 16, 33)] + [custom]
+
+
+class TestStream:
+    """The draws read numpy's random stream exactly as ``choice`` does."""
+
+    def test_the_generated_stream_is_pinned(self):
+        digest = hashlib.sha256()
+        for params in _stream_configurations():
+            for seed in range(50):
+                for m in generate_real_case(params, seed=seed):
+                    digest.update(repr((
+                        m.name, m.kind.name, m.period, m.size, m.source,
+                        m.destination, m.deadline,
+                        sorted(m.metadata.items()))).encode())
+                    digest.update(b"\n")
+        assert digest.hexdigest() == STREAM_DIGEST
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=8)
+           .filter(lambda ws: sum(ws) > 0),
+           seed=st.integers(0, 2**32 - 1),
+           draws=st.integers(1, 8))
+    def test_the_weighted_draw_matches_choice(self, weights, seed, draws):
+        total = sum(weights)
+        p = [weight / total for weight in weights]
+        cdf = _cdf(p)
+        ours = np.random.default_rng(seed)
+        numpy = np.random.default_rng(seed)
+        for _ in range(draws):
+            assert _draw_index(ours, cdf) == int(numpy.choice(len(p), p=p))
+        assert ours.bit_generator.state == numpy.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(length=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+           draws=st.integers(1, 8))
+    def test_the_uniform_draw_matches_choice(self, length, seed, draws):
+        items = [f"item-{index}" for index in range(length)]
+        ours = np.random.default_rng(seed)
+        numpy = np.random.default_rng(seed)
+        for _ in range(draws):
+            assert _pick(ours, items) == str(numpy.choice(items))
+        assert ours.bit_generator.state == numpy.bit_generator.state
+
+
 class TestParameterValidation:
     def test_too_few_stations_rejected(self):
         with pytest.raises(InvalidWorkloadError):
@@ -97,6 +160,18 @@ class TestParameterValidation:
     def test_period_weights_must_sum_to_one(self):
         with pytest.raises(InvalidWorkloadError):
             RealCaseParameters(period_weights=(0.5, 0.5, 0.5, 0.5))
+
+    def test_negative_period_weights_rejected(self):
+        with pytest.raises(InvalidWorkloadError, match="non-negative"):
+            RealCaseParameters(period_weights=(-0.1, 0.3, 0.4, 0.4))
+
+    def test_nan_period_weights_rejected(self):
+        with pytest.raises(InvalidWorkloadError):
+            RealCaseParameters(period_weights=(float("nan"), 0.3, 0.3, 0.4))
+
+    def test_one_period_weight_per_ladder_period(self):
+        with pytest.raises(InvalidWorkloadError, match="ladder"):
+            RealCaseParameters(period_weights=(0.5, 0.5))
 
     def test_sinks_must_differ(self):
         with pytest.raises(InvalidWorkloadError):

@@ -6,8 +6,9 @@ under ``benchmarks/results/``; CI wants one machine-readable summary it
 can upload as an artifact and plot across runs.  This script distils the
 key performance trajectory — simulation kernel events/second, Monte-Carlo
 grid wall time, analytic sweep wall time, campaign memoization speedup,
-result-store warm-run numbers and the admission service's warm-server
-throughput — from those committed CSVs into a single JSON document.
+result-store warm-run numbers, fuzz cell and scenario-generation rates
+and the admission service's warm-server throughput — from those
+committed CSVs into a single JSON document.
 
 Run after the benchmarks (``pytest benchmarks -q``)::
 
@@ -110,6 +111,16 @@ def build_report() -> dict:
         }
     else:
         report["missing"].append("store_warm.csv")
+
+    fuzz = _metric_rows("fuzz_throughput")
+    if fuzz:
+        report["fuzz_throughput"] = {
+            "cells_per_sec": _number(fuzz.get("cells_per_sec", "")),
+            "generated_per_sec": _number(fuzz.get("generated_per_sec", "")),
+            "events_total": _number(fuzz.get("events_total", "")),
+        }
+    else:
+        report["missing"].append("fuzz_throughput.csv")
 
     serve = _metric_rows("serve_throughput")
     if serve:
