@@ -51,8 +51,15 @@ GOLDEN_CELLS = (
     ("paper-fcfs-synchronized", 16, 7, "fcfs", "synchronized", 1, None, True),
     ("paper-priority-synchronized", 16, 7, "strict-priority", "synchronized",
      1, None, True),
+    # The paper case under random releases, the cell type of the Monte-Carlo
+    # campaigns (untied releases take the kernel's same-instant slot).
+    ("paper-fcfs-random", 16, 7, "fcfs", "random", 1, None, True),
+    ("paper-priority-random", 16, 7, "strict-priority", "random", 1, None,
+     True),
     # Unshaped traffic into tiny buffers: exercises the drop accounting.
     ("small-fcfs-drops", 8, 3, "fcfs", "synchronized", 1, 2_000.0, False),
+    ("small-priority-drops", 8, 3, "strict-priority", "synchronized", 1,
+     2_000.0, False),
 )
 
 #: Multi-hop graph fixture grid: (name, family, station_count,
@@ -93,38 +100,40 @@ def _digest(values) -> str:
 
 def capture_cell(station_count: int, workload_seed: int, policy: str,
                  scenario: str, seed: int, queue_capacity: float | None,
-                 shaping_enabled: bool) -> dict:
+                 shaping_enabled: bool, trace_enabled: bool = False) -> dict:
     """Run one simulation cell and distill it into a comparable digest.
 
     Per flow the digest keeps the sample count, the SHA-256 of the ordered
     sample reprs (bit-exact, compact) and the repr of the worst sample
     (readable when a mismatch needs debugging); drops, delivery counters,
     per-link utilizations, queue maxima and the processed-event count are
-    stored in full.
+    stored in full.  ``trace_enabled`` runs the traced model, which takes
+    the general queue path at every hop.
     """
     message_set = generate_real_case(
         RealCaseParameters(station_count=station_count), seed=workload_seed)
     network = star_for_message_set(message_set)
     return _capture_network(network, message_set, policy, scenario, seed,
-                            queue_capacity, shaping_enabled)
+                            queue_capacity, shaping_enabled, trace_enabled)
 
 
 def capture_graph_cell(family: str, station_count: int, workload_seed: int,
-                       policy: str, scenario: str, seed: int) -> dict:
+                       policy: str, scenario: str, seed: int,
+                       trace_enabled: bool = False) -> dict:
     """Run one golden cell on a multi-hop graph family's routed network."""
     message_set = generate_real_case(
         RealCaseParameters(station_count=station_count), seed=workload_seed)
     network = graph_spec(family, station_count).to_network()
     return _capture_network(network, message_set, policy, scenario, seed,
-                            None, True)
+                            None, True, trace_enabled)
 
 
 def _capture_network(network, message_set, policy, scenario, seed,
-                     queue_capacity, shaping_enabled) -> dict:
+                     queue_capacity, shaping_enabled, trace_enabled) -> dict:
     simulator = EthernetNetworkSimulator(
         network, message_set.messages, policy=policy, scenario=scenario,
         seed=seed, queue_capacity=queue_capacity,
-        shaping_enabled=shaping_enabled)
+        shaping_enabled=shaping_enabled, trace_enabled=trace_enabled)
     results = simulator.run(duration=units.ms(320))
     flows = {}
     for name in sorted(results.flow_latencies):

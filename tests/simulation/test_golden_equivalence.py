@@ -51,6 +51,40 @@ def test_drop_cell_actually_drops():
     assert expected["frames_dropped"] > 0
 
 
+def test_priority_drop_cell_actually_drops():
+    """Bounded strict-priority lanes keep the general queue path."""
+    expected = json.loads(cell_path("small-priority-drops").read_text())
+    assert expected["frames_dropped"] > 0
+
+
+@pytest.mark.parametrize(
+    "name,stations,workload_seed,policy,scenario,seed,capacity,shaping",
+    GOLDEN_CELLS, ids=[cell[0] for cell in GOLDEN_CELLS])
+def test_traced_cell_matches_untraced(name, stations, workload_seed, policy,
+                                      scenario, seed, capacity, shaping):
+    """Tracing keeps the general queue path at every hop, so the traced
+    run is the reference every untraced fast path must reproduce."""
+    untraced = capture_cell(stations, workload_seed, policy, scenario, seed,
+                            capacity, shaping)
+    traced = capture_cell(stations, workload_seed, policy, scenario, seed,
+                          capacity, shaping, trace_enabled=True)
+    assert traced == untraced
+
+
+@pytest.mark.parametrize(
+    "name,family,stations,workload_seed,policy,scenario,seed",
+    GRAPH_GOLDEN_CELLS, ids=[cell[0] for cell in GRAPH_GOLDEN_CELLS])
+def test_traced_graph_cell_matches_untraced(name, family, stations,
+                                            workload_seed, policy, scenario,
+                                            seed):
+    """Multi-hop cells take the same fast paths as the star cells."""
+    untraced = capture_graph_cell(family, stations, workload_seed, policy,
+                                  scenario, seed)
+    traced = capture_graph_cell(family, stations, workload_seed, policy,
+                                scenario, seed, trace_enabled=True)
+    assert traced == untraced
+
+
 @pytest.mark.parametrize(
     "name,family,stations,workload_seed,policy,scenario,seed",
     GRAPH_GOLDEN_CELLS, ids=[cell[0] for cell in GRAPH_GOLDEN_CELLS])
