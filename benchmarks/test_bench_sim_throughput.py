@@ -4,7 +4,16 @@ The kernel rewrite (slim ``(time, sequence)``-keyed heap entries, inlined
 run loop, ``__slots__`` frames, trace-guarded hot paths, zero-propagation
 delivery fusion) took the bound-vs-sim workload from ~135k to ~700k
 events/second on the development container — a ≥5x speedup, verified
-bit-identical by ``tests/simulation/test_golden_equivalence.py``.
+bit-identical by ``tests/simulation/test_golden_equivalence.py``.  The
+shorter hop path that followed (a same-instant slot in the kernel, idle
+cut-through and inlined lanes in the link transmitters, a switch relay
+on zero-propagation links, direct sample sinks) roughly halved the
+Python calls per delivered instance; the refreshed table reads 772k
+(FCFS) and 749k (strict priority) events/second, best of three.  This
+workload releases every source at once, so its shaper releases tie and
+skip the same-instant slot, and the 2-vCPU development host swings by up
+to 2x between runs: compare commits with alternating pairs, not with
+this table.
 
 Two measurements are recorded into ``benchmarks/results/``:
 

@@ -16,7 +16,6 @@ from typing import Iterable, Literal
 
 from repro import units
 from repro.errors import ConfigurationError, SimulationNotRunError
-from repro.ethernet.frame import MessageInstance
 from repro.ethernet.link import LinkTransmitter
 from repro.ethernet.station import EndStation
 from repro.ethernet.switch import EthernetSwitch
@@ -171,6 +170,8 @@ class EthernetNetworkSimulator:
         for link in self.network.spec.links:
             for upstream, downstream in link.directions:
                 receiver = self._receiver_for(downstream)
+                relay = (self.switches[downstream].ingress
+                         if self.network.is_switch(downstream) else None)
                 transmitter = LinkTransmitter(
                     simulator=self.simulator,
                     name=f"{upstream}->{downstream}",
@@ -178,7 +179,8 @@ class EthernetNetworkSimulator:
                     propagation_delay=link.latency,
                     queue=self._make_queue(),
                     deliver=receiver,
-                    trace=self.trace)
+                    trace=self.trace,
+                    relay=relay)
                 self._transmitters[(upstream, downstream)] = transmitter
                 if self.network.is_switch(upstream):
                     self.switches[upstream].attach_output_port(
@@ -197,13 +199,16 @@ class EthernetNetworkSimulator:
         # Traffic sources.
         offsets_rng = self.streams.stream("release-offsets")
         slack_rng = self.streams.stream("sporadic-slack")
-        for flow in self.flows:
+        if self.scenario == "synchronized":
+            offsets = [0.0] * len(self.flows)
+        else:
+            # One draw per flow, in flow order: numpy's uniform over an
+            # array of highs reads the stream exactly as the scalar draws.
+            offsets = offsets_rng.uniform(
+                0.0, [flow.message.period for flow in self.flows]).tolist()
+        for flow, offset in zip(self.flows, offsets):
             station = self.stations[flow.source]
             message = flow.message
-            if self.scenario == "synchronized":
-                offset = 0.0
-            else:
-                offset = float(offsets_rng.uniform(0.0, message.period))
             if message.is_periodic:
                 self._sources.append(PeriodicSource(
                     self.simulator, station, message, offset=offset))
@@ -242,20 +247,14 @@ class EthernetNetworkSimulator:
             results.flow_latencies[flow.name] = LatencyRecorder(flow.name)
         for cls in PriorityClass:
             results.class_latencies[cls] = LatencyRecorder(cls.name)
-        # One lookup per delivery: flow name -> (flow recorder, class
-        # recorder) pair.
-        recorders = {
-            flow.name: (results.flow_latencies[flow.name],
-                        results.class_latencies[flow.priority])
+        # Each delivered latency is appended straight into its flow's and
+        # its class's recorder.
+        sinks = {
+            flow.name: (results.flow_latencies[flow.name].sink,
+                        results.class_latencies[flow.priority].sink)
             for flow in self.flows}
-
-        def on_delivery(instance: MessageInstance, latency: float) -> None:
-            flow_recorder, class_recorder = recorders[instance.message.name]
-            flow_recorder.record(latency)
-            class_recorder.record(latency)
-
         for station in self.stations.values():
-            station.add_delivery_listener(on_delivery)
+            station.set_sample_sinks(sinks)
 
         for source in self._sources:
             source.start(until=duration)
@@ -302,9 +301,11 @@ class EthernetNetworkSimulator:
         Every link transmitter delivers to the node at its far end, and
         every node holds the transmitters it sends on, so a finished
         model is a web of cycles that only the cyclic garbage collector
-        would free.  Dropping the delivery callbacks leaves a tree that
-        reference counting frees as soon as the simulator is dropped.
-        The results stay valid; the model cannot run again.
+        would free.  Dropping the delivery callbacks and switch relays
+        leaves a tree that reference counting frees as soon as the
+        simulator is dropped.  The results stay valid; the model cannot
+        run again.
         """
         for transmitter in self._transmitters.values():
             transmitter.deliver = None
+            transmitter.relay = None

@@ -16,7 +16,8 @@ station are reassembled into message instances and their end-to-end latency
 
 from __future__ import annotations
 
-from typing import Callable
+from heapq import heappush
+from typing import Callable, Mapping
 
 from repro.errors import ConfigurationError
 from repro.ethernet.frame import (
@@ -37,6 +38,9 @@ __all__ = ["EndStation"]
 #: Callback used to report a completely received message instance:
 #: ``(instance, latency_seconds)``.
 DeliveryListener = Callable[[MessageInstance, float], None]
+#: Callable receiving one latency sample (seconds), e.g. the ``sink`` of a
+#: :class:`~repro.simulation.statistics.LatencyRecorder`.
+SampleSink = Callable[[float], None]
 
 
 class EndStation:
@@ -74,6 +78,8 @@ class EndStation:
         self._release_pending: set[str] = set()
         self._pending_fragments: dict[int, int] = {}
         self._delivery_listeners: list[DeliveryListener] = []
+        #: Flow name -> the sample sinks each delivered latency goes to.
+        self._sample_sinks: Mapping[str, tuple[SampleSink, ...]] = {}
         self.instances_sent = Counter(f"{name}.instances_sent")
         self.instances_received = Counter(f"{name}.instances_received")
         self.frames_received = Counter(f"{name}.frames_received")
@@ -113,6 +119,17 @@ class EndStation:
     def add_delivery_listener(self, listener: DeliveryListener) -> None:
         """Register a callback invoked for every fully received instance."""
         self._delivery_listeners.append(listener)
+
+    def set_sample_sinks(
+            self, sinks: Mapping[str, tuple[SampleSink, ...]]) -> None:
+        """Send each delivered latency to its flow's sample sinks.
+
+        ``sinks`` maps a flow name to the callables that receive the
+        latency of every instance of that flow delivered here (the
+        simulator passes its per-flow and per-class recorders' sinks).
+        Flows it does not name are delivered to the listeners only.
+        """
+        self._sample_sinks = sinks
 
     @property
     def flows(self) -> list[Flow]:
@@ -175,8 +192,17 @@ class EndStation:
             return
         self._release_pending.add(flow_name)
         # release_time >= now by construction (the shaper never returns a
-        # past instant), so the fast uncancellable path is safe.
-        self.simulator.post_at(release_time, self._release, flow_name)
+        # past instant), so the fast uncancellable path is safe.  A release
+        # due at once takes the same-instant slot: inlined
+        # Simulator.post_now, else Simulator.post_at.
+        simulator = self.simulator
+        queue = simulator._queue
+        entry = (release_time, next(queue._sequence), self._release,
+                 flow_name)
+        if release_time == simulator._now and simulator._slot is None:
+            simulator._slot = entry
+        else:
+            heappush(queue._heap, entry)
 
     def _release(self, flow_name: str) -> None:
         """Release the head frame of a shaper into the egress multiplexer."""
@@ -217,5 +243,9 @@ class EndStation:
             self.trace.record(self.simulator.now, "instance.delivered",
                               self.name, flow=instance.message.name,
                               latency=latency)
+        sinks = self._sample_sinks.get(instance.message.name)
+        if sinks is not None:
+            for sink in sinks:
+                sink(latency)
         for listener in self._delivery_listeners:
             listener(instance, latency)

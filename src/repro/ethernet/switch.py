@@ -19,9 +19,11 @@ flooding — unknown destinations are an error).
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from repro.errors import ConfigurationError
 from repro.ethernet.frame import EthernetFrame
-from repro.ethernet.link import LinkTransmitter
+from repro.ethernet.link import LinkTransmitter, Relay
 from repro.simulation.engine import Simulator
 from repro.simulation.statistics import Counter
 from repro.simulation.trace import TraceRecorder
@@ -103,12 +105,26 @@ class EthernetSwitch:
 
     # -- relaying ----------------------------------------------------------------
 
+    @property
+    def ingress(self) -> Relay:
+        """What receiving a frame does: ``(forward, delay)``.
+
+        A received frame is forwarded ``delay`` (the relaying delay) seconds
+        later.  :meth:`receive` posts exactly this, and a zero-propagation
+        link into the switch may post it itself (the link's ``relay``).
+        """
+        return self._forward, self.technology_delay
+
     def receive(self, frame: EthernetFrame) -> None:
         """Handle a frame fully received on one of the input ports."""
         if self.trace.enabled:
             self.trace.record(self.simulator.now, "switch.receive", self.name,
                               frame_id=frame.frame_id, flow=frame.flow_name)
-        self.simulator.post(self.technology_delay, self._forward, frame)
+        forward, delay = self.ingress
+        simulator = self.simulator
+        queue = simulator._queue  # inlined Simulator.post
+        heappush(queue._heap, (simulator._now + delay, next(queue._sequence),
+                               forward, frame))
 
     def _forward(self, frame: EthernetFrame) -> None:
         transmitter = self._route.get(frame.destination)

@@ -20,6 +20,8 @@ the experiment's random streams to exercise average behaviour.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 import numpy as np
 
 from repro.errors import ConfigurationError
@@ -66,13 +68,16 @@ class _SourceBase:
 
     def _fire(self, _arg: object = None) -> None:
         """Release one instance (the argument is the fast-path placeholder)."""
+        simulator = self.simulator
         instance = MessageInstance(self.message, self._sequence,
-                                   self.simulator._now)  # direct slot read
+                                   simulator._now)  # direct slot read
         self._sequence += 1
         self.station.submit(instance)
         next_time = self._next_release_time()
         if self._until is not None and next_time < self._until:
-            self.simulator.post_at(next_time, self._fire, None)
+            queue = simulator._queue  # inlined Simulator.post_at
+            heappush(queue._heap,
+                     (next_time, next(queue._sequence), self._fire, None))
 
     def _next_release_time(self) -> float:
         raise NotImplementedError
@@ -138,7 +143,7 @@ class PeriodicSource(_SourceBase):
                 nominal += float(self.rng.uniform(0.0, self.jitter))
         # Never release in the past (a large jitter on the previous instance
         # must not reorder releases).
-        now = self.simulator.now
+        now = self.simulator._now  # direct slot read
         return nominal if nominal >= now else now
 
 
@@ -180,4 +185,4 @@ class SporadicSource(_SourceBase):
         spacing = self.message.period
         if not self.greedy and self.mean_slack > 0 and self.rng is not None:
             spacing += float(self.rng.exponential(self.mean_slack))
-        return self.simulator.now + spacing
+        return self.simulator._now + spacing

@@ -13,6 +13,16 @@ with the slim ``(time, sequence, event)`` heap entries makes the
 event-driven side fast enough for Monte-Carlo campaigns: a few seconds of
 a 10 Mbps avionics network (hundreds of thousands of frames) complete in
 well under a second of wall-clock time.
+
+Besides the heap the simulator keeps one **same-instant slot**
+(:meth:`Simulator.post_now`): an entry due at the current instant is
+parked there, with the sequence number it would have had in the heap,
+instead of being pushed.  Once the running callback returns, the loop
+runs the parked entry next when nothing in the heap is due at that
+instant, and pushes it otherwise.  Its time is the clock's, so it is the
+``(time, sequence)`` minimum exactly when the heap's head is strictly
+later; otherwise it takes the heap position it would have had anyway.
+Firing order, and therefore every result, is the heap's.
 """
 
 from __future__ import annotations
@@ -47,13 +57,16 @@ class Simulator:
     1.5
     """
 
-    __slots__ = ("_now", "_queue", "_events_processed", "_running")
+    __slots__ = ("_now", "_queue", "_events_processed", "_running", "_slot")
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue = EventQueue()
         self._events_processed = 0
         self._running = False
+        #: The same-instant slot: one parked ``(time, sequence, callback,
+        #: arg)`` heap entry due at the current instant, or ``None``.
+        self._slot: tuple | None = None
 
     # -- clock ------------------------------------------------------------
 
@@ -70,7 +83,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of live (non-cancelled) events still in the queue."""
-        return len(self._queue)
+        return len(self._queue) + (self._slot is not None)
 
     # -- scheduling -------------------------------------------------------
 
@@ -123,6 +136,27 @@ class Simulator:
         heappush(queue._heap,
                  (time, next(queue._sequence), callback, arg))
 
+    def post_now(self, callback: Callable[[Any], None], arg: Any) -> None:
+        """Hot-path :meth:`post` at the current instant.
+
+        The entry draws its sequence number as usual but is parked in the
+        same-instant slot instead of the heap (see the module docstring);
+        a second entry posted while the slot is taken goes to the heap.
+        Firing order is identical to ``post(0, callback, arg)``.
+        """
+        queue = self._queue
+        entry = (self._now, next(queue._sequence), callback, arg)
+        if self._slot is None:
+            self._slot = entry
+        else:
+            heappush(queue._heap, entry)
+
+    def _flush_slot(self) -> None:
+        """Move a parked same-instant entry into the heap."""
+        if self._slot is not None:
+            heappush(self._queue._heap, self._slot)
+            self._slot = None
+
     def dispatch_immediate(self, callback: Callable[[Any], None],
                            arg: Any) -> None:
         """Process a zero-delay event inline, without a heap round-trip.
@@ -132,8 +166,8 @@ class Simulator:
         as a processed event.  Model code may only use it when the fused
         ordering is provably equivalent to the heap ordering (see the
         zero-propagation delivery fusion in
-        :class:`repro.ethernet.link.LinkTransmitter`, pinned down by the
-        golden-equivalence tests).
+        :class:`repro.ethernet.link.LinkTransmitter`, which inlines this,
+        pinned down by the golden-equivalence tests).
         """
         self._events_processed += 1
         callback(arg)
@@ -146,6 +180,7 @@ class Simulator:
         Returns ``True`` if an event was processed, ``False`` if the queue
         was empty.
         """
+        self._flush_slot()
         event = self._queue.pop()
         if event is None:
             return False
@@ -182,9 +217,21 @@ class Simulator:
                 # no bound checks, pop immediately, events_processed kept in
                 # a local and flushed additively (fused dispatches increment
                 # the attribute directly, so += keeps both contributions).
+                # A parked same-instant entry runs next when the heap has
+                # nothing due at its instant, and is pushed otherwise.
                 local_processed = 0
                 try:
-                    while self._running and heap:
+                    while self._running:
+                        slot = self._slot
+                        if slot is not None:
+                            self._slot = None
+                            if not heap or heap[0][0] > slot[0]:
+                                local_processed += 1
+                                slot[2](slot[3])
+                                continue
+                            heappush(heap, slot)
+                        elif not heap:
+                            break
                         head = pop(heap)
                         if len(head) == 4:
                             self._now = head[0]
@@ -200,7 +247,10 @@ class Simulator:
                 finally:
                     self._events_processed += local_processed
                 return
-            while self._running and heap:
+            while self._running:
+                self._flush_slot()
+                if not heap:
+                    break
                 head = heap[0]
                 if len(head) == 4:
                     time = head[0]
@@ -230,6 +280,7 @@ class Simulator:
                 event.callback(*event.args)
         finally:
             self._running = False
+            self._flush_slot()
         if until is not None and self._now < until:
             self._now = until
 

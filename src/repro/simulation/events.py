@@ -96,10 +96,11 @@ class EventQueue:
       path, returning a cancellable :class:`Event` handle;
     * ``(time, sequence, callback, arg)`` quadruples for
       :meth:`push_fast` — the handle-free fast shape (such entries cannot
-      be cancelled).  :meth:`Simulator.post`/:meth:`Simulator.post_at`
-      wrap it for the model layer, and the single hottest model site
-      (:meth:`repro.ethernet.link.LinkTransmitter._start_next`) inlines
-      the same entry shape; keep the three in sync.
+      be cancelled).  :meth:`Simulator.post`/:meth:`Simulator.post_at`/
+      :meth:`Simulator.post_now` wrap it for the model layer, and the
+      hop-path sites of :mod:`repro.ethernet` (link transmitters, switch
+      ingress, shaper releases, traffic sources) inline the same entry
+      shape; keep them in sync.
 
     The engine's inlined run loop reaches into :attr:`_heap` directly and
     discriminates the two shapes by length.

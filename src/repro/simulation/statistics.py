@@ -14,8 +14,9 @@ Three collectors cover the needs of the evaluation harness:
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -55,11 +56,11 @@ class SummaryStatistics:
 class LatencyRecorder:
     """Accumulates latency samples and produces a :class:`SummaryStatistics`.
 
-    Samples live in a preallocated ``float64`` buffer grown geometrically
-    (amortised O(1) per sample, no per-sample Python float boxing kept
-    around), so a Monte-Carlo campaign recording millions of latencies
-    stays cheap and :meth:`summary` reduces the buffer in one numpy pass
-    instead of converting a Python list first.
+    Samples live in an ``array('d')`` (C doubles, amortised O(1) appends,
+    no per-sample Python float kept around).  :meth:`summary` reads the
+    buffer through ``np.frombuffer`` and reduces it in one numpy pass, and
+    the simulator appends delivered latencies straight into it through
+    :attr:`sink`.
 
     Parameters
     ----------
@@ -67,26 +68,17 @@ class LatencyRecorder:
         A label used in reports (e.g. the flow or priority-class name).
     """
 
-    __slots__ = ("name", "_buffer", "_count")
-
-    #: Initial buffer capacity (doubles on overflow).
-    _INITIAL_CAPACITY = 256
+    __slots__ = ("name", "_samples")
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._buffer = np.empty(self._INITIAL_CAPACITY, dtype=np.float64)
-        self._count = 0
+        self._samples = array("d")
 
     def record(self, latency: float) -> None:
         """Add one latency sample (seconds)."""
         if latency < 0:
             raise ValueError(f"latency must be non-negative, got {latency!r}")
-        count = self._count
-        buffer = self._buffer
-        if count == buffer.shape[0]:
-            buffer = self._grow(2 * count)
-        buffer[count] = latency
-        self._count = count + 1
+        self._samples.append(latency)
 
     def extend(self, latencies: Iterable[float]) -> None:
         """Add many latency samples at once."""
@@ -96,49 +88,50 @@ class LatencyRecorder:
         if np.any(values < 0):
             worst = float(values.min())
             raise ValueError(f"latency must be non-negative, got {worst!r}")
-        count = self._count
-        needed = count + values.size
-        if needed > self._buffer.shape[0]:
-            self._grow(max(needed, 2 * self._buffer.shape[0]))
-        self._buffer[count:needed] = values
-        self._count = needed
+        self._samples.frombytes(values.tobytes())
 
-    def _grow(self, capacity: int) -> np.ndarray:
-        """Reallocate the sample buffer to at least ``capacity`` slots."""
-        buffer = np.empty(capacity, dtype=np.float64)
-        buffer[:self._count] = self._buffer[:self._count]
-        self._buffer = buffer
-        return buffer
+    @property
+    def sink(self) -> Callable[[float], None]:
+        """The buffer's own ``append``: adds one sample, unchecked.
+
+        For producers that guarantee non-negative samples (a delivery's
+        latency never is negative); one C-level call per sample.
+        """
+        return self._samples.append
+
+    def _view(self) -> np.ndarray:
+        """The samples as a read-only ``float64`` array (no copy)."""
+        return np.frombuffer(self._samples, dtype=np.float64)
 
     @property
     def count(self) -> int:
         """Number of samples recorded so far."""
-        return self._count
+        return len(self._samples)
 
     @property
     def samples(self) -> list[float]:
         """A copy of the recorded samples, in insertion order."""
-        return self._buffer[:self._count].tolist()
+        return self._samples.tolist()
 
     @property
     def maximum(self) -> float:
         """Largest sample, or NaN if empty."""
-        if self._count == 0:
+        if not self._samples:
             return float("nan")
-        return float(self._buffer[:self._count].max())
+        return float(self._view().max())
 
     @property
     def minimum(self) -> float:
         """Smallest sample, or NaN if empty."""
-        if self._count == 0:
+        if not self._samples:
             return float("nan")
-        return float(self._buffer[:self._count].min())
+        return float(self._view().min())
 
     def summary(self) -> SummaryStatistics:
         """Compute the full summary of the samples recorded so far."""
-        if self._count == 0:
+        if not self._samples:
             return SummaryStatistics.empty()
-        data = self._buffer[:self._count]
+        data = self._view()
         p50, p95, p99 = np.percentile(data, (50, 95, 99))
         return SummaryStatistics(
             count=int(data.size),

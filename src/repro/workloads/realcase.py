@@ -107,12 +107,46 @@ class RealCaseParameters:
                 "period weights must be non-negative numbers")
         if abs(sum(self.period_weights) - 1.0) > 1e-9:
             raise InvalidWorkloadError("period weights must sum to 1")
+        if len(self.periodic_word_ranges) != len(PERIOD_LADDER):
+            raise InvalidWorkloadError(
+                f"periodic word ranges need one entry per ladder period "
+                f"({len(PERIOD_LADDER)}), got {len(self.periodic_word_ranges)}")
+        for label, word_range in (
+                *((f"periodic word range {index}", word_range)
+                  for index, word_range
+                  in enumerate(self.periodic_word_ranges)),
+                ("urgent words", self.urgent_words),
+                ("medium words", self.medium_words),
+                ("background words", self.background_words)):
+            _check_word_range(label, word_range)
+        for label, index in (
+                ("mission computer index", self.mission_computer_index),
+                ("concentrator index", self.concentrator_index)):
+            if not 0 <= index < self.station_count:
+                raise InvalidWorkloadError(
+                    f"{label} must name one of the {self.station_count} "
+                    f"stations (0 to {self.station_count - 1}), got {index!r}")
         if self.mission_computer_index == self.concentrator_index:
             raise InvalidWorkloadError(
                 "mission computer and concentrator must be different stations")
         if not 0.0 <= self.convergence_ratio <= 1.0:
             raise InvalidWorkloadError(
                 "convergence ratio must be between 0 and 1")
+        if not self.medium_deadlines:
+            raise InvalidWorkloadError(
+                "medium deadlines must list at least one deadline")
+        if not all(deadline > 0.0 for deadline
+                   in (self.urgent_deadline, *self.medium_deadlines)):
+            raise InvalidWorkloadError(
+                "urgent and medium deadlines must be positive")
+
+
+def _check_word_range(label: str, word_range: tuple[int, int]) -> None:
+    """Refuse a word range ``(low, high)`` generation cannot draw from."""
+    low, high = word_range
+    if not 1 <= low <= high:
+        raise InvalidWorkloadError(
+            f"{label} must satisfy 1 <= low <= high, got {word_range!r}")
 
 
 def _station_name(index: int) -> str:

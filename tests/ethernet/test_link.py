@@ -5,8 +5,10 @@ import pytest
 from repro import Message, PriorityClass, units
 from repro.ethernet.frame import MessageInstance, frames_for_instance
 from repro.ethernet.link import LinkTransmitter
+from repro.ethernet.switch import EthernetSwitch
 from repro.shaping import FifoQueue, StrictPriorityQueues
 from repro.simulation import Simulator
+from repro.simulation.trace import TraceRecorder
 
 
 def make_frame(size_words=16, priority=PriorityClass.PERIODIC, name="m"):
@@ -142,3 +144,85 @@ class TestValidation:
         transmitter = make_transmitter(sim, [])
         with pytest.raises(Exception):
             transmitter.utilization(0.0)
+
+
+def _replay(queue, traced):
+    """Feed one mixed-priority frame pattern through a transmitter."""
+    sim = Simulator()
+    delivered = []
+    transmitter = LinkTransmitter(
+        simulator=sim, name="a->b", capacity=units.mbps(10),
+        propagation_delay=0.0, queue=queue,
+        deliver=lambda frame: delivered.append((frame.flow_name,
+                                                repr(sim.now))),
+        trace=TraceRecorder(enabled=traced))
+    classes = tuple(PriorityClass)
+    for index in range(40):
+        frame = make_frame(size_words=1 + (index * 7) % 32,
+                           priority=classes[(index * 3) % 4],
+                           name=f"m{index}")
+        sim.post(0.0001 * (index // 3), transmitter.enqueue, frame)
+    sim.run()
+    return (delivered, repr(transmitter.busy_time), repr(queue.max_occupancy),
+            repr(queue.occupancy), queue.drops, sim.events_processed)
+
+
+class TestFastPaths:
+    """Untraced unbounded queues push, pop and cut through inline; traced
+    runs and bounded queues keep ``queue.push``/``queue.pop``."""
+
+    @pytest.mark.parametrize("make_queue", [
+        FifoQueue, StrictPriorityQueues,
+        lambda: FifoQueue(capacity=2_000.0),
+        lambda: StrictPriorityQueues(capacity_per_class=2_000.0)],
+        ids=["fifo", "priority", "bounded-fifo", "bounded-priority"])
+    def test_untraced_runs_match_the_traced_reference(self, make_queue):
+        untraced = _replay(make_queue(), traced=False)
+        assert untraced == _replay(make_queue(), traced=True)
+
+    def test_idle_cut_through_accounts_the_frame_in_bits(self):
+        sim = Simulator()
+        queue = StrictPriorityQueues()
+        transmitter = make_transmitter(sim, [], queue=queue)
+        frame = make_frame(priority=PriorityClass.URGENT)
+        transmitter.enqueue(frame)
+        lane = queue.queue(PriorityClass.URGENT)
+        # Straight onto the wire: nothing waits, and the maximum is the
+        # float occupancy push-then-pop would have left behind.
+        assert len(queue) == 0
+        assert lane.occupancy == 0.0
+        assert repr(lane.max_occupancy) == repr(0.0 + frame.size)
+        assert isinstance(lane.max_occupancy, float)
+
+
+class TestSwitchRelay:
+    def _wire(self, traced):
+        sim = Simulator()
+        trace = TraceRecorder(enabled=traced)
+        delivered = []
+        switch = EthernetSwitch(sim, "sw", technology_delay=1e-5,
+                                trace=trace)
+        port = LinkTransmitter(simulator=sim, name="sw->b",
+                               capacity=units.mbps(10), propagation_delay=0.0,
+                               queue=FifoQueue(), trace=trace,
+                               deliver=lambda f: delivered.append(sim.now))
+        switch.attach_output_port("b", port)
+        switch.add_forwarding_entry("b", "b")
+        uplink = LinkTransmitter(simulator=sim, name="a->sw",
+                                 capacity=units.mbps(10),
+                                 propagation_delay=0.0, queue=FifoQueue(),
+                                 deliver=switch.receive, trace=trace,
+                                 relay=switch.ingress)
+        for _ in range(3):
+            uplink.enqueue(make_frame())
+        sim.run()
+        return delivered, sim.events_processed, trace
+
+    def test_relay_posts_what_receive_posts(self):
+        relayed, relayed_events, _ = self._wire(traced=False)
+        received, received_events, trace = self._wire(traced=True)
+        assert relayed == received
+        assert relayed_events == received_events
+        # Traced runs go through receive, which records the reception.
+        assert sum(entry.category == "switch.receive"
+                   for entry in trace) == 3

@@ -205,3 +205,106 @@ class TestFastPathScheduling:
             sim2.post(float(index), fired.append, index)
         sim2.run(max_events=2)
         assert sim2.events_processed == 2
+
+
+class TestSameInstantSlot:
+    """post_now parks an entry due now; firing order stays the heap's."""
+
+    def test_post_now_fires_at_the_current_instant(self):
+        sim = Simulator()
+        fired = []
+        sim.post(1.0, lambda _: sim.post_now(fired.append, sim.now), None)
+        sim.run()
+        assert fired == [1.0]
+        assert sim.events_processed == 2
+
+    def test_an_entry_due_at_the_same_instant_keeps_its_place(self):
+        sim = Simulator()
+        fired = []
+
+        def first(_):
+            fired.append("first")
+            sim.post_now(fired.append, "parked")
+            sim.post(0.0, fired.append, "later")
+
+        sim.post(1.0, first, None)
+        sim.post(1.0, fired.append, "tied")
+        sim.run()
+        assert fired == ["first", "tied", "parked", "later"]
+        assert sim.events_processed == 4
+
+    def test_a_second_post_now_goes_behind_the_first(self):
+        sim = Simulator()
+        fired = []
+
+        def first(_):
+            sim.post_now(fired.append, "a")
+            sim.post_now(fired.append, "b")
+
+        sim.post(1.0, first, None)
+        sim.run()
+        assert fired == ["a", "b"]
+
+    def test_a_parked_entry_outlives_stop(self):
+        sim = Simulator()
+        fired = []
+
+        def first(_):
+            sim.post_now(fired.append, "parked")
+            sim.stop()
+
+        sim.post(1.0, first, None)
+        sim.run()
+        assert fired == []
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["parked"]
+        assert sim.now == 1.0
+
+    def test_step_and_bounded_runs_take_parked_entries(self):
+        sim = Simulator()
+        fired = []
+        sim.post_now(fired.append, "a")
+        assert sim.pending_events == 1
+        assert sim.step()
+        assert fired == ["a"]
+        sim.post(1.0, lambda _: sim.post_now(fired.append, "b"), None)
+        sim.post(3.0, fired.append, "c")
+        sim.run(until=2.0)
+        assert fired == ["a", "b"]
+        assert sim.now == 2.0
+        assert sim.pending_events == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_programs_fire_as_with_post(self, seed):
+        """The slot reproduces ``post(0, ...)``'s order on tie-heavy runs."""
+        import random
+
+        def replay(use_slot):
+            rng = random.Random(seed)
+            plan = {}
+            sim = Simulator()
+            fired = []
+
+            def fire(label):
+                fired.append((sim.now, label))
+                if label not in plan:
+                    plan[label] = [
+                        (rng.random() < 0.5, rng.choice((0.0, 0.0, 0.5, 1.0)))
+                        for _ in range(rng.randrange(3))
+                    ] if len(plan) < 400 else []
+                for index, (now, delay) in enumerate(plan[label]):
+                    child = f"{label}.{index}"
+                    if now and use_slot:
+                        sim.post_now(fire, child)
+                    elif now:
+                        sim.post(0.0, fire, child)
+                    else:
+                        sim.post(delay, fire, child)
+
+            for root in range(6):
+                sim.post(float(root % 3), fire, str(root))
+            sim.run()
+            return fired, sim.events_processed, sim.now
+
+        assert replay(True) == replay(False)

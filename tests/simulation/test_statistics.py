@@ -138,11 +138,11 @@ class TestSafeMax:
 
 
 class TestLatencyRecorderBuffer:
-    """The amortized-growth array buffer behind the recorder."""
+    """The ``array('d')`` sample buffer behind the recorder."""
 
     def test_growth_beyond_initial_capacity(self):
         recorder = LatencyRecorder()
-        count = LatencyRecorder._INITIAL_CAPACITY * 4 + 3
+        count = 1027
         for index in range(count):
             recorder.record(float(index))
         assert recorder.count == count
@@ -151,9 +151,30 @@ class TestLatencyRecorderBuffer:
 
     def test_extend_grows_in_one_step(self):
         recorder = LatencyRecorder()
-        values = [float(i) for i in range(LatencyRecorder._INITIAL_CAPACITY * 3)]
+        values = [float(i) for i in range(768)]
         recorder.extend(values)
         assert recorder.samples == values
+
+    def test_sink_appends_like_record(self):
+        recorder = LatencyRecorder()
+        reference = LatencyRecorder()
+        sink = recorder.sink
+        for index in range(300):
+            sink(0.001 * index)
+            reference.record(0.001 * index)
+        assert recorder.samples == reference.samples
+        assert recorder.summary() == reference.summary()
+
+    def test_recording_continues_after_a_summary(self):
+        # summary() reads the buffer through a numpy view; the view must be
+        # gone once it returns, or the array could no longer grow.
+        recorder = LatencyRecorder()
+        recorder.record(0.002)
+        first = recorder.summary()
+        recorder.sink(0.004)
+        recorder.extend([0.006])
+        assert recorder.maximum == 0.006
+        assert recorder.summary().count == first.count + 2
 
     def test_extend_rejects_negative_values_atomically(self):
         recorder = LatencyRecorder()

@@ -181,3 +181,56 @@ class TestParameterValidation:
     def test_convergence_ratio_bounds(self):
         with pytest.raises(InvalidWorkloadError):
             RealCaseParameters(convergence_ratio=1.5)
+
+    def test_empty_medium_deadlines_rejected(self):
+        with pytest.raises(InvalidWorkloadError, match="medium deadlines"):
+            RealCaseParameters(medium_deadlines=())
+
+    @pytest.mark.parametrize("overrides", [
+        {"urgent_deadline": 0.0},
+        {"urgent_deadline": -units.ms(3)},
+        {"urgent_deadline": float("nan")},
+        {"medium_deadlines": (units.ms(20), 0.0)},
+        {"medium_deadlines": (-units.ms(40),)},
+    ], ids=["urgent-zero", "urgent-negative", "urgent-nan", "medium-zero",
+            "medium-negative"])
+    def test_non_positive_deadlines_rejected(self, overrides):
+        with pytest.raises(InvalidWorkloadError, match="positive"):
+            RealCaseParameters(**overrides)
+
+    @pytest.mark.parametrize("overrides", [
+        {"urgent_words": (3, 1)},
+        {"urgent_words": (0, 2)},
+        {"medium_words": (7, 6)},
+        {"background_words": (-1, 64)},
+        {"periodic_word_ranges": ((1, 8), (4, 16), (32, 8), (8, 24))},
+    ], ids=["urgent-reversed", "urgent-zero", "medium-reversed",
+            "background-negative", "periodic-reversed"])
+    def test_unusable_word_ranges_rejected(self, overrides):
+        with pytest.raises(InvalidWorkloadError, match="low <= high"):
+            RealCaseParameters(**overrides)
+
+    def test_one_word_range_per_ladder_period(self):
+        with pytest.raises(InvalidWorkloadError, match="ladder"):
+            RealCaseParameters(periodic_word_ranges=((1, 8), (4, 16)))
+
+    @pytest.mark.parametrize("overrides", [
+        {"mission_computer_index": 40},
+        {"mission_computer_index": -1},
+        {"concentrator_index": 16},
+        {"station_count": 6, "concentrator_index": 6},
+    ], ids=["mission-40", "mission-negative", "concentrator-16",
+            "concentrator-past-6"])
+    def test_sink_indices_name_existing_stations(self, overrides):
+        with pytest.raises(InvalidWorkloadError, match="stations"):
+            RealCaseParameters(**overrides)
+
+    def test_single_word_ranges_and_last_station_sinks_generate(self):
+        parameters = RealCaseParameters(
+            station_count=5, urgent_words=(2, 2), mission_computer_index=4,
+            concentrator_index=3, medium_deadlines=(units.ms(40),))
+        message_set = generate_real_case(parameters, seed=1)
+        destinations = {message.destination for message in message_set}
+        assert "station-04" in destinations
+        assert all(message.destination != "station-05"
+                   for message in message_set)
