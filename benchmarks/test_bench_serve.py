@@ -18,6 +18,11 @@ the paper's warm 16-station case study and measures four paths:
   mutations/s: per-class O(1) updates, one flow fragment encoded per
   state fingerprint, and no result-store round trip.
 
+The submit and mutation paths are each timed :data:`SERVE_REPEATS`
+times and their floors apply to the median rate, so one pass slowed by
+another process on the machine does not fail the gate; the table shows
+the slowest and fastest repeat beside the median.
+
 The measured numbers land in ``benchmarks/results/serve_throughput.
 {csv,txt}`` and the docs-facing keys in ``BENCH_values.json`` (the
 committed file ``tools/docgen.py`` substitutes into README.md).
@@ -25,6 +30,7 @@ committed file ``tools/docgen.py`` substitutes into README.md).
 
 from __future__ import annotations
 
+import statistics
 import threading
 import time
 
@@ -56,6 +62,9 @@ SUBMIT_QUERIES = 3000
 HTTP_QUERIES, HTTP_THREADS = 400, 4
 #: Admit+remove pairs through the incremental engine.
 MUTATION_PAIRS = 300
+#: Timed repeats of the submit and mutation paths; each floor applies
+#: to the median of its path's repeats.
+SERVE_REPEATS = 3
 
 DEADLINE = 0.25
 
@@ -64,6 +73,13 @@ def _flow(index: int) -> dict:
     return {"name": f"bench-flow-{index}", "kind": "sporadic",
             "period": 1.0, "size": 100.0, "source": "station-00",
             "destination": "station-01", "deadline": None}
+
+
+def _rate(operations: int, run) -> float:
+    """Operations per second of one timed call of ``run``."""
+    started = time.perf_counter()
+    run()
+    return operations / (time.perf_counter() - started)
 
 
 def test_bench_serve_throughput(report, bench_values):
@@ -90,11 +106,14 @@ def test_bench_serve_throughput(report, bench_values):
         client.close()
 
         # -- admission boundary: queue + watchdog + engine ----------------
-        started = time.perf_counter()
-        for _ in range(SUBMIT_QUERIES):
-            status, _, _ = server.submit("check", None)
-            assert status == 200
-        submit_qps = SUBMIT_QUERIES / (time.perf_counter() - started)
+        def _submit_checks() -> None:
+            for _ in range(SUBMIT_QUERIES):
+                status, _, _ = server.submit("check", None)
+                assert status == 200
+
+        submit_rates = [_rate(SUBMIT_QUERIES, _submit_checks)
+                        for _ in range(SERVE_REPEATS)]
+        submit_qps = statistics.median(submit_rates)
         submit_p99 = server.p99_latency()
 
         # -- concurrent HTTP round trip -----------------------------------
@@ -116,16 +135,18 @@ def test_bench_serve_throughput(report, bench_values):
             / (time.perf_counter() - started)
 
         # -- mutation path: incremental admit + remove pairs --------------
-        started = time.perf_counter()
-        for index in range(MUTATION_PAIRS):
-            status, body, _ = server.submit("admit", _flow(index),
-                                            force=True)
-            assert status == 200 and body["applied"], body
-            status, body, _ = server.submit("remove",
-                                            f"bench-flow-{index}")
-            assert status == 200 and body["applied"], body
-        mutation_ops = 2 * MUTATION_PAIRS \
-            / (time.perf_counter() - started)
+        def _mutations() -> None:
+            for index in range(MUTATION_PAIRS):
+                status, body, _ = server.submit("admit", _flow(index),
+                                                force=True)
+                assert status == 200 and body["applied"], body
+                status, body, _ = server.submit("remove",
+                                                f"bench-flow-{index}")
+                assert status == 200 and body["applied"], body
+
+        mutation_rates = [_rate(2 * MUTATION_PAIRS, _mutations)
+                          for _ in range(SERVE_REPEATS)]
+        mutation_ops = statistics.median(mutation_rates)
         worker_p99 = server.p99_latency()
         stats = server.stats_payload()
         assert stats["degraded"] == 0, "a warm server must never degrade"
@@ -138,10 +159,15 @@ def test_bench_serve_throughput(report, bench_values):
         "Admission service: warm-server throughput and latency",
         ["metric", "value"],
         [("submit_qps", f"{submit_qps:.0f}"),
+         ("submit_qps_min", f"{min(submit_rates):.0f}"),
+         ("submit_qps_max", f"{max(submit_rates):.0f}"),
          ("http_qps", f"{http_qps:.0f}"),
          ("keepalive_round_trip_ms",
           f"{keepalive_s / KEEPALIVE_ROUND_TRIPS * 1e3:.3f}"),
          ("mutation_ops_per_s", f"{mutation_ops:.0f}"),
+         ("mutation_ops_per_s_min", f"{min(mutation_rates):.0f}"),
+         ("mutation_ops_per_s_max", f"{max(mutation_rates):.0f}"),
+         ("timed_repeats", SERVE_REPEATS),
          ("worker_p99_ms", f"{worker_p99 * 1e3:.3f}"),
          ("deadline_budget_ms", f"{DEADLINE * 1e3:.0f}"),
          ("incremental_hits", engine.incremental_hits),
@@ -161,8 +187,8 @@ def test_bench_serve_throughput(report, bench_values):
 
     assert submit_qps >= QUERY_FLOOR_QPS, (
         f"warm server sustained only {submit_qps:.0f} queries/s at the "
-        f"admission boundary (floor {QUERY_FLOOR_QPS:.0f}) — the serve "
-        f"path has regressed")
+        f"admission boundary (median of {SERVE_REPEATS}, floor "
+        f"{QUERY_FLOOR_QPS:.0f}) — the serve path has regressed")
     assert submit_p99 <= P99_FLOOR_S and worker_p99 <= P99_FLOOR_S, (
         f"worker p99 {max(submit_p99, worker_p99) * 1e3:.1f} ms over the "
         f"{P99_FLOOR_S * 1e3:.0f} ms floor — requests are at risk of "
@@ -176,5 +202,5 @@ def test_bench_serve_throughput(report, bench_values):
         f"queries/s (floor {HTTP_FLOOR_QPS:.0f})")
     assert mutation_ops >= MUTATION_FLOOR_OPS, (
         f"the mutation path sustained only {mutation_ops:.0f} ops/s "
-        f"(floor {MUTATION_FLOOR_OPS:.0f}) — admit/remove is no longer "
-        f"incremental")
+        f"(median of {SERVE_REPEATS}, floor {MUTATION_FLOOR_OPS:.0f}) — "
+        f"admit/remove is no longer incremental")

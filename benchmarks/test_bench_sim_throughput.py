@@ -33,7 +33,7 @@ from __future__ import annotations
 import time
 
 from repro import units
-from repro.analysis.validation import star_for_message_set
+from repro.analysis.validation import star_for_stations
 from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.simulation.campaign import SimulationCampaign
 
@@ -71,7 +71,8 @@ def _throughput(network, message_set, policy: str) -> float:
 
 
 def test_bench_sim_throughput(real_case, report):
-    network = star_for_message_set(real_case)
+    network = star_for_stations(real_case.stations(), units.mbps(10),
+                                units.us(16))
     rows = []
     speedups = {}
     for policy in ("fcfs", "strict-priority"):

@@ -12,14 +12,15 @@ Run with::
 """
 
 from repro import EthernetNetworkSimulator, generate_real_case, units
-from repro.analysis.validation import star_for_message_set, validate_bounds
+from repro.analysis.validation import star_for_stations, validate_bounds
 from repro.flows.priorities import PriorityClass
 from repro.reporting import format_ms, render_table, yes_no
 
 
 def main() -> None:
     message_set = generate_real_case()
-    network = star_for_message_set(message_set)
+    network = star_for_stations(message_set.stations(), units.mbps(10),
+                                units.us(16))
     print(f"Topology: {len(network.stations)} stations around "
           f"{len(network.switches)} switch, "
           f"{len(network.spec.links)} full-duplex 10 Mbps links\n")

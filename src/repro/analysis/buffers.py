@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro import units
-from repro.analysis.validation import star_for_message_set, wire_level_messages
+from repro.analysis.validation import (lower, simulate, wire_level_messages,
+                                       within_bound)
 from repro.core.netcalc import TokenBucketArrivalCurve, backlog_bound
 from repro.core.netcalc.service import RateLatencyServiceCurve
-from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.flows.message_set import MessageSet
 from repro.topology.network import Network
 
@@ -54,9 +54,9 @@ class PortBufferRequirement:
     @property
     def observed_within_bound(self) -> bool:
         """True when the observed occupancy stays below the bound (or NaN)."""
-        if self.observed_bits != self.observed_bits:
+        if math.isnan(self.observed_bits):
             return True
-        return self.observed_bits <= self.backlog_bits + 1e-9
+        return within_bound(self.observed_bits, self.backlog_bits)
 
 
 def buffer_requirements(message_set: MessageSet,
@@ -70,8 +70,8 @@ def buffer_requirements(message_set: MessageSet,
     (zero at station uplinks, ``t_techno`` at switch ports).
     """
     if network is None:
-        network = star_for_message_set(message_set,
-                                       technology_delay=technology_delay)
+        network = lower(message_set, capacity=units.mbps(10),
+                        technology_delay=technology_delay).network
     flows = network.route_flows(wire_level_messages(message_set))
 
     per_port: dict[tuple[str, str], list] = defaultdict(list)
@@ -97,25 +97,20 @@ def buffer_requirements(message_set: MessageSet,
 def validate_buffer_requirements(message_set: MessageSet,
                                  simulation_duration: float = units.ms(320),
                                  seed: int = 1,
-                                 technology_delay: float = units.us(16)
+                                 technology_delay: float = units.us(16),
+                                 capacity: float = units.mbps(10)
                                  ) -> list[PortBufferRequirement]:
     """Compare the analytic backlog bounds with simulated queue occupancy.
 
-    Runs the strict-priority simulation under synchronised releases and fills
-    :attr:`PortBufferRequirement.observed_bits` with the largest occupancy
-    each egress queue reached.
+    Runs the strict-priority simulation of the star at ``capacity`` under
+    synchronised releases and fills :attr:`PortBufferRequirement.
+    observed_bits` with the largest occupancy each egress queue reached.
     """
-    network = star_for_message_set(message_set,
-                                   technology_delay=technology_delay)
-    requirements = buffer_requirements(message_set, network,
-                                       technology_delay=technology_delay)
-    simulator = EthernetNetworkSimulator(network, message_set.messages,
-                                         policy="strict-priority",
-                                         scenario="synchronized", seed=seed)
-    results = simulator.run(duration=simulation_duration)
-    observed = results.max_queue_bits
-    return [PortBufferRequirement(
-        node=req.node, toward=req.toward, flow_count=req.flow_count,
-        backlog_bits=req.backlog_bits,
-        observed_bits=observed.get(f"{req.node}->{req.toward}", float("nan")))
-        for req in requirements]
+    inputs = lower(message_set, capacity=capacity,
+                   technology_delay=technology_delay)
+    observed = simulate(inputs, "strict-priority", seed=seed,
+                        duration=simulation_duration).max_queue_bits
+    return [replace(req, observed_bits=observed.get(
+                f"{req.node}->{req.toward}", math.nan))
+            for req in buffer_requirements(message_set, inputs.network,
+                                           technology_delay)]

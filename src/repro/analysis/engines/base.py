@@ -24,10 +24,12 @@ compute them a second time.
 
 Engines additionally expose ``network_class_bounds(messages, policy,
 network=..., graph_spec=..., template=...)`` for callers that already
-hold a concrete network (the fuzz and simulation layers), so the
-engine's math is applied to *exactly* the network the simulator runs
-on; ``template`` is the routed template of those messages on that
-network, when the caller has one.
+hold a concrete network, so the engine's math is applied to *exactly*
+the network the simulator runs on; ``template`` is the routed template
+of those messages on that network, when the caller has one.
+``network_bounds(inputs, policy)`` takes a :class:`ScenarioInputs`
+lowering instead and returns a :class:`NetworkBounds`; it is what the
+soundness check (:func:`repro.analysis.validation.check`) asks.
 
 Results carry per-class bounds with stability flags and a canonical-JSON
 fingerprint (:func:`repro.store.fingerprint`), so two processes agree on
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol,
                     runtime_checkable)
 
@@ -47,6 +50,7 @@ from repro.store import fingerprint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.campaigns.scenario import Scenario
+    from repro.flows.flow import Flow
     from repro.flows.messages import Message
     from repro.topology.graph import GraphTopologySpec
     from repro.topology.network import Network
@@ -61,6 +65,7 @@ __all__ = [
     "BoundEngine",
     "ScenarioBoundEngine",
     "ScenarioInputs",
+    "NetworkBounds",
     "scenario_inputs",
     "present_classes",
 ]
@@ -201,46 +206,55 @@ def present_classes(messages: Iterable) -> list[PriorityClass]:
     return sorted({priority_of(message) for message in messages})
 
 
-class ScenarioInputs(NamedTuple):
-    """One lowered scenario, shared by every engine × policy run."""
+@dataclass
+class ScenarioInputs:
+    """One lowered workload (:func:`repro.analysis.validation.lower`),
+    shared by every engine, policy and simulation; each routing is made
+    on first use and kept."""
 
-    #: The scenario's messages, sized at wire level.
+    #: The messages the stations send, as the workload states them.
+    unsized: "list[Message]"
+    #: ``unsized`` sized at wire level (what every bound engine analyses).
     messages: "list[Message]"
     network: "Network"
     #: The graph topology behind ``network``; ``None`` for stars.
     graph_spec: "GraphTopologySpec | None"
-    #: ``messages`` routed on ``network`` (:func:`network_template`).
-    template: RoutedTemplate
+
+    @cached_property
+    def template(self) -> RoutedTemplate:
+        """``messages`` routed on ``network`` (:func:`network_template`)."""
+        return network_template(self.network, self.messages)
+
+    @cached_property
+    def flows(self) -> "list[Flow]":
+        """``unsized`` routed on ``network``: the simulator's flows."""
+        return self.network.route_flows(self.unsized)
+
+
+class NetworkBounds(NamedTuple):
+    """One engine's verdict on one lowered network under one policy."""
+
+    #: ``{class: worst-case delay bound}``; ``inf`` when unbounded.
+    classes: dict[PriorityClass, float]
+    #: ``{(node, toward): backlog bound in bits}``; empty when not bounded.
+    ports: dict[tuple[str, str], float]
+    #: Switch hops of each class' worst flow; empty when not known.
+    hops: dict[PriorityClass, int]
 
 
 def scenario_inputs(scenario: "Scenario") -> ScenarioInputs:
-    """The wire messages, network, graph spec and routes of one scenario.
+    """The :func:`~repro.analysis.validation.lower` of one scenario: its
+    graph topology, or the single-switch star for every other kind."""
+    from repro.analysis.validation import lower
 
-    This is the shared scenario-to-network lowering of every engine:
-    the workload is built, sized at wire level (the simulators transmit
-    whole Ethernet frames), and attached to either the scenario's graph
-    topology or the same single-switch star the fuzz harness simulates
-    — so engine bounds and simulated floors always describe the same
-    physical network.  The messages are routed here, once; neither the
-    engine nor the policy changes a route.
-    """
-    from repro.analysis.validation import (star_for_stations,
-                                           wire_level_messages)
-
-    message_set = scenario.workload.build()
-    wire_messages = wire_level_messages(message_set)
+    graph_spec = None
     if scenario.topology.kind == "graph":
         graph_spec = scenario.topology.build_graph(
             scenario.workload.total_stations, scenario.capacity,
             scenario.technology_delay)
-        network = graph_spec.to_network()
-    else:
-        graph_spec = None
-        network = star_for_stations(message_set.stations(),
-                                    scenario.capacity,
-                                    scenario.technology_delay)
-    return ScenarioInputs(wire_messages, network, graph_spec,
-                          network_template(network, wire_messages))
+    return lower(scenario.workload.build(), capacity=scenario.capacity,
+                 technology_delay=scenario.technology_delay,
+                 graph_spec=graph_spec)
 
 
 class ScenarioBoundEngine:
@@ -267,10 +281,15 @@ class ScenarioBoundEngine:
         """
         if inputs is None:
             inputs = scenario_inputs(scenario)
-        mapping = self.network_class_bounds(
+        return EngineResult.from_mapping(
+            self.name, policy, self.network_bounds(inputs, policy).classes)
+
+    def network_bounds(self, inputs: ScenarioInputs,
+                       policy: str) -> NetworkBounds:
+        """The engine's verdict on a lowered workload (class bounds only)."""
+        return NetworkBounds(self.network_class_bounds(
             inputs.messages, policy, network=inputs.network,
-            graph_spec=inputs.graph_spec, template=inputs.template)
-        return EngineResult.from_mapping(self.name, policy, mapping)
+            graph_spec=inputs.graph_spec, template=inputs.template), {}, {})
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",

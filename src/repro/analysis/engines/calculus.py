@@ -8,10 +8,10 @@ analysis paths and is **bit-identical** to them by construction:
   :func:`repro.core.multiplexer.single_point_rows` (whose docstring
   states the multi-hop composition rule) or, on graph topologies,
   :meth:`repro.analysis.multihop.MultiHopAnalysisResult.class_rows`,
-* network-level bounds (the fuzz/simulation floor checks) reuse
+* network-level bounds (:meth:`CalculusEngine.network_bounds`, the
+  floor of every bound-vs-simulation check) are
   :class:`repro.core.endtoend.EndToEndAnalysis` on stars and
-  ``GraphPathAnalysis`` on graphs — exactly the code the fuzz harness
-  has always validated against the simulator.
+  ``GraphPathAnalysis`` on graphs, with the graph's port backlogs.
 
 Every other engine is measured against this one: ``calculus`` is the
 reference both for soundness regressions and for the tightness ranking.
@@ -22,7 +22,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-from repro.analysis.engines.base import (EngineResult, ScenarioBoundEngine,
+from repro.analysis.engines.base import (EngineResult, NetworkBounds,
+                                         ScenarioBoundEngine,
                                          present_classes)
 from repro.core.multiplexer import aggregate_flows, single_point_rows
 from repro.errors import UnstableSystemError
@@ -94,30 +95,53 @@ class CalculusEngine(ScenarioBoundEngine):
             self.name, policy,
             {cls: bound for cls, (bound, _) in rows.items()})
 
+    def network_bounds(self, inputs: "ScenarioInputs",
+                       policy: str) -> NetworkBounds:
+        """Network-level bounds of a lowered workload (:meth:`_bounds`)."""
+        return self._bounds(inputs.messages, policy, inputs.network,
+                            inputs.graph_spec)
+
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",
                              graph_spec: "GraphTopologySpec | None" = None,
                              template: "RoutedTemplate | None" = None
                              ) -> dict[PriorityClass, float]:
-        """Network-level bounds, identical to the fuzz harness' floor.
+        """The class bounds of :meth:`_bounds` on ``network``."""
+        return self._bounds(list(messages), policy, network,
+                            graph_spec).classes
 
-        The calculus analyses route for themselves, so ``template`` is
-        not used.
+    @staticmethod
+    def _bounds(messages: "list[Message]", policy: str, network: "Network",
+                graph_spec: "GraphTopologySpec | None") -> NetworkBounds:
+        """Network-level bounds of ``messages`` on ``network``.
+
+        The one place that picks the network calculus composition: a
+        graph lowering is bounded path by path by
+        :class:`~repro.analysis.multihop.GraphPathAnalysis`, which also
+        bounds every port's backlog and reports the worst flow's switch
+        hops; a star by :class:`~repro.core.endtoend.EndToEndAnalysis`,
+        which reads an overloaded star as unbounded classes.  Both
+        analyses route for themselves, so no routed template is used.
         """
-        messages = list(messages)
         if graph_spec is not None:
             from repro.analysis.multihop import GraphPathAnalysis
 
             outcome = GraphPathAnalysis(
                 graph_spec, policy=policy).analyze(messages)
-            return {cls: bound.delay
-                    for cls, bound in outcome.worst_per_class().items()}
+            worst = outcome.worst_per_class()
+            return NetworkBounds(
+                {cls: bound.delay for cls, bound in worst.items()},
+                {(port.node, port.toward): port.backlog_bits
+                 for port in outcome.ports},
+                {cls: len(bound.hops) for cls, bound in worst.items()})
         from repro.core.endtoend import EndToEndAnalysis
 
         try:
             analytic = EndToEndAnalysis(
                 network, policy=policy).analyze(messages)
         except UnstableSystemError:
-            return {cls: math.inf for cls in present_classes(messages)}
-        return {cls: bound.total_delay
-                for cls, bound in analytic.worst_per_class().items()}
+            return NetworkBounds(
+                {cls: math.inf for cls in present_classes(messages)}, {}, {})
+        return NetworkBounds(
+            {cls: bound.total_delay
+             for cls, bound in analytic.worst_per_class().items()}, {}, {})

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from repro import units
-from repro.analysis.validation import star_for_message_set
-from repro.ethernet.network_sim import EthernetNetworkSimulator
+from repro.analysis.engines.base import ScenarioInputs
+from repro.analysis.validation import lower, simulate
 from repro.flows.message_set import MessageSet
 from repro.flows.priorities import PriorityClass, assign_priority
 from repro.milstd1553.bus import Milstd1553BusSimulator
@@ -80,19 +80,14 @@ def _rows_from_stream_samples(technology: str,
     return rows
 
 
-def _ethernet_jitter(message_set: MessageSet, policy: str, capacity: float,
-                     technology_delay: float, duration: float,
+def _ethernet_jitter(inputs: ScenarioInputs, policy: str, duration: float,
                      seed: int) -> list[JitterRow]:
-    network = star_for_message_set(message_set, capacity=capacity,
-                                   technology_delay=technology_delay)
-    simulator = EthernetNetworkSimulator(
-        network, message_set.messages, policy=policy, scenario="staggered",
-        seed=seed)
-    results = simulator.run(duration=duration)
+    results = simulate(inputs, policy, scenario="staggered", seed=seed,
+                       duration=duration)
     label = "ethernet-fcfs" if policy == "fcfs" else "ethernet-priority"
     per_stream = {name: recorder.samples
                   for name, recorder in results.flow_latencies.items()}
-    stream_class = {m.name: assign_priority(m) for m in message_set}
+    stream_class = {m.name: assign_priority(m) for m in inputs.unsized}
     return _rows_from_stream_samples(label, per_stream, stream_class)
 
 
@@ -114,10 +109,9 @@ def jitter_comparison(message_set: MessageSet,
                       duration: float = units.ms(640),
                       seed: int = 1) -> list[JitterRow]:
     """Per-class jitter under 1553B, Ethernet-FCFS and Ethernet-priority."""
-    rows: list[JitterRow] = []
-    rows.extend(_milstd1553_jitter(message_set, duration, seed))
-    rows.extend(_ethernet_jitter(message_set, "fcfs", capacity,
-                                 technology_delay, duration, seed))
-    rows.extend(_ethernet_jitter(message_set, "strict-priority", capacity,
-                                 technology_delay, duration, seed))
+    inputs = lower(message_set, capacity=capacity,
+                   technology_delay=technology_delay)
+    rows = _milstd1553_jitter(message_set, duration, seed)
+    for policy in ("fcfs", "strict-priority"):
+        rows.extend(_ethernet_jitter(inputs, policy, duration, seed))
     return rows

@@ -1,46 +1,76 @@
-"""E5 — analytic bounds vs simulated worst-case delays.
+"""E5 — analytic bounds vs simulated worst delays, through the one check.
 
-The paper only reports analytic bounds.  A credible reproduction must also
-show that those bounds *dominate* what actually happens on the network, so
-this experiment:
+The paper only reports analytic bounds; a credible reproduction must also
+show that they *dominate* what actually happens on the network.  Every
+site that does so (this experiment, buffer dimensioning, fuzz cells, the
+Monte-Carlo campaign, the report's multi-hop and engine exhibits) runs:
 
-1. builds the single-switch star topology of the case study and routes every
-   message through it,
-2. computes the per-flow end-to-end bounds with
-   :class:`repro.core.endtoend.EndToEndAnalysis` (FCFS and strict priority),
-3. simulates the same network with
-   :class:`repro.ethernet.EthernetNetworkSimulator` under the adversarial
-   *synchronised release* scenario,
-4. reports, per priority class, the analytic worst bound, the worst
-   simulated delay and whether the bound holds (it must).
+1. :func:`lower` — the unsized messages, their wire-level copies and the
+   network (the scenario's graph, else the single-switch star),
+2. :func:`engine_bounds` — every selected engine's verdict on the
+   wire-level messages, ``calculus`` first,
+3. :func:`simulate` — the simulator on the unsized messages of the same
+   network; :func:`check` sets each bound beside the simulated worst per
+   class, and each port's backlog bound beside its largest queue.
 
-The simulated values are typically well below the bounds (the analysis is a
-worst case over every arrival pattern the shapers allow), but they follow the
-same ordering across classes and policies.
+Every comparison uses :func:`within_bound` and :func:`tightness_of`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro import units
-from repro.core.endtoend import EndToEndAnalysis
+from repro.analysis.engines import DEFAULT_ENGINE, DEFAULT_ENGINES, get_engine
+from repro.analysis.engines.base import NetworkBounds, ScenarioInputs
 from repro.ethernet.frame import wire_burst
-from repro.ethernet.network_sim import EthernetNetworkSimulator
+from repro.ethernet.network_sim import (EthernetNetworkSimulator,
+                                        SimulationResults)
 from repro.flows.message_set import MessageSet
 from repro.flows.messages import Message
 from repro.flows.priorities import PriorityClass
-from repro.topology.builders import single_switch_star
 from repro.topology.graph import GraphLink, GraphNode, GraphTopologySpec
 from repro.topology.network import Network
 
 __all__ = [
+    "TOLERANCE",
+    "within_bound",
+    "tightness_of",
     "BoundValidationRow",
+    "PortValidationRow",
+    "Check",
+    "lower",
+    "engine_bounds",
+    "simulate",
+    "check",
     "validate_bounds",
-    "star_for_message_set",
     "star_for_stations",
     "wire_level_messages",
 ]
+
+#: Absolute slack of every "observation within its bound" comparison
+#: (seconds for delays, bits for backlogs): float noise, not physics.
+TOLERANCE = 1e-9
+
+
+def within_bound(observed: float, bound: float) -> bool:
+    """True when ``bound`` dominates ``observed``, up to :data:`TOLERANCE`."""
+    return observed <= bound + TOLERANCE
+
+
+def tightness_of(observed: float, bound: float) -> float:
+    """``observed / bound`` (1.0 = tight, small = loose).
+
+    ``nan`` whenever the ratio is meaningless: a non-positive or infinite
+    bound (an unstable configuration has nothing to be tight against) or
+    a ``nan`` observation (no samples).  An infinite bound must *not*
+    yield ``0.0`` — that would read as "infinitely slack" in aggregates
+    that a ``nan`` correctly opts out of.
+    """
+    if not math.isfinite(bound) or bound <= 0 or math.isnan(observed):
+        return math.nan
+    return observed / bound
 
 
 def wire_level_messages(message_set: MessageSet) -> list[Message]:
@@ -55,60 +85,11 @@ def wire_level_messages(message_set: MessageSet) -> list[Message]:
     return [message.with_size(wire_burst(message)) for message in message_set]
 
 
-@dataclass(frozen=True)
-class BoundValidationRow:
-    """Bound vs simulation for one (policy, priority class) pair."""
-
-    policy: str
-    priority: PriorityClass
-    analytic_bound: float
-    simulated_worst: float
-    simulated_mean: float
-    samples: int
-
-    @property
-    def bound_holds(self) -> bool:
-        """True when the analytic bound dominates the simulated worst case."""
-        return self.simulated_worst <= self.analytic_bound + 1e-9
-
-    @property
-    def tightness(self) -> float:
-        """Simulated worst divided by the bound (1.0 = tight, small = loose)."""
-        if self.analytic_bound <= 0:
-            return float("nan")
-        return self.simulated_worst / self.analytic_bound
-
-
-def star_for_message_set(message_set: MessageSet,
-                         capacity: float = units.mbps(10),
-                         technology_delay: float = units.us(16)) -> Network:
-    """The single-switch star connecting every station of a message set."""
-    stations = message_set.stations()
-    network = single_switch_star(station_count=len(stations),
-                                 capacity=capacity,
-                                 technology_delay=technology_delay)
-    # ``single_switch_star`` names stations station-00..station-NN in the
-    # same scheme as the workload generator, so the names line up; assert it
-    # to fail fast if a custom message set uses different names.
-    missing = set(stations) - set(network.stations)
-    if missing:
-        raise ValueError(
-            f"message-set stations {sorted(missing)} are not covered by the "
-            f"star topology; build the topology explicitly for custom names")
-    return network
-
-
 def star_for_stations(stations: "list[str] | tuple[str, ...]",
                       capacity: float,
                       technology_delay: float) -> Network:
-    """A single-switch star over arbitrary station names.
-
-    Unlike :func:`star_for_message_set` this accepts any station-name
-    scheme (the fuzz generator's replicated workloads use ``-rk``
-    suffixes the canonical builders do not know about), so it is the
-    network behind every fuzz cell and the star path of the bound
-    engines.
-    """
+    """A single-switch star over arbitrary station names (``-rk``
+    replica suffixes included): :func:`lower`'s network without a graph."""
     nodes = [GraphNode("switch-0", "switch",
                        technology_delay=float(technology_delay))]
     nodes.extend(GraphNode(station, "end-system") for station in stations)
@@ -118,6 +99,137 @@ def star_for_stations(stations: "list[str] | tuple[str, ...]",
                              nodes=tuple(nodes), links=links).to_network()
 
 
+def lower(message_set: MessageSet, *, capacity: float,
+          technology_delay: float,
+          graph_spec: GraphTopologySpec | None = None) -> ScenarioInputs:
+    """The one lowering of a workload, shared by its bounds and simulations.
+
+    The network is ``graph_spec``'s, else the star over the message set's
+    stations.  The engines bound the wire-level messages; the simulator
+    runs the unsized ones and frames them itself (wire-level sizes would
+    pay the framing overhead twice).
+    """
+    if graph_spec is not None:
+        network = graph_spec.to_network()
+    else:
+        network = star_for_stations(message_set.stations(), capacity,
+                                    technology_delay)
+    return ScenarioInputs(message_set.messages,
+                          wire_level_messages(message_set), network,
+                          graph_spec)
+
+
+@dataclass(frozen=True)
+class BoundValidationRow:
+    """One engine's bound vs the simulation for one (policy, class) pair."""
+
+    policy: str
+    priority: PriorityClass
+    analytic_bound: float
+    simulated_worst: float
+    simulated_mean: float
+    samples: int
+    engine: str = DEFAULT_ENGINE
+
+    @property
+    def bound_holds(self) -> bool:
+        """True when the analytic bound dominates the simulated worst case."""
+        return within_bound(self.simulated_worst, self.analytic_bound)
+
+    @property
+    def tightness(self) -> float:
+        """Simulated worst divided by the bound (:func:`tightness_of`)."""
+        return tightness_of(self.simulated_worst, self.analytic_bound)
+
+
+@dataclass(frozen=True)
+class PortValidationRow:
+    """A port's analytic backlog bound vs its largest observed queue."""
+
+    policy: str
+    #: Transmitting node of the directed port.
+    node: str
+    #: Neighbour the port transmits toward.
+    toward: str
+    #: Analytic backlog bound in bits (``inf`` when the port is unstable).
+    backlog_bound: float
+    #: Largest queue the simulator observed on the port, in bits.
+    observed_bits: float
+
+    @property
+    def bound_holds(self) -> bool:
+        """True when the backlog bound dominates the observed peak."""
+        return within_bound(self.observed_bits, self.backlog_bound)
+
+
+@dataclass(frozen=True)
+class Check:
+    """The bounds and the simulation of one lowered workload, side by side."""
+
+    #: Every evaluated engine's verdict, ``calculus`` first.
+    bounds: dict[str, NetworkBounds]
+    #: Per engine, then per class with samples: bound vs simulation.
+    rows: tuple[BoundValidationRow, ...]
+    #: Per port the ``calculus`` engine bounds, sorted by (node, toward).
+    ports: tuple[PortValidationRow, ...]
+    #: Simulation events processed and frames dropped.
+    events: int
+    dropped: int
+
+
+def engine_bounds(inputs: ScenarioInputs, policy: str,
+                  engines: "tuple[str, ...]" = DEFAULT_ENGINES
+                  ) -> dict[str, NetworkBounds]:
+    """Every engine's verdict on a lowering; the ``calculus`` reference
+    (the only one with port bounds) is always evaluated, first."""
+    return {name: get_engine(name).network_bounds(inputs, policy)
+            for name in dict.fromkeys(DEFAULT_ENGINES + tuple(engines))}
+
+
+def simulate(inputs: ScenarioInputs, policy: str, *,
+             scenario: str = "synchronized", seed: int = 1,
+             duration: float = units.ms(320)) -> SimulationResults:
+    """Simulate a lowering's unsized messages (routed once per lowering)
+    and release the finished model."""
+    simulator = EthernetNetworkSimulator(inputs.network, inputs.flows,
+                                         policy=policy, scenario=scenario,
+                                         seed=seed)
+    results = simulator.run(duration=duration)
+    simulator.release()
+    return results
+
+
+def check(inputs: ScenarioInputs, policy: str, *,
+          engines: "tuple[str, ...]" = DEFAULT_ENGINES,
+          scenario: str = "synchronized", seed: int = 1,
+          duration: float = units.ms(320)) -> Check:
+    """Bound and simulate one lowering under ``policy``, side by side."""
+    bounds = engine_bounds(inputs, policy, engines)
+    results = simulate(inputs, policy, scenario=scenario, seed=seed,
+                       duration=duration)
+    summaries = [(cls, results.class_summary(cls))
+                 for cls in sorted(PriorityClass)]
+    rows = tuple(
+        BoundValidationRow(
+            policy=policy, priority=cls,
+            analytic_bound=verdict.classes.get(cls, math.inf),
+            simulated_worst=summary.maximum,
+            simulated_mean=summary.mean, samples=summary.count,
+            engine=name)
+        for name, verdict in bounds.items()
+        for cls, summary in summaries if summary.count)
+    ports = tuple(
+        PortValidationRow(
+            policy=policy, node=node, toward=toward, backlog_bound=bits,
+            observed_bits=results.max_queue_bits.get(f"{node}->{toward}",
+                                                     0.0))
+        for (node, toward), bits in sorted(
+            bounds[DEFAULT_ENGINE].ports.items()))
+    return Check(bounds=bounds, rows=rows, ports=ports,
+                 events=results.events_processed,
+                 dropped=results.frames_dropped)
+
+
 def validate_bounds(message_set: MessageSet,
                     capacity: float = units.mbps(10),
                     technology_delay: float = units.us(16),
@@ -125,31 +237,13 @@ def validate_bounds(message_set: MessageSet,
                     seed: int = 1,
                     policies: tuple[str, ...] = ("fcfs", "strict-priority")
                     ) -> list[BoundValidationRow]:
-    """Run the bound-vs-simulation validation (experiment E5)."""
-    network = star_for_message_set(message_set, capacity=capacity,
-                                   technology_delay=technology_delay)
-    analysis_messages = wire_level_messages(message_set)
-    rows: list[BoundValidationRow] = []
-    for policy in policies:
-        analysis = EndToEndAnalysis(network, policy=policy)
-        analytic = analysis.analyze(analysis_messages)
-        worst_per_class = {cls: bound.total_delay
-                           for cls, bound in analytic.worst_per_class().items()}
+    """Run the bound-vs-simulation validation (experiment E5).
 
-        simulator = EthernetNetworkSimulator(
-            network, message_set.messages, policy=policy,
-            scenario="synchronized", seed=seed)
-        results = simulator.run(duration=simulation_duration)
-
-        for cls, analytic_bound in sorted(worst_per_class.items()):
-            summary = results.class_summary(cls)
-            if summary.count == 0:
-                continue
-            rows.append(BoundValidationRow(
-                policy=policy,
-                priority=cls,
-                analytic_bound=analytic_bound,
-                simulated_worst=summary.maximum,
-                simulated_mean=summary.mean,
-                samples=summary.count))
-    return rows
+    An overloaded link leaves its classes unbounded (``inf`` bound,
+    ``nan`` tightness); the simulation still runs.
+    """
+    inputs = lower(message_set, capacity=capacity,
+                   technology_delay=technology_delay)
+    return [row for policy in policies
+            for row in check(inputs, policy, seed=seed,
+                             duration=simulation_duration).rows]

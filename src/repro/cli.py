@@ -124,7 +124,7 @@ from repro.flows.message_set import MessageSet
 from repro.flows.priorities import PriorityClass
 from repro.topology.graph import load_topology_file
 from repro.topology.routing import RoutingEngine
-from repro.reporting import format_ms, render_table, yes_no
+from repro.reporting import format_bound, format_ms, render_table, yes_no
 from repro.workloads import (
     RealCaseParameters,
     generate_real_case,
@@ -235,7 +235,7 @@ def _command_validate(ctx: CommandContext) -> int:
                            technology_delay=ctx.technology_delay)
     _print(render_table(
         ["policy", "class", "bound", "simulated worst", "holds"],
-        [(row.policy, row.priority.name, format_ms(row.analytic_bound),
+        [(row.policy, row.priority.name, format_bound(row.analytic_bound),
           format_ms(row.simulated_worst), yes_no(row.bound_holds))
          for row in rows],
         title="Analytic bounds vs simulated worst delays"))
@@ -255,7 +255,8 @@ def _command_jitter(ctx: CommandContext) -> int:
 
 def _command_buffers(ctx: CommandContext) -> int:
     rows = validate_buffer_requirements(
-        ctx.message_set, technology_delay=ctx.technology_delay)
+        ctx.message_set, technology_delay=ctx.technology_delay,
+        capacity=ctx.capacity)
     _print(render_table(
         ["egress port", "flows", "backlog bound (bytes)",
          "observed max (bytes)", "within bound"],

@@ -56,6 +56,8 @@ class SimulationResults:
     frames_dropped: int = 0
     link_utilization: dict[str, float] = field(default_factory=dict)
     max_queue_bits: dict[str, float] = field(default_factory=dict)
+    #: Events the simulation kernel processed during the run.
+    events_processed: int = 0
 
     def flow_summary(self, flow_name: str) -> SummaryStatistics:
         """Latency summary of one flow."""
@@ -268,6 +270,7 @@ class EthernetNetworkSimulator:
             s.instances_received.value for s in self.stations.values())
         results.frames_dropped = sum(
             t.drops for t in self._transmitters.values())
+        results.events_processed = self.simulator.events_processed
         horizon = max(self.simulator.now, duration)
         for (upstream, downstream), transmitter in self._transmitters.items():
             key = f"{upstream}->{downstream}"

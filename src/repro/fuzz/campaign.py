@@ -40,14 +40,12 @@ from typing import Iterable, Sequence
 
 from repro import units
 from repro.analysis.engines import (DEFAULT_ENGINE, DEFAULT_ENGINES,
-                                    get_engine, resolve_engines)
-from repro.analysis.multihop import GraphPathAnalysis
-from repro.analysis.validation import star_for_stations, wire_level_messages
+                                    resolve_engines, scenario_inputs)
+from repro.analysis.validation import (PortValidationRow, check,
+                                       tightness_of, within_bound)
 from repro.campaigns.runner import CampaignRow, CampaignRunner
 from repro.campaigns.scenario import Scenario
-from repro.core.endtoend import EndToEndAnalysis
-from repro.errors import ConfigurationError, UnstableSystemError
-from repro.ethernet.network_sim import EthernetNetworkSimulator
+from repro.errors import ConfigurationError
 from repro.exec import ExecPolicy, ExecutionReport, ParallelExecutor
 from repro.flows.priorities import PriorityClass
 from repro.fuzz.generator import GeneratorConfig, ScenarioGenerator
@@ -59,8 +57,6 @@ from repro.reporting import (
     yes_no,
 )
 from repro.store import ResultStore, canonical_json
-from repro.topology.graph import GraphTopologySpec
-from repro.topology.network import Network
 
 __all__ = [
     "FuzzCell",
@@ -118,39 +114,18 @@ class FuzzBoundRow:
     @property
     def bound_holds(self) -> bool:
         """True when the bound dominates the simulated worst case."""
-        return self.worst_simulated <= self.analytic_bound + 1e-9
+        return within_bound(self.worst_simulated, self.analytic_bound)
 
     @property
     def tightness(self) -> float:
-        """Simulated worst over bound; ``nan`` without a finite bound."""
-        if not math.isfinite(self.analytic_bound) or self.analytic_bound <= 0:
-            return float("nan")
-        return self.worst_simulated / self.analytic_bound
+        """Simulated worst over bound (:func:`tightness_of`)."""
+        return tightness_of(self.worst_simulated, self.analytic_bound)
 
 
-@dataclass(frozen=True)
-class FuzzPortRow:
-    """Analytic per-port backlog bound vs observed queue peak (graph cells).
-
-    One row per ``(policy, directed port)`` of a ``"graph"`` scenario: the
-    multi-hop analysis bounds the worst backlog of every transmitter, and
-    the simulator reports the largest queue it actually built there.
-    """
-
-    policy: str
-    #: Transmitting node of the directed port.
-    node: str
-    #: Neighbour the port transmits toward.
-    toward: str
-    #: Analytic backlog bound in bits (``inf`` when the port is unstable).
-    backlog_bound: float
-    #: Largest queue the simulator observed on the port, in bits.
-    observed_bits: float
-
-    @property
-    def bound_holds(self) -> bool:
-        """True when the backlog bound dominates the observed peak."""
-        return self.observed_bits <= self.backlog_bound + 1e-9
+#: Analytic per-port backlog bound vs observed queue peak, one row per
+#: ``(policy, directed port)`` of a ``"graph"`` cell: the soundness
+#: check's port row.
+FuzzPortRow = PortValidationRow
 
 
 @dataclass(frozen=True)
@@ -177,14 +152,12 @@ class FuzzEngineRow:
     @property
     def bound_holds(self) -> bool:
         """True when the engine's bound dominates the simulated worst."""
-        return self.worst_simulated <= self.bound + 1e-9
+        return within_bound(self.worst_simulated, self.bound)
 
     @property
     def tightness(self) -> float:
-        """Simulated worst over bound; ``nan`` without a finite bound."""
-        if not math.isfinite(self.bound) or self.bound <= 0:
-            return float("nan")
-        return self.worst_simulated / self.bound
+        """Simulated worst over bound (:func:`tightness_of`)."""
+        return tightness_of(self.worst_simulated, self.bound)
 
 
 @dataclass(frozen=True)
@@ -570,127 +543,48 @@ def _evaluate_cell(cell: FuzzCell) -> FuzzOutcome:
     return outcome
 
 
-def _measure(cell: FuzzCell, runner: CampaignRunner) -> tuple[
-        tuple[tuple[CampaignRow, ...], tuple[FuzzBoundRow, ...],
-              tuple[FuzzPortRow, ...], int, int],
-        tuple[list, Network, GraphTopologySpec | None]]:
+def _measure(cell: FuzzCell, runner: CampaignRunner,
+             engines: tuple[str, ...] = DEFAULT_ENGINES
+             ) -> tuple[tuple[tuple[CampaignRow, ...],
+                              tuple[FuzzBoundRow, ...],
+                              tuple[FuzzPortRow, ...], int, int],
+                        tuple[FuzzEngineRow, ...]]:
     """One full evaluation of a cell through the given campaign runner.
 
     Returns ``((campaign_rows, bound_rows, port_rows, events_processed,
-    frames_dropped), (wire_messages, network, graph_spec))``: the
-    measurement, deterministic given the cell spec, and the inputs it
-    lowered the scenario to.  Legacy cells simulate on the shared star
-    (replicas use ``-rk`` station suffixes) and compare against the
-    single-point wire-level bound; ``"graph"`` cells simulate on their
-    routed topology and compare against the per-path and per-port bounds
-    of :class:`GraphPathAnalysis`.
+    frames_dropped), engine_rows)``: the measurement, deterministic given
+    the cell spec, and the rows of every requested engine beyond
+    ``calculus``.  The scenario is lowered here (:func:`scenario_inputs`)
+    and every policy runs the soundness check on it: legacy cells on the
+    shared star (replicas use ``-rk`` station suffixes) against the
+    wire-level end-to-end bound, ``"graph"`` cells on their routed
+    topology against the per-path and per-port bounds.
     """
     scenario = cell.scenario
     campaign_rows = tuple(runner.run([scenario]).results[0].rows)
-
-    message_set = scenario.workload.build()
-    graph_spec = None
-    if scenario.topology.kind == "graph":
-        graph_spec = scenario.topology.build_graph(
-            scenario.workload.total_stations, scenario.capacity,
-            scenario.technology_delay)
-        network = graph_spec.to_network()
-    else:
-        network = star_for_stations(message_set.stations(),
-                                    scenario.capacity,
-                                    scenario.technology_delay)
-    wire_messages = wire_level_messages(message_set)
-    # Routed once per evaluation (replicas materialised); every policy's
-    # simulator shares the routed flows.
-    flows = network.route_flows(message_set.messages)
-
-    bound_rows: list[FuzzBoundRow] = []
-    port_rows: list[FuzzPortRow] = []
-    events = dropped = 0
-    for policy in scenario.policies:
-        port_bounds: dict[tuple[str, str], float] = {}
-        if graph_spec is not None:
-            outcome = GraphPathAnalysis(graph_spec, policy=policy).analyze(
-                wire_messages)
-            bounds = {cls: bound.delay
-                      for cls, bound in outcome.worst_per_class().items()}
-            port_bounds = {(port.node, port.toward): port.backlog_bits
-                           for port in outcome.ports}
-        else:
-            try:
-                analytic = EndToEndAnalysis(network, policy=policy).analyze(
-                    wire_messages)
-                bounds = {
-                    cls: bound.total_delay
-                    for cls, bound in analytic.worst_per_class().items()}
-            except UnstableSystemError:
-                # Overloaded on-wire aggregate: every bound is infinite and
-                # the soundness invariant holds trivially; the simulation
-                # still runs so the cell exercises the saturated data path.
-                bounds = {}
-        simulator = EthernetNetworkSimulator(
-            network, flows, policy=policy,
-            scenario="synchronized", seed=cell.sim_seed)
-        results = simulator.run(duration=cell.duration)
-        events += simulator.simulator.events_processed
-        dropped += results.frames_dropped
-        simulator.release()
-        for cls in sorted(PriorityClass):
-            summary = results.class_summary(cls)
-            if summary.count == 0:
-                continue
-            bound_rows.append(FuzzBoundRow(
-                policy=policy,
-                priority=cls,
-                analytic_bound=bounds.get(cls, math.inf),
-                worst_simulated=summary.maximum,
-                mean_simulated=summary.mean,
-                samples=summary.count))
-        for (node, toward), bound_bits in sorted(port_bounds.items()):
-            observed = results.max_queue_bits.get(f"{node}->{toward}", 0.0)
-            port_rows.append(FuzzPortRow(
-                policy=policy, node=node, toward=toward,
-                backlog_bound=bound_bits, observed_bits=observed))
-    measurement = (campaign_rows, tuple(bound_rows), tuple(port_rows),
-                   events, dropped)
-    return measurement, (wire_messages, network, graph_spec)
-
-
-def _engine_rows(cell: FuzzCell, bound_rows: Iterable[FuzzBoundRow],
-                 engines: tuple[str, ...],
-                 lowered: tuple[list, Network, GraphTopologySpec | None]
-                 ) -> tuple[FuzzEngineRow, ...]:
-    """Bounds of every non-default engine against the cell's sim floor.
-
-    The ``calculus`` engine *is* the floor of ``bound_rows`` (verified
-    byte-identical by the cross-validation suite), so only the other
-    requested engines are evaluated here — on exactly the messages and
-    network :func:`_measure` lowered and simulated.
-    """
-    extra = [name for name in engines if name != DEFAULT_ENGINE]
-    if not extra:
-        return ()
-    scenario = cell.scenario
-    wire_messages, network, graph_spec = lowered
-    rows: list[FuzzEngineRow] = []
-    floor = list(bound_rows)
-    for name in extra:
-        engine = get_engine(name)
-        for policy in scenario.policies:
-            bounds = engine.network_class_bounds(
-                wire_messages, policy, network=network,
-                graph_spec=graph_spec)
-            for row in floor:
-                if row.policy != policy:
-                    continue
-                rows.append(FuzzEngineRow(
-                    engine=name,
-                    policy=policy,
-                    priority=row.priority,
-                    bound=bounds.get(row.priority, math.inf),
-                    worst_simulated=row.worst_simulated,
-                    samples=row.samples))
-    return tuple(rows)
+    inputs = scenario_inputs(scenario)
+    checks = [check(inputs, policy, engines=engines, seed=cell.sim_seed,
+                    duration=cell.duration) for policy in scenario.policies]
+    bound_rows = tuple(
+        FuzzBoundRow(policy=row.policy, priority=row.priority,
+                     analytic_bound=row.analytic_bound,
+                     worst_simulated=row.simulated_worst,
+                     mean_simulated=row.simulated_mean, samples=row.samples)
+        for result in checks for row in result.rows
+        if row.engine == DEFAULT_ENGINE)
+    # Star cells keep no port rows: only graph lowerings bound ports.
+    port_rows = tuple(port for result in checks for port in result.ports)
+    engine_rows = tuple(
+        FuzzEngineRow(engine=name, policy=row.policy, priority=row.priority,
+                      bound=row.analytic_bound,
+                      worst_simulated=row.simulated_worst,
+                      samples=row.samples)
+        for name in engines if name != DEFAULT_ENGINE
+        for result in checks for row in result.rows if row.engine == name)
+    measurement = (campaign_rows, bound_rows, port_rows,
+                   sum(result.events for result in checks),
+                   sum(result.dropped for result in checks))
+    return measurement, engine_rows
 
 
 def _invariant_violations(campaign_rows: Iterable[CampaignRow],
@@ -740,13 +634,13 @@ def _compute_cell(cell: FuzzCell,
                   engines: tuple[str, ...] = DEFAULT_ENGINES) -> FuzzOutcome:
     """Evaluate one cell twice and check every invariant."""
     started = time.perf_counter()
-    first, lowered = _measure(cell, _memoized_runner())
+    first, engine_rows = _measure(cell, _memoized_runner(), engines)
     # Second evaluation from scratch: a fresh naive runner (no shared
-    # cache, no arithmetic replication shortcuts) and a fresh simulator.
-    # Byte-equality of the two measurements checks determinism *and* the
-    # memoized-equals-naive contract in one comparison.
+    # cache, no arithmetic replication shortcuts), a fresh lowering and a
+    # fresh simulator.  Byte-equality of the two measurements checks
+    # determinism *and* the memoized-equals-naive contract in one
+    # comparison.
     second, _ = _measure(cell, CampaignRunner(memoize=False))
-    engine_rows = _engine_rows(cell, first[1], engines, lowered)
     violations = _invariant_violations(first[0], first[1], first[2],
                                        engine_rows)
     first_json = canonical_json(_measurement_payload(*first))

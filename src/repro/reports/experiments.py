@@ -35,6 +35,7 @@ from repro.analysis import (
 from repro.analysis.buffers import validate_buffer_requirements
 from repro.analysis.paper_model import PaperCaseStudy
 from repro.analysis.scalability import max_feasible_scale, scalability_sweep
+from repro.analysis.validation import tightness_of, within_bound
 from repro.campaigns import CampaignRunner, builtin_scenarios
 from repro.campaigns import get as get_scenario
 from repro.flows.message_set import MessageSet
@@ -726,37 +727,23 @@ def _multihop_spec(family: str):
 
 
 def _build_multihop() -> ExperimentResult:
-    from repro.analysis.multihop import GraphPathAnalysis
-    from repro.analysis.validation import wire_level_messages
-    from repro.ethernet.network_sim import EthernetNetworkSimulator
+    from repro.analysis.validation import check, lower
 
     message_set = case_study_message_set()
-    wire = wire_level_messages(message_set)
     rows = []
     ports_checked = ports_ok = 0
     for family in MULTIHOP_FAMILIES:
-        spec = _multihop_spec(family)
-        network = spec.to_network()
+        inputs = lower(message_set, capacity=units.mbps(10),
+                       technology_delay=units.us(16),
+                       graph_spec=_multihop_spec(family))
         for policy in ("fcfs", "strict-priority"):
-            outcome = GraphPathAnalysis(spec, policy=policy).analyze(wire)
-            simulator = EthernetNetworkSimulator(
-                network, message_set.messages, policy=policy,
-                scenario="synchronized", seed=MULTIHOP_SIM_SEED)
-            results = simulator.run(duration=units.ms(320))
-            per_class = outcome.worst_per_class()
-            for cls in sorted(per_class):
-                summary = results.class_summary(cls)
-                if summary.count == 0:
-                    continue
-                bound = per_class[cls]
-                rows.append((family, policy, cls, bound.delay,
-                             summary.maximum, summary.count,
-                             len(bound.hops)))
-            for port in outcome.ports:
-                observed = results.max_queue_bits.get(
-                    f"{port.node}->{port.toward}", 0.0)
-                ports_checked += 1
-                ports_ok += observed <= port.backlog_bits + 1e-9
+            result = check(inputs, policy, seed=MULTIHOP_SIM_SEED)
+            hops = result.bounds["calculus"].hops
+            rows.extend((family, policy, row.priority, row.analytic_bound,
+                         row.simulated_worst, row.samples,
+                         hops[row.priority]) for row in result.rows)
+            ports_checked += len(result.ports)
+            ports_ok += sum(port.bound_holds for port in result.ports)
     table = TableArtifact(
         name="multihop",
         title="Multi-hop graph topologies: end-to-end bounds vs simulation",
@@ -764,18 +751,18 @@ def _build_multihop() -> ExperimentResult:
                  "tightness", "hops"),
         display_rows=tuple(
             (family, policy, cls.label, format_bound(bound),
-             format_ms(worst), f"{worst / bound:.2f}", hops)
+             format_ms(worst), f"{tightness_of(worst, bound):.2f}", hops)
             for family, policy, cls, bound, worst, _samples, hops in rows),
         raw_headers=("family", "policy", "priority", "bound_ms",
                      "worst_simulated_ms", "samples", "tightness",
                      "switch_hops"),
         raw_rows=tuple(
             (family, policy, cls.name, _ms(bound), _ms(worst), samples,
-             round(worst / bound, 6), hops)
+             round(tightness_of(worst, bound), 6), hops)
             for family, policy, cls, bound, worst, samples, hops in rows))
-    all_hold = bool(rows) and all(worst <= bound + 1e-12 for
+    all_hold = bool(rows) and all(within_bound(worst, bound) for
                                   _f, _p, _c, bound, worst, _s, _h in rows)
-    max_tightness = max((worst / bound
+    max_tightness = max((tightness_of(worst, bound)
                          for _f, _p, _c, bound, worst, _s, _h in rows),
                         default=float("nan"))
     multi_hop_rows = [row for row in rows if row[6] > 1]
@@ -842,45 +829,37 @@ ENGINE_STAR_FAMILIES = frozenset({"paper-case", "scaled-ladder"})
 def _build_engines() -> ExperimentResult:
     import math
 
-    from repro.analysis.engines import engine_names, get_engine
-    from repro.analysis.engines.base import scenario_inputs
-    from repro.ethernet.network_sim import EthernetNetworkSimulator
+    from repro.analysis.engines import engine_names, scenario_inputs
+    from repro.analysis.validation import check, engine_bounds
 
-    names = engine_names()
-    engines = {name: get_engine(name) for name in names}
+    names = tuple(engine_names())
     cells = []
     for family, scenario_names in ENGINE_FAMILIES:
         for scenario_name in scenario_names:
             scenario = get_scenario(scenario_name)
-            wire, network, graph_spec, template = scenario_inputs(scenario)
+            inputs = scenario_inputs(scenario)
             for policy in scenario.policies:
-                per_engine = {
-                    name: engines[name].network_class_bounds(
-                        wire, policy, network=network,
-                        graph_spec=graph_spec, template=template)
-                    for name in names}
-                sim_results = None
+                observed = {}
                 if scenario_name in ENGINE_SIM_SCENARIOS:
-                    message_set = scenario.workload.build()
-                    simulator = EthernetNetworkSimulator(
-                        network, message_set.messages, policy=policy,
-                        scenario="synchronized", seed=ENGINE_SIM_SEED)
-                    sim_results = simulator.run(duration=units.ms(320))
+                    result = check(inputs, policy, engines=names,
+                                   seed=ENGINE_SIM_SEED)
+                    verdicts = result.bounds
+                    observed = {row.priority: row for row in result.rows}
+                else:
+                    verdicts = engine_bounds(inputs, policy, names)
                 classes = sorted(
-                    set().union(*(mapping for mapping
-                                  in per_engine.values())))
+                    set().union(*(verdict.classes for verdict
+                                  in verdicts.values())))
                 for cls in classes:
-                    worst = samples = None
-                    if sim_results is not None:
-                        summary = sim_results.class_summary(cls)
-                        if summary.count:
-                            worst, samples = summary.maximum, summary.count
+                    row = observed.get(cls)
                     cells.append({
                         "family": family, "scenario": scenario_name,
-                        "policy": policy, "cls": cls, "worst": worst,
-                        "samples": samples,
-                        "bounds": {name: per_engine[name].get(cls, math.inf)
-                                   for name in names}})
+                        "policy": policy, "cls": cls,
+                        "worst": None if row is None
+                        else row.simulated_worst,
+                        "samples": None if row is None else row.samples,
+                        "bounds": {name: verdicts[name].classes.get(
+                            cls, math.inf) for name in names}})
 
     # -- per-family tightness ranking ------------------------------------
     ratios: dict[tuple[str, str], list[float]] = {}
@@ -903,14 +882,14 @@ def _build_engines() -> ExperimentResult:
         if cell["worst"] is not None:
             for bound in cell["bounds"].values():
                 sim_checked += 1
-                sim_ok += cell["worst"] <= bound + 1e-9
+                sim_ok += within_bound(cell["worst"], bound)
         if cell["family"] in ENGINE_STAR_FAMILIES:
             calculus = cell["bounds"]["calculus"]
             for name, bound in cell["bounds"].items():
                 if name == "calculus":
                     continue
                 star_checked += 1
-                star_ok += bound >= calculus - 1e-12
+                star_ok += within_bound(calculus, bound)
     family_cells = {family: sum(c["family"] == family for c in cells)
                     for family, _scenarios in ENGINE_FAMILIES}
     ranking_rows = []
@@ -927,7 +906,7 @@ def _build_engines() -> ExperimentResult:
         for rank, (diverged, mean_ratio, name) in enumerate(scored, 1):
             family_sim = [c for c in cells if c["family"] == family
                           and c["worst"] is not None]
-            sound = all(c["worst"] <= c["bounds"][name] + 1e-9
+            sound = all(within_bound(c["worst"], c["bounds"][name])
                         for c in family_sim)
             ranking_rows.append((family, name, rank, mean_ratio,
                                  family_cells[family], diverged, sound))

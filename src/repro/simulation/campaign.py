@@ -39,12 +39,13 @@ from typing import Iterable, Sequence
 
 from repro import units
 from repro.analysis.engines import (DEFAULT_ENGINE, DEFAULT_ENGINES,
-                                   get_engine, resolve_engines)
-from repro.analysis.validation import star_for_message_set, wire_level_messages
+                                   resolve_engines)
+from repro.analysis.engines.base import ScenarioInputs
+from repro.analysis.validation import (engine_bounds, lower, simulate,
+                                       tightness_of, within_bound)
 from repro.campaigns.scenario import TopologySpec
 from repro.errors import ConfigurationError
-from repro.ethernet.network_sim import (SEED_FREE_SCENARIOS,
-                                       EthernetNetworkSimulator)
+from repro.ethernet.network_sim import SEED_FREE_SCENARIOS
 from repro.exec import ExecPolicy, ExecutionReport, ParallelExecutor
 from repro.flows.message_set import MessageSet
 from repro.flows.priorities import PriorityClass
@@ -145,23 +146,12 @@ class MonteCarloRow:
     @property
     def bound_holds(self) -> bool:
         """True when the bound dominates every observation of the row."""
-        return self.worst_simulated <= self.analytic_bound + 1e-9
+        return within_bound(self.worst_simulated, self.analytic_bound)
 
     @property
     def tightness(self) -> float:
-        """Worst observation divided by the bound (1.0 = tight).
-
-        ``nan`` whenever the ratio is meaningless: a non-positive or
-        infinite bound (an unstable configuration has nothing to be tight
-        against) or a ``nan`` observation (no samples).  An infinite bound
-        must *not* yield ``0.0`` — that would read as "infinitely slack"
-        in aggregates that a ``nan`` correctly opts out of.
-        """
-        if not math.isfinite(self.analytic_bound) or self.analytic_bound <= 0:
-            return float("nan")
-        if math.isnan(self.worst_simulated):
-            return float("nan")
-        return self.worst_simulated / self.analytic_bound
+        """Worst observation divided by the bound (:func:`tightness_of`)."""
+        return tightness_of(self.worst_simulated, self.analytic_bound)
 
 
 @dataclass(frozen=True)
@@ -189,17 +179,13 @@ class MonteCarloEngineRow:
     @property
     def bound_holds(self) -> bool:
         """True when the engine's bound dominates every observation."""
-        return self.worst_simulated <= self.bound + 1e-9
+        return within_bound(self.worst_simulated, self.bound)
 
     @property
     def tightness(self) -> float:
-        """Worst observation divided by the engine bound (``nan`` sentinel
-        for unstable/infinite bounds, as on :class:`MonteCarloRow`)."""
-        if not math.isfinite(self.bound) or self.bound <= 0:
-            return float("nan")
-        if math.isnan(self.worst_simulated):
-            return float("nan")
-        return self.worst_simulated / self.bound
+        """Worst observation divided by the engine bound
+        (:func:`tightness_of`)."""
+        return tightness_of(self.worst_simulated, self.bound)
 
 
 @dataclass
@@ -507,28 +493,16 @@ class SimulationCampaign:
 
     # -- aggregation ---------------------------------------------------------
 
-    def _bounds_for(self, factor: int) -> dict[str, dict[str, dict]]:
-        """``{engine: {policy: {class: bound}}}`` for one size factor.
+    def _bounds_for(self, factor: int) -> dict[str, dict]:
+        """``{policy: {engine: NetworkBounds}}`` for one size factor.
 
-        The factor's workload and network are lowered once; ``calculus``
-        (which the canonical rows validate) and every selected engine
-        bound them through the registry.
+        The factor's workload is lowered once, and the check's bound half
+        evaluates ``calculus`` (which the canonical rows validate) and
+        every selected engine on it.
         """
-        context = self._context()
-        message_set = _workload(context, factor)
-        messages = wire_level_messages(message_set)
-        graph_spec = _graph_spec(context, factor)
-        if graph_spec is not None:
-            network = graph_spec.to_network()
-        else:
-            network = star_for_message_set(
-                message_set, capacity=self.capacity,
-                technology_delay=self.technology_delay)
-        return {name: {policy: get_engine(name).network_class_bounds(
-                           messages, policy, network=network,
-                           graph_spec=graph_spec)
-                       for policy in self.policies}
-                for name in dict.fromkeys(DEFAULT_ENGINES + self.engines)}
+        inputs = _lower(self._context(), factor)
+        return {policy: engine_bounds(inputs, policy, self.engines)
+                for policy in self.policies}
 
     def _aggregate(self, outcomes: Iterable[CellOutcome],
                    bounds_per_factor: dict[int, dict]
@@ -546,8 +520,8 @@ class SimulationCampaign:
                     group = grouped.get((factor, scenario, policy), [])
                     if not group:
                         continue
-                    bounds = bounds_per_factor[factor][
-                        DEFAULT_ENGINE][policy]
+                    bounds = bounds_per_factor[factor][policy][
+                        DEFAULT_ENGINE].classes
                     for cls in sorted(bounds):
                         samples = sum(
                             outcome.samples_per_class.get(cls, 0)
@@ -587,17 +561,16 @@ class SimulationCampaign:
             return []
         engine_rows: list[MonteCarloEngineRow] = []
         for row in rows:
-            per_engine = bounds_per_factor[row.size_factor]
+            per_engine = bounds_per_factor[row.size_factor][row.policy]
             for name in self.engines:
-                bound = per_engine[name][row.policy].get(
-                    row.priority, math.inf)
                 engine_rows.append(MonteCarloEngineRow(
                     size_factor=row.size_factor,
                     scenario=row.scenario,
                     policy=row.policy,
                     priority=row.priority,
                     engine=name,
-                    bound=bound,
+                    bound=per_engine[name].classes.get(row.priority,
+                                                       math.inf),
                     worst_simulated=row.worst_simulated,
                     samples=row.samples))
         return engine_rows
@@ -609,8 +582,8 @@ class SimulationCampaign:
 
 #: Per-process campaign context set by :func:`_init_worker`.
 _WORKER_CONTEXT: dict | None = None
-#: Per-process cache: size factor -> (network, routed flows).
-_WORKER_WORKLOADS: dict[int, tuple] = {}
+#: Per-process cache: size factor -> its lowering (network, routed flows).
+_WORKER_WORKLOADS: dict[int, ScenarioInputs] = {}
 #: Per-run memo of seed-free outcomes:
 #: (size factor, scenario, policy) -> the one simulated outcome.
 _WORKER_SEED_FREE: dict[tuple[int, str, str], CellOutcome] = {}
@@ -654,6 +627,13 @@ def _workload(context: dict, factor: int) -> MessageSet:
         RealCaseParameters(
             station_count=context["station_count"] * factor),
         seed=context["workload_seed"])
+
+
+def _lower(context: dict, factor: int) -> ScenarioInputs:
+    """The lowering of one size factor: its workload on its network."""
+    return lower(_workload(context, factor), capacity=context["capacity"],
+                 technology_delay=context["technology_delay"],
+                 graph_spec=_graph_spec(context, factor))
 
 
 def _init_worker(context: dict, store_root: str | None = None,
@@ -753,24 +733,14 @@ def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
     if seed_free and configuration in _WORKER_SEED_FREE:
         return replace(_WORKER_SEED_FREE[configuration], cell=cell,
                        copied=True)
-    cached = _WORKER_WORKLOADS.get(cell.size_factor)
-    if cached is None:
-        message_set = _workload(context, cell.size_factor)
-        graph_spec = _graph_spec(context, cell.size_factor)
-        if graph_spec is not None:
-            network = graph_spec.to_network()
-        else:
-            network = star_for_message_set(
-                message_set, capacity=context["capacity"],
-                technology_delay=context["technology_delay"])
-        cached = (network, network.route_flows(message_set.messages))
-        _WORKER_WORKLOADS[cell.size_factor] = cached
-    network, flows = cached
+    inputs = _WORKER_WORKLOADS.get(cell.size_factor)
+    if inputs is None:
+        inputs = _WORKER_WORKLOADS[cell.size_factor] = _lower(
+            context, cell.size_factor)
+        inputs.flows  # routed once per worker, outside the timed run
     started = time.perf_counter()
-    simulator = EthernetNetworkSimulator(
-        network, flows, policy=cell.policy,
-        scenario=cell.scenario, seed=cell.seed)
-    results = simulator.run(duration=context["duration"])
+    results = simulate(inputs, cell.policy, scenario=cell.scenario,
+                       seed=cell.seed, duration=context["duration"])
     elapsed = time.perf_counter() - started
     worst: dict[PriorityClass, float] = {}
     mean: dict[PriorityClass, float] = {}
@@ -790,9 +760,8 @@ def _simulate_cell(context: dict, cell: SimulationCell) -> CellOutcome:
         instances_sent=results.instances_sent,
         instances_delivered=results.instances_delivered,
         frames_dropped=results.frames_dropped,
-        events_processed=simulator.simulator.events_processed,
+        events_processed=results.events_processed,
         elapsed=elapsed)
-    simulator.release()
     if seed_free:
         _WORKER_SEED_FREE[configuration] = outcome
     return outcome

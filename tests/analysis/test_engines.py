@@ -227,11 +227,11 @@ class TestFixedPointTermination:
 
         for name in ("paper-real-case", "scalability-x2"):
             scenario = get_scenario(name)
-            wire, network, graph_spec, _ = scenario_inputs(scenario)
+            inputs = scenario_inputs(scenario)
             for policy in scenario.policies:
-                reference = get_engine("calculus").network_class_bounds(
-                    wire, policy, network=network, graph_spec=graph_spec)
-                bounds = get_engine(engine_name).network_class_bounds(
-                    wire, policy, network=network, graph_spec=graph_spec)
+                reference = get_engine("calculus").network_bounds(
+                    inputs, policy).classes
+                bounds = get_engine(engine_name).network_bounds(
+                    inputs, policy).classes
                 for cls, bound in bounds.items():
                     assert bound >= reference[cls] - 1e-12

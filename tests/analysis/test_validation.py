@@ -4,7 +4,7 @@ import pytest
 
 from repro import PriorityClass, units
 from repro.analysis import validate_bounds
-from repro.analysis.validation import star_for_message_set, wire_level_messages
+from repro.analysis.validation import lower, wire_level_messages
 from repro.ethernet.frame import wire_burst
 
 
@@ -22,9 +22,10 @@ class TestWireLevelMessages:
             assert wire.source == original.source
 
 
-class TestStarForMessageSet:
+class TestLower:
     def test_star_covers_every_station(self, small_case):
-        network = star_for_message_set(small_case)
+        network = lower(small_case, capacity=units.mbps(10),
+                        technology_delay=units.us(16)).network
         assert set(small_case.stations()) <= set(network.stations)
         assert network.spec.problems() == ()
 

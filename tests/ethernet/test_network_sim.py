@@ -189,11 +189,12 @@ class TestTraceToggleAfterConstruction:
         # TraceRecorder.enabled is a public mutable attribute: flipping it
         # on after the network is built must still produce a frame-level
         # trace (the hot-path guards read it live, not a snapshot).
-        from repro.analysis.validation import star_for_message_set
+        from repro.analysis.validation import star_for_stations
         from repro.ethernet.network_sim import EthernetNetworkSimulator
         from repro import units
 
-        network = star_for_message_set(small_case)
+        network = star_for_stations(small_case.stations(), units.mbps(10),
+                                    units.us(16))
         simulator = EthernetNetworkSimulator(
             network, small_case.messages, policy="fcfs",
             scenario="synchronized", seed=1)

@@ -14,7 +14,7 @@ from repro.analysis import (
     jitter_comparison,
     technology_comparison,
 )
-from repro.analysis.validation import star_for_message_set
+from repro.analysis.validation import star_for_stations
 from repro.milstd1553 import Milstd1553Analysis
 from repro.workloads import (
     generate_real_case,
@@ -48,7 +48,8 @@ class TestMigrationStory:
         assert bus_results.instances_delivered > 0
 
         # Ethernet side: simulation on the star topology.
-        network = star_for_message_set(small_case)
+        network = star_for_stations(small_case.stations(), units.mbps(10),
+                                    units.us(16))
         ethernet_results = EthernetNetworkSimulator(
             network, small_case.messages,
             policy="strict-priority").run(duration=units.ms(320))

@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 from repro import units
-from repro.analysis.validation import star_for_message_set
+from repro.analysis.validation import star_for_stations
 from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.topology.graph import (
     diamond_graph_spec,
@@ -112,7 +112,8 @@ def capture_cell(station_count: int, workload_seed: int, policy: str,
     """
     message_set = generate_real_case(
         RealCaseParameters(station_count=station_count), seed=workload_seed)
-    network = star_for_message_set(message_set)
+    network = star_for_stations(message_set.stations(), units.mbps(10),
+                                units.us(16))
     return _capture_network(network, message_set, policy, scenario, seed,
                             queue_capacity, shaping_enabled, trace_enabled)
 

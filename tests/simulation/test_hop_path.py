@@ -20,7 +20,7 @@ import pytest
 
 import repro
 from repro import units
-from repro.analysis.validation import star_for_message_set
+from repro.analysis.validation import star_for_stations
 from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.workloads import generate_real_case
 
@@ -30,7 +30,8 @@ PACKAGE = os.path.dirname(repro.__file__) + os.sep
 def _profile_run(policy):
     message_set = generate_real_case(seed=5)
     simulator = EthernetNetworkSimulator(
-        star_for_message_set(message_set), message_set.messages,
+        star_for_stations(message_set.stations(), units.mbps(10),
+                          units.us(16)), message_set.messages,
         policy=policy, scenario="random", seed=2)
     counts = {"calls": 0, "pushes": 0}
     push = heapq.heappush

@@ -14,7 +14,7 @@ import gc
 import weakref
 
 from repro import units
-from repro.analysis.validation import star_for_message_set
+from repro.analysis.validation import star_for_stations
 from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.fuzz import FuzzCampaign, GeneratorConfig
 from repro.simulation.campaign import SimulationCampaign
@@ -51,7 +51,8 @@ def _star_run(scenario="random"):
     message_set = generate_real_case(RealCaseParameters(station_count=6),
                                      seed=3)
     simulator = EthernetNetworkSimulator(
-        star_for_message_set(message_set), message_set.messages,
+        star_for_stations(message_set.stations(), units.mbps(10),
+                          units.us(16)), message_set.messages,
         scenario=scenario, seed=2)
     return simulator, simulator.run(duration=DURATION)
 

@@ -10,7 +10,7 @@ guard the invariant and the campaign's use of it.
 import pytest
 
 from repro import units
-from repro.analysis.validation import star_for_message_set
+from repro.analysis.validation import star_for_stations
 from repro.campaigns.scenario import TopologySpec
 from repro.ethernet.network_sim import (SEED_FREE_SCENARIOS,
                                         EthernetNetworkSimulator)
@@ -32,7 +32,8 @@ def message_set():
 
 def _network(family: str, message_set):
     if family == "star":
-        return star_for_message_set(message_set)
+        return star_for_stations(message_set.stations(), units.mbps(10),
+                                 units.us(16))
     return TopologySpec(kind="graph", graph_family=family).build_graph(
         STATIONS).to_network()
 
@@ -123,7 +124,8 @@ class TestCampaign:
 
     def test_copies_equal_a_direct_run_at_their_own_seed(self, message_set):
         result = _campaign(scenarios=("synchronized",)).run()
-        network = star_for_message_set(message_set)
+        network = star_for_stations(message_set.stations(), units.mbps(10),
+                                    units.us(16))
         copies = [outcome for outcome in result.outcomes if outcome.copied]
         assert len(copies) == 4
         for outcome in copies:

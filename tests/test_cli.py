@@ -233,6 +233,25 @@ class TestCommands:
         assert exit_code == 0
         assert "strict-priority" in output
 
+    def test_validate_on_an_overloaded_link_prints_unbounded_rows(
+            self, capsys):
+        exit_code = main(["--stations", "6", "--seed", "3",
+                          "--capacity-mbps", "0.1", "validate"])
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        assert output.count("unbounded") == 8
+
+    def test_buffers_simulate_at_the_given_capacity(self, capsys):
+        assert main(["--stations", "6", "--seed", "3", "buffers"]) == 0
+        slow_output = capsys.readouterr().out
+        assert main(["--stations", "6", "--seed", "3",
+                     "--capacity-mbps", "100", "buffers"]) == 0
+        fast_output = capsys.readouterr().out
+        observed = [[line.split("|")[3].strip()
+                     for line in output.splitlines() if "->" in line]
+                    for output in (slow_output, fast_output)]
+        assert observed[0] != observed[1]
+
     def test_export_then_reuse_as_workload(self, tmp_path, capsys):
         target = tmp_path / "exported.csv"
         assert main(["--stations", "6", "--seed", "3", "export",
