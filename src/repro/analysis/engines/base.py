@@ -39,7 +39,7 @@ the identity of an engine verdict byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol,
                     runtime_checkable)
@@ -219,6 +219,11 @@ class ScenarioInputs:
     network: "Network"
     #: The graph topology behind ``network``; ``None`` for stars.
     graph_spec: "GraphTopologySpec | None"
+    #: The ``calculus`` engine's verdict per policy, kept on first use
+    #: by :meth:`CalculusEngine.network_bounds
+    #: <repro.analysis.engines.calculus.CalculusEngine.network_bounds>`.
+    verdicts: "dict[str, NetworkBounds]" = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @cached_property
     def template(self) -> RoutedTemplate:
@@ -240,6 +245,9 @@ class NetworkBounds(NamedTuple):
     ports: dict[tuple[str, str], float]
     #: Switch hops of each class' worst flow; empty when not known.
     hops: dict[PriorityClass, int]
+    #: ``{class: worst per-port queue bound in bits}``; empty when not
+    #: bounded.
+    backlogs: dict[PriorityClass, float]
 
 
 def scenario_inputs(scenario: "Scenario") -> ScenarioInputs:
@@ -289,7 +297,8 @@ class ScenarioBoundEngine:
         """The engine's verdict on a lowered workload (class bounds only)."""
         return NetworkBounds(self.network_class_bounds(
             inputs.messages, policy, network=inputs.network,
-            graph_spec=inputs.graph_spec, template=inputs.template), {}, {})
+            graph_spec=inputs.graph_spec, template=inputs.template),
+            {}, {}, {})
 
     def network_class_bounds(self, messages: "Iterable[Message]",
                              policy: str, *, network: "Network",

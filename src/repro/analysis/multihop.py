@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from repro.analysis.engines.iteration import (PortContext, PortLevel,
-                                              RoutedFlowState,
+                                              RoutedFlowState, RoutedTemplate,
                                               port_leftovers, port_levels,
                                               route_template, run_fixed_point)
 from repro.errors import ConfigurationError, EmptyAggregateError
@@ -186,11 +186,18 @@ class GraphPathAnalysis:
 
     # -- public entry ------------------------------------------------------
 
-    def analyze(self, flows: Iterable[Flow | Message]
+    def analyze(self, flows: "Iterable[Flow | Message] | RoutedTemplate"
                 ) -> MultiHopAnalysisResult:
-        """Bound every flow end to end and every port's backlog."""
-        template = route_template(sorted(flows, key=lambda item: item.name),
-                                  self.engine.route_flow, self._port)
+        """Bound every flow end to end and every port's backlog.
+
+        ``flows`` are routed here, in name order, unless they come as
+        their :class:`~repro.analysis.engines.iteration.RoutedTemplate`
+        on this topology (:func:`~repro.analysis.engines.iteration.
+        network_template` of its network), which is routed alike.
+        """
+        template = flows if isinstance(flows, RoutedTemplate) else \
+            route_template(sorted(flows, key=lambda item: item.name),
+                           self.engine.route_flow, self._port)
         states, ports = template.instantiate()
         if not states:
             raise EmptyAggregateError("no flow to analyse")

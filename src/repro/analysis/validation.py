@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro import units
 from repro.analysis.engines import DEFAULT_ENGINE, DEFAULT_ENGINES, get_engine
@@ -73,7 +74,7 @@ def tightness_of(observed: float, bound: float) -> float:
     return observed / bound
 
 
-def wire_level_messages(message_set: MessageSet) -> list[Message]:
+def wire_level_messages(message_set: "Iterable[Message]") -> list[Message]:
     """Copies of the messages sized on their on-wire burst.
 
     The simulator transmits Ethernet frames (padding, headers, preamble and

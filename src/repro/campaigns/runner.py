@@ -12,8 +12,13 @@ the baseline the campaign benchmark compares against.
 Every row comes from :func:`repro.analysis.engines.calculus.scenario_rows`:
 the scenario-level closed form
 (:func:`repro.core.multiplexer.single_point_rows`, whose docstring states
-the multi-hop composition rule) or, on graph topologies, the per-class row
-of :meth:`repro.analysis.multihop.MultiHopAnalysisResult.class_rows`.
+the multi-hop composition rule) or, on graph topologies, the ``calculus``
+verdict on the scenario's lowered network
+(:func:`repro.analysis.engines.scenario_inputs`).  Each scenario
+evaluation lowers at most once, on first need: the graph rows of every
+policy, the cross-engine table and a fuzz cell's soundness check
+(:meth:`CampaignRunner.evaluate`) all read that one lowering, and nothing
+keeps it once the evaluation's caller lets it go.
 
 Large campaigns can opt into process-level fan-out with ``jobs=N`` (the CLI
 flag ``repro campaign --jobs N``): scenarios are distributed over worker
@@ -27,8 +32,9 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field, replace
+from functools import cache, partial
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.analysis.engines import (DEFAULT_ENGINES, EngineSpec, get_engine,
                                     resolve_engines, scenario_inputs)
@@ -48,6 +54,9 @@ from repro.reporting import (
     yes_no,
 )
 from repro.store import ResultStore, StoreStats
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.analysis.engines.base import ScenarioInputs
 
 __all__ = ["CampaignRow", "CampaignEngineRow", "ScenarioResult",
            "CampaignResult", "CampaignRunner"]
@@ -374,30 +383,46 @@ class CampaignRunner:
             reuse=self.resume)
         return result
 
-    def _compute_scenario(self, scenario: Scenario) -> ScenarioResult:
+    def evaluate(self, scenario: Scenario
+                 ) -> "tuple[ScenarioResult, ScenarioInputs]":
+        """One scenario in-process and store-free, with its lowering.
+
+        The lowering is the one the scenario's rows were read from
+        (graph topologies, cross-engine runs), else it is lowered here:
+        the fuzz harness checks a cell's rows against a simulation of
+        exactly this network.  The runner keeps no reference to it.
+        """
+        lowering = _lowering(scenario)
+        return self._compute_scenario(scenario, lowering), lowering()
+
+    def _compute_scenario(self, scenario: Scenario,
+                          lowering: "Callable[[], ScenarioInputs] | None"
+                          = None) -> ScenarioResult:
         """Per-class rows of one scenario under each of its policies.
 
         Each policy's rows come from
         :func:`~repro.analysis.engines.calculus.scenario_rows`.  Memoized
-        mode reads the aggregates (and, on graphs, the message set) from
-        the shared cache, naive mode builds them fresh; the inputs are
-        bit-identical either way, and so are the rows.
+        mode reads the aggregates from the shared cache, naive mode
+        builds them fresh; the inputs are bit-identical either way, and
+        so are the rows.  ``lowering`` returns the scenario's lowering,
+        built on its first call (here unless the caller passes one); the
+        graph rows and the cross-engine table share it.
         """
         started = time.perf_counter()
+        if lowering is None:
+            lowering = _lowering(scenario)
         spec = scenario.workload
         if self.memoize:
             aggregates = self.cache.aggregates(spec)
             deadlines = self.cache.class_deadlines(spec)
-            messages = lambda: self.cache.message_set(spec).messages
         else:
             message_set = spec.build()
             aggregates = aggregate_flows(message_set.messages)
             deadlines = message_set.class_deadlines()
-            messages = lambda: message_set.messages
         rows: list[CampaignRow] = []
         rows_by_policy = {}
         for policy in scenario.policies:
-            class_rows = scenario_rows(scenario, policy, aggregates, messages)
+            class_rows = scenario_rows(scenario, policy, aggregates, lowering)
             rows_by_policy[policy] = class_rows
             rows.extend(CampaignRow(
                 scenario=scenario.name,
@@ -410,14 +435,15 @@ class CampaignRunner:
                 stable=math.isfinite(bound),
                 hops=scenario.hops) for cls, (bound, backlog)
                 in class_rows.items())
-        engine_rows = self._engine_rows(scenario, rows_by_policy)
+        engine_rows = self._engine_rows(scenario, rows_by_policy, lowering)
         return ScenarioResult(scenario=scenario, rows=rows,
                               elapsed=time.perf_counter() - started,
                               engine_rows=engine_rows)
 
     def _engine_rows(self, scenario: Scenario,
                      rows_by_policy: dict[str, dict[PriorityClass,
-                                                    tuple[float, float]]]
+                                                    tuple[float, float]]],
+                     lowering: "Callable[[], ScenarioInputs]"
                      ) -> list[CampaignEngineRow]:
         """Every selected engine's per-class bounds for one scenario.
 
@@ -425,15 +451,15 @@ class CampaignRunner:
         calculus bounds); a non-default selection evaluates each engine
         — including ``calculus``, so the comparison table is complete —
         through the :class:`~repro.analysis.engines.base.BoundEngine`
-        scenario interface.  The scenario is lowered and routed once,
-        and every engine × policy evaluation shares that network and its
+        scenario interface.  Every engine × policy evaluation shares the
+        scenario's one lowering (the rows' own, on graphs) and its
         routes.  Each policy's :func:`scenario_rows`, from
         ``rows_by_policy``, goes along, so an engine whose bounds are
         those rows reuses them.
         """
         if self.engines == DEFAULT_ENGINES:
             return []
-        inputs = scenario_inputs(scenario)
+        inputs = lowering()
         rows: list[CampaignEngineRow] = []
         for name in self.engines:
             engine = get_engine(name)
@@ -451,6 +477,12 @@ class CampaignRunner:
                         bound=bound.bound,
                         stable=bound.stable))
         return rows
+
+
+def _lowering(scenario: Scenario) -> "Callable[[], ScenarioInputs]":
+    """:func:`scenario_inputs` of ``scenario``, lowered on the first call
+    and kept by the returned callable only."""
+    return cache(partial(scenario_inputs, scenario))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 from repro import units
 from repro.analysis.engines import (DEFAULT_ENGINE, DEFAULT_ENGINES,
-                                    resolve_engines, scenario_inputs)
+                                    resolve_engines)
 from repro.analysis.validation import (PortValidationRow, check,
                                        tightness_of, within_bound)
 from repro.campaigns.runner import CampaignRow, CampaignRunner
@@ -554,15 +554,18 @@ def _measure(cell: FuzzCell, runner: CampaignRunner,
     Returns ``((campaign_rows, bound_rows, port_rows, events_processed,
     frames_dropped), engine_rows)``: the measurement, deterministic given
     the cell spec, and the rows of every requested engine beyond
-    ``calculus``.  The scenario is lowered here (:func:`scenario_inputs`)
-    and every policy runs the soundness check on it: legacy cells on the
-    shared star (replicas use ``-rk`` station suffixes) against the
-    wire-level end-to-end bound, ``"graph"`` cells on their routed
-    topology against the per-path and per-port bounds.
+    ``calculus``.  The scenario is not lowered here: ``runner`` evaluates
+    it (:meth:`~repro.campaigns.runner.CampaignRunner.evaluate`) and
+    hands back the lowering its rows were read from (lowered there for
+    star cells), and every policy runs the soundness check on that one
+    lowering: legacy cells on the shared star (replicas use ``-rk``
+    station suffixes) against the wire-level end-to-end bound,
+    ``"graph"`` cells on their routed topology against the per-path and
+    per-port bounds, which are also their campaign rows.
     """
     scenario = cell.scenario
-    campaign_rows = tuple(runner.run([scenario]).results[0].rows)
-    inputs = scenario_inputs(scenario)
+    result, inputs = runner.evaluate(scenario)
+    campaign_rows = tuple(result.rows)
     checks = [check(inputs, policy, engines=engines, seed=cell.sim_seed,
                     duration=cell.duration) for policy in scenario.policies]
     bound_rows = tuple(
@@ -636,10 +639,10 @@ def _compute_cell(cell: FuzzCell,
     started = time.perf_counter()
     first, engine_rows = _measure(cell, _memoized_runner(), engines)
     # Second evaluation from scratch: a fresh naive runner (no shared
-    # cache, no arithmetic replication shortcuts), a fresh lowering and a
-    # fresh simulator.  Byte-equality of the two measurements checks
-    # determinism *and* the memoized-equals-naive contract in one
-    # comparison.
+    # cache, no arithmetic replication shortcuts) with its own fresh
+    # lowering, and a fresh simulator.  Byte-equality of the two
+    # measurements checks determinism *and* the memoized-equals-naive
+    # contract in one comparison.
     second, _ = _measure(cell, CampaignRunner(memoize=False))
     violations = _invariant_violations(first[0], first[1], first[2],
                                        engine_rows)

@@ -25,9 +25,11 @@ O(classes).
 sharing a port through the burst-propagation fixed point, so the
 per-class-aggregate invariant cannot be preserved across a mutation;
 the engine falls back to a full
-:class:`~repro.analysis.multihop.GraphPathAnalysis` recompute (reusing
-the scenario's routing engine, whose per-destination route caches
-persist across mutations).  Incremental and fallback paths are
+:class:`~repro.analysis.multihop.GraphPathAnalysis` recompute over
+wire-level copies of the flow table — the lowering every campaign row
+of a graph scenario bounds — reusing the scenario's network, whose
+routing engine's per-destination route caches persist across
+mutations.  Incremental and fallback paths are
 indistinguishable to callers — both commit a snapshot that equals the
 from-scratch answer byte for byte.
 
@@ -54,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.analysis.engines.base import ScenarioInputs
 from repro.analysis.engines.calculus import scenario_rows
 from repro.campaigns.scenario import Scenario
 from repro.core.multiplexer import ClassAggregate, aggregate_flows
@@ -333,22 +336,20 @@ class AdmissionEngine:
                                  "flows")
         self._classes: dict[PriorityClass, _ClassState] = {}
         self._graph_spec = None
-        self._graph_analysis = None
+        self._network = None
         #: Mutations served by the incremental path since construction.
         self.incremental_hits = 0
         #: Mutations that fell back to a full recompute.
         self.full_recomputes = 0
         if scenario.topology.kind == "graph":
-            from repro.analysis.multihop import GraphPathAnalysis
             self._graph_spec = scenario.topology.build_graph(
                 scenario.workload.total_stations, scenario.capacity,
                 scenario.technology_delay)
-            # One analysis instance for the engine's lifetime: its
-            # routing engine's per-destination route caches persist
-            # across mutations, which is the incremental piece the
-            # fixed-point fallback still reuses.
-            self._graph_analysis = GraphPathAnalysis(self._graph_spec,
-                                                     policy=self.policy)
+            # One network for the engine's lifetime: its routing
+            # engine's per-destination route caches persist across
+            # mutations, which is the incremental piece the fixed-point
+            # fallback still reuses.
+            self._network = self._graph_spec.to_network()
         if preload:
             for message in scenario.workload.build().messages:
                 self._apply_admit(message)
@@ -499,7 +500,7 @@ class AdmissionEngine:
         fallback needs the actual member list, the aggregate path only
         the statistics in ``classes``.
         """
-        if self._graph_analysis is None:
+        if self._network is None:
             mode = "incremental"
             self.incremental_hits += 1
         else:
@@ -534,15 +535,15 @@ class AdmissionEngine:
 
         Both come from :func:`~repro.analysis.engines.calculus.scenario_rows`:
         star-family scenarios evaluate the closed form on the committed
-        class aggregates; graph scenarios re-run the long-lived
-        :class:`~repro.analysis.multihop.GraphPathAnalysis` over the
-        full population.
+        class aggregates; graph scenarios lower the full population onto
+        the long-lived network (wire-level copies, as every lowering
+        bounds) and read the ``calculus`` verdict on it.
         """
         aggregates = {cls: state.aggregate
                       for cls, state in sorted(classes.items())}
         rows = scenario_rows(self.scenario, self.policy, aggregates,
-                             lambda: messages,
-                             self._graph_analysis) if messages else {}
+                             lambda: self._lowering(messages)) \
+            if messages else {}
         bounds = [ClassBound(priority=cls, count=classes[cls].aggregate.count,
                              deadline=classes[cls].deadline, bound=bound,
                              backlog_bits=backlog,
@@ -557,6 +558,13 @@ class AdmissionEngine:
                               feasible=feasible,
                               state_fingerprint=state_digest,
                               mode=mode)
+
+    def _lowering(self, messages: list[Message]) -> ScenarioInputs:
+        """A flow table on the graph scenario's long-lived network."""
+        from repro.analysis.validation import wire_level_messages
+
+        return ScenarioInputs(messages, wire_level_messages(messages),
+                              self._network, self._graph_spec)
 
     # -- journal-recovery entry points -------------------------------------
 

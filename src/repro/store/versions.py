@@ -30,23 +30,26 @@ __all__ = ["ModuleGraph", "SUBSYSTEMS", "code_version", "all_code_versions",
 #: Entry modules whose import closure defines each subsystem's token.
 #: The closures are intentionally overlapping: a report experiment runs
 #: campaigns and simulations, so its token must cover both.
+#: ``repro.analysis.multihop`` is an explicit root of every subsystem
+#: that reaches the ``calculus`` engine: the engine imports it lazily
+#: (cycle break) and lazy imports are outside the closure walk, so
+#: without it editing the multi-hop analysis would not invalidate stored
+#: graph-scenario cells.
+_MULTIHOP = "repro.analysis.multihop"
 SUBSYSTEMS: dict[str, tuple[str, ...]] = {
-    # repro.analysis.multihop is an explicit campaigns root because the
-    # runner imports it lazily (cycle break) and lazy imports are outside
-    # the closure walk — without it, editing the multi-hop analysis would
-    # not invalidate stored graph-scenario campaign cells.
     "campaigns": ("repro.campaigns.runner", "repro.campaigns.registry",
-                  "repro.analysis.multihop"),
-    "simulation": ("repro.simulation.campaign",),
-    "fuzz": ("repro.fuzz.campaign", "repro.fuzz.generator"),
-    "reports": ("repro.reports.pipeline", "repro.reports.experiments"),
+                  _MULTIHOP),
+    "simulation": ("repro.simulation.campaign", _MULTIHOP),
+    "fuzz": ("repro.fuzz.campaign", "repro.fuzz.generator", _MULTIHOP),
+    "reports": ("repro.reports.pipeline", "repro.reports.experiments",
+                _MULTIHOP),
     "topology": ("repro.topology.graph", "repro.topology.routing"),
     # The serve engine's cached snapshots embed the campaign closed forms
-    # and the multi-hop fallback, so its roots cover both.
-    "serve": ("repro.serve.engine", "repro.analysis.multihop"),
-    # The bound-engine registry: repro.analysis.multihop is an explicit
-    # root because the calculus engine reaches it lazily (cycle break).
-    "engines": ("repro.analysis.engines", "repro.analysis.multihop"),
+    # and the multi-hop fallback, so its roots cover both; the fallback
+    # sizes its flows at wire level through repro.analysis.validation,
+    # which it imports lazily.
+    "serve": ("repro.serve.engine", _MULTIHOP, "repro.analysis.validation"),
+    "engines": ("repro.analysis.engines", _MULTIHOP),
 }
 
 
