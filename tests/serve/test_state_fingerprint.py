@@ -35,10 +35,10 @@ PRELOADED = {
         "961684a3e98b66a0e0b4817a6520c184ca8c640c3bb02b0020ea6d5b1d1d02ac"),
     ("graph-diamond", "fcfs"): (
         "0e13969eab52bbcc524837a998ebc89538663ca59d2e044a9a888927dc1bbf2d",
-        "0658e4e25a6c92bb4c4340d9c73df0b0d3111823f265c93e5661731c2520b620"),
+        "8620b0a38b59939824aafe061fc961fcdc3e783378d284557fd02483a5547302"),
     ("graph-diamond", "strict-priority"): (
         "2bd68e37162cd193c8f1b8d9bef5c11087b58641c04413640fa5592e7eb2897d",
-        "51149b8410fa195cd9a03466c7bf91e6df752375fada2fca1acc02f0412bf48a"),
+        "060e5f1e187eb34cf4b5f5cfdb811fd74e7c17fda570ec1d1c856266442e77ee"),
 }
 
 
