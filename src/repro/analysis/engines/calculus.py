@@ -47,24 +47,24 @@ __all__ = ["CalculusEngine", "scenario_rows"]
 
 def scenario_rows(scenario: "Scenario", policy: str,
                   aggregates: "Mapping[PriorityClass, ClassAggregate]",
-                  inputs: "Callable[[], ScenarioInputs]"
+                  lowering: "Callable[[], ScenarioInputs]"
                   ) -> dict[PriorityClass, tuple[float, float]]:
     """Per-class ``(bound, backlog_bits)`` of one scenario under ``policy``.
 
     The one place that picks a scenario's row function.  Graph
     topologies read the ``calculus`` verdict on the scenario's lowered
-    network, ``inputs()`` (:meth:`CalculusEngine.network_bounds`: the
+    network, ``lowering()`` (:meth:`CalculusEngine.network_bounds`: the
     wire-level messages the simulator's frames carry, kept on the
     lowering per policy); every other topology evaluates
     :func:`~repro.core.multiplexer.single_point_rows` on ``aggregates``.
-    ``inputs`` is only called on graph topologies, so the closed form
+    ``lowering`` is only called on graph topologies, so the closed form
     never lowers or materialises a replicated message set.
     """
     if scenario.topology.kind != "graph":
         return single_point_rows(aggregates, scenario.capacity,
                                  scenario.technology_delay, policy,
                                  scenario.hops)
-    verdict = CalculusEngine().network_bounds(inputs(), policy)
+    verdict = CalculusEngine().network_bounds(lowering(), policy)
     return {cls: (verdict.classes[cls], verdict.backlogs[cls])
             for cls in sorted(verdict.classes)}
 
@@ -80,16 +80,15 @@ class CalculusEngine(ScenarioBoundEngine):
         """Scenario-level bounds, identical to the campaign runner's rows.
 
         A caller that already computed the rows (the campaign runner)
-        passes them as ``rows``; otherwise they are computed here, on
-        graph topologies from ``inputs`` (lowered here when absent).
+        passes them as ``rows``; otherwise they are computed here, from
+        ``inputs`` (the scenario is lowered here when it is absent).
         """
         if rows is None:
-            messages = scenario.workload.build().messages \
-                if inputs is None else inputs.unsized
-            rows = scenario_rows(
-                scenario, policy, aggregate_flows(messages),
-                lambda: scenario_inputs(scenario) if inputs is None
-                else inputs)
+            if inputs is None:
+                inputs = scenario_inputs(scenario)
+            rows = scenario_rows(scenario, policy,
+                                 aggregate_flows(inputs.unsized),
+                                 lambda: inputs)
         return EngineResult.from_mapping(
             self.name, policy,
             {cls: bound for cls, (bound, _) in rows.items()})

@@ -135,7 +135,9 @@ class MultiHopAnalysisResult:
     #: True when the burst-propagation fixed point settled; when False
     #: the flows it could not settle were reported unstable.
     converged: bool
-    #: Worst per-port queue bound of every class present (bits).
+    #: Worst per-port queue bound of every class present (bits): with
+    #: :meth:`worst_per_class`, the ``calculus`` engine's per-class row
+    #: on graph topologies.
     class_backlogs: dict = field(default_factory=dict)
 
     def worst_per_class(self) -> dict[PriorityClass, PathFlowBound]:
@@ -150,16 +152,6 @@ class MultiHopAnalysisResult:
             if current is None or bound.delay > current.delay:
                 worst[bound.priority] = bound
         return worst
-
-    def class_rows(self) -> dict[PriorityClass, tuple[float, float]]:
-        """``{class: (worst delay, worst per-port backlog)}``, sorted.
-
-        Covers every class present: the per-class row the campaign
-        runner, the ``calculus`` engine and the admission engine report
-        on graph topologies.
-        """
-        return {cls: (bound.delay, self.class_backlogs[cls])
-                for cls, bound in sorted(self.worst_per_class().items())}
 
 
 class GraphPathAnalysis:
@@ -190,10 +182,9 @@ class GraphPathAnalysis:
                 ) -> MultiHopAnalysisResult:
         """Bound every flow end to end and every port's backlog.
 
-        ``flows`` are routed here, in name order, unless they come as
-        their :class:`~repro.analysis.engines.iteration.RoutedTemplate`
-        on this topology (:func:`~repro.analysis.engines.iteration.
-        network_template` of its network), which is routed alike.
+        ``flows`` are routed here, in name order, unless they come
+        already routed: a :class:`RoutedTemplate` of this topology's
+        network (``network_template``) holds the same routes.
         """
         template = flows if isinstance(flows, RoutedTemplate) else \
             route_template(sorted(flows, key=lambda item: item.name),

@@ -72,7 +72,9 @@ def bounds(name: str, policy: str, messages) -> dict:
                                      graph_spec=graph_spec))
                for engine in ENGINES}
     graph = GraphPathAnalysis(spec, policy=policy).analyze(messages)
-    results["graph-rows"] = repr(graph.class_rows())
+    results["graph-rows"] = repr({
+        cls: (bound.delay, graph.class_backlogs[cls])
+        for cls, bound in sorted(graph.worst_per_class().items())})
     results["graph-ports"] = repr(graph.ports)
     results["end-to-end"] = outcome(lambda: {
         cls: bound.total_delay for cls, bound in EndToEndAnalysis(
