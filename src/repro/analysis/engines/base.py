@@ -45,14 +45,16 @@ from typing import (TYPE_CHECKING, Iterable, Mapping, NamedTuple, Protocol,
                     runtime_checkable)
 
 from repro.analysis.engines.iteration import RoutedTemplate, network_template
+from repro.ethernet.frame import wire_burst
 from repro.flows.priorities import PriorityClass
 from repro.store import fingerprint
+from repro.topology.graph import GraphLink, GraphNode, GraphTopologySpec
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.campaigns.scenario import Scenario
     from repro.flows.flow import Flow
+    from repro.flows.message_set import MessageSet
     from repro.flows.messages import Message
-    from repro.topology.graph import GraphTopologySpec
     from repro.topology.network import Network
 
     #: ``{class: (bound, backlog bits)}`` of one scenario and policy.
@@ -208,7 +210,7 @@ def present_classes(messages: Iterable) -> list[PriorityClass]:
 
 @dataclass
 class ScenarioInputs:
-    """One lowered workload (:func:`repro.analysis.validation.lower`),
+    """One lowered workload (:func:`lower`),
     shared by every engine, policy and simulation; each routing is made
     on first use and kept."""
 
@@ -250,11 +252,56 @@ class NetworkBounds(NamedTuple):
     backlogs: dict[PriorityClass, float]
 
 
-def scenario_inputs(scenario: "Scenario") -> ScenarioInputs:
-    """The :func:`~repro.analysis.validation.lower` of one scenario: its
-    graph topology, or the single-switch star for every other kind."""
-    from repro.analysis.validation import lower
+def wire_level_messages(message_set: "Iterable[Message]") -> list[Message]:
+    """Copies of the messages sized on their on-wire burst.
 
+    The simulator transmits Ethernet frames (padding, headers, preamble and
+    inter-frame gap included), so the analytic side of the validation must
+    use the same on-wire sizes; otherwise the simulated delays of very small
+    messages (padded to the 64-byte Ethernet minimum) could exceed a bound
+    computed from their 2-byte payload.
+    """
+    return [message.with_size(wire_burst(message)) for message in message_set]
+
+
+def star_for_stations(stations: "list[str] | tuple[str, ...]",
+                      capacity: float,
+                      technology_delay: float) -> "Network":
+    """A single-switch star over arbitrary station names (``-rk``
+    replica suffixes included): :func:`lower`'s network without a graph."""
+    nodes = [GraphNode("switch-0", "switch",
+                       technology_delay=float(technology_delay))]
+    nodes.extend(GraphNode(station, "end-system") for station in stations)
+    links = tuple(GraphLink(station, "switch-0", rate=capacity)
+                  for station in stations)
+    return GraphTopologySpec(name=f"fuzz-star-{len(stations)}",
+                             nodes=tuple(nodes), links=links).to_network()
+
+
+def lower(message_set: "MessageSet", *, capacity: float,
+          technology_delay: float,
+          graph_spec: GraphTopologySpec | None = None) -> ScenarioInputs:
+    """The one lowering of a workload, shared by its bounds and simulations.
+
+    The network is ``graph_spec``'s, else the star over the message set's
+    stations.  The engines bound the wire-level messages; the simulator
+    runs the unsized ones and frames them itself (wire-level sizes would
+    pay the framing overhead twice).  Simulator-free, so the engines'
+    code-version closure covers it and the framing.
+    """
+    if graph_spec is not None:
+        network = graph_spec.to_network()
+    else:
+        network = star_for_stations(message_set.stations(), capacity,
+                                    technology_delay)
+    return ScenarioInputs(message_set.messages,
+                          wire_level_messages(message_set), network,
+                          graph_spec)
+
+
+def scenario_inputs(scenario: "Scenario") -> ScenarioInputs:
+    """The :func:`lower` of one scenario: its graph topology, or the
+    single-switch star for every other kind."""
     graph_spec = None
     if scenario.topology.kind == "graph":
         graph_spec = scenario.topology.build_graph(

@@ -58,11 +58,19 @@ whatever the schedule's order.
 Every rule reads the same per-port partition, :func:`port_levels`: the
 members of each priority level with their inflated bursts and rates,
 the bursts and rates of the strictly more urgent members, and the
-largest less urgent burst (the non-preemptive blocking term).  Sums
-over members go through :func:`math.fsum`, which rounds the exact sum
-once (Shewchuk's algorithm), so a bound depends on the set of flows at
-a port and not on the order they are listed in, and is the same on
-every Python version.
+largest less urgent burst (the non-preemptive blocking term).  Each
+port evaluation partitions its members once.  A rule whose engine
+composes a final result from the partition (the trajectory segments,
+the graph path's backlogs) keeps it on the port as
+:attr:`PortContext.levels`, and the composition reads it there instead
+of partitioning again: a port's last evaluation saw the final upstream
+values, the same argument the schedule rests on.  Only a run that did
+not settle can end on an accumulation after some port's last
+evaluation, so those compositions partition afresh when
+:func:`run_fixed_point` returns ``False``.  Sums over members go through
+:func:`math.fsum`, which rounds the exact sum once (Shewchuk's
+algorithm), so a bound depends on the set of flows at a port and not on
+the order they are listed in, and is the same on every Python version.
 
 Routing happens once per flow set: :func:`route_template` builds a
 :class:`RoutedTemplate` (routed flows, hops, propagation, each port's
@@ -73,9 +81,7 @@ engine and policy of a scenario.  The flows' token-bucket parameters
 and priority levels are copied onto the template once; the rules run
 once per member pair per port evaluation, so they read those plain
 fields instead of going through ``Flow`` → ``Message`` properties and
-the priority enum on every access.  Bursts only move between port
-evaluations, so :func:`port_levels` computes each member's inflated
-burst once per port evaluation.
+the priority enum on every access.
 """
 
 from __future__ import annotations
@@ -132,17 +138,8 @@ class RoutedFlowState:
     #: bursts (and therefore every bound involving it) become infinite.
     diverged: bool = False
 
-    def burst_at(self, index: int) -> float:
-        """Token-bucket burst at hop ``index``, inflated by upstream delay."""
-        if self.diverged:
-            return math.inf
-        upstream = self.upstream[index]
-        if math.isinf(upstream):
-            return math.inf
-        return self.burst + self.rate * upstream
 
-
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class PortContext:
     """One directed output port and the routed flows crossing it."""
 
@@ -154,6 +151,9 @@ class PortContext:
     #: ``(state, hop index)`` of every flow using this port, in the
     #: order the flows were passed to :func:`route_template`.
     members: tuple[tuple[RoutedFlowState, int], ...]
+    #: The :func:`port_levels` of the port's last evaluation, set by the
+    #: rules whose final composition reads it; ``None`` until then.
+    levels: "list[PortLevel] | None" = None
 
 
 class _RoutedFlow(NamedTuple):
@@ -314,10 +314,19 @@ def port_levels(port: PortContext, policy: str) -> list[PortLevel]:
     """Partition a port's members by priority level, most urgent first.
 
     Under FIFO (``"fcfs"``) every member shares one level, with nothing
-    more urgent and no blocking.  Each member's burst is inflated once.
+    more urgent and no blocking.  Each member's burst is inflated once,
+    ``b + r * upstream`` at its hop (``inf`` once the flow diverged or
+    its upstream is infinite), and a level's blocking is the largest of
+    the per-level maxima below it: bursts are never negative, so that is
+    the largest less urgent burst, exactly.
     """
     members = port.members
-    bursts = [state.burst_at(index) for state, index in members]
+    inf = math.inf
+    bursts = []
+    for state, index in members:
+        upstream = state.upstream[index]
+        bursts.append(inf if state.diverged or upstream == inf
+                      else state.burst + state.rate * upstream)
     rates = [state.rate for state, _ in members]
     if policy == "fcfs":
         return [PortLevel(list(range(len(members))), bursts, rates,
@@ -325,23 +334,26 @@ def port_levels(port: PortContext, policy: str) -> list[PortLevel]:
     grouped: dict[int, list[int]] = {}
     for position, (state, _) in enumerate(members):
         grouped.setdefault(state.level, []).append(position)
+    own = [grouped[level] for level in sorted(grouped)]
+    own_bursts = [[bursts[position] for position in positions]
+                  for positions in own]
+    blocking = [0.0] * len(own)
+    for below in range(len(own) - 1, 0, -1):
+        blocking[below - 1] = max(blocking[below], max(own_bursts[below]))
     levels = []
     higher_bursts: list[float] = []
     higher_rates: list[float] = []
-    for level in sorted(grouped):
-        positions = grouped[level]
-        own_bursts = [bursts[position] for position in positions]
-        own_rates = [rates[position] for position in positions]
-        levels.append(PortLevel(
-            positions, own_bursts, own_rates, higher_bursts, higher_rates,
-            max((burst for (state, _), burst in zip(members, bursts)
-                 if state.level > level), default=0.0)))
-        higher_bursts = higher_bursts + own_bursts
-        higher_rates = higher_rates + own_rates
+    for positions, level_bursts, level_blocking in zip(own, own_bursts,
+                                                       blocking):
+        level_rates = [rates[position] for position in positions]
+        levels.append(PortLevel(positions, level_bursts, level_rates,
+                                higher_bursts, higher_rates, level_blocking))
+        higher_bursts = higher_bursts + level_bursts
+        higher_rates = higher_rates + level_rates
     return levels
 
 
-def port_leftovers(port: PortContext, policy: str
+def port_leftovers(port: PortContext, levels: list[PortLevel]
                    ) -> list[tuple[float, float, float]]:
     """Calculus left-over ``(rate, latency, delay)`` of every port member.
 
@@ -351,10 +363,11 @@ def port_leftovers(port: PortContext, policy: str
     with ``R = C - r_cross`` and ``T = (C * t_techno + blocking +
     b_cross) / R``, and the hop delay is ``T + b / R`` for the flow's
     inflated burst ``b`` (``inf`` when the port cannot serve the flow).
+    ``levels`` is the port's :func:`port_levels` under the policy.
     Results follow ``port.members``.
     """
     leftovers: list = [None] * len(port.members)
-    for level in port_levels(port, policy):
+    for level in levels:
         bursts = level.higher_bursts + level.bursts
         rates = level.higher_rates + level.rates
         for own, position in enumerate(level.positions, len(

@@ -26,16 +26,20 @@ calculus), and the segment concatenation is applied in the final
 end-to-end composition only — the iteration stays monotone and either
 settles or flags the flow unstable.
 
-The final composition reads the per-port partition of the fixed point
-(:func:`~repro.analysis.engines.iteration.port_levels`) once per
-``(port, priority level)``: the strictly-higher sums and the blocking
-term give the level's left-over ``(rate, latency)``, and the level's
-own members form its same-class group.  None of them depends on which
-member of the level asks, because a flow never interferes with itself
-as higher or lower traffic.  A flow's companions are its group minus
-itself, and since the flow belongs to every group on its path,
-comparing groups delimits the same segments as comparing companion
-sets.
+Each port evaluation partitions its members once
+(:func:`~repro.analysis.engines.iteration.port_levels`), and the rule
+keeps the partition of the port's last evaluation: that evaluation saw
+the final upstream values, the same argument the feed-forward schedule
+rests on.  The final composition reads that partition once per ``(port,
+priority level)``: the strictly-higher sums and the blocking term give
+the level's left-over ``(rate, latency)``, and the level's own members
+form its same-class group.  None of them depends on which member of the
+level asks, because a flow never interferes with itself as higher or
+lower traffic.  A flow's companions are its group minus itself; their
+rate and burst sums are taken once per member and group.  Since the
+flow belongs to every group on its path, comparing groups (by an
+interned key, the names of their members in port order) delimits the
+same segments as comparing companion sets.
 
 Under FIFO every competing flow counts as same-class, so the engine
 degenerates to blind-multiplexing concatenation per segment; at a
@@ -47,7 +51,6 @@ per segment beats paying them per hop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
@@ -66,27 +69,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["TrajectoryEngine"]
 
 
-@dataclass(frozen=True)
-class _LevelGroup:
-    """One priority level's share of one port after the fixed point."""
-
-    #: Left-over ``(rate, latency)`` after strictly-higher-priority
-    #: interference and lower-priority blocking; ``None`` when unbounded.
-    leftover: tuple[float, float] | None
-    #: Names of the level's flows at the port (the segment key).
-    names: frozenset[str]
-    #: Rates and inflated bursts of the level's flows.
-    rates: list[float]
-    bursts: list[float]
-
-
-#: The level group a flow belongs to at one hop, and its position in it.
-_Hop = tuple[_LevelGroup, int]
-
-
-def _without(values: list[float], position: int) -> list[float]:
-    """``values`` minus the flow's own entry: its companions' values."""
-    return values[:position] + values[position + 1:]
+#: A flow's share of its level group at one hop, after the fixed point:
+#: the group's interned key (equal keys, same companions), the level's
+#: left-over ``(rate, latency)`` after strictly-higher-priority
+#: interference and lower-priority blocking, and the rate and
+#: inflated-burst sums of the flow's companions in the group.
+_Hop = tuple[tuple[str, ...], float, float, float, float]
 
 
 class TrajectoryEngine(ScenarioBoundEngine):
@@ -105,15 +93,35 @@ class TrajectoryEngine(ScenarioBoundEngine):
         states, ports = template.instantiate()
         if not states:
             return {}
-        run_fixed_point(states, ports,
-                        lambda port: self._port_delays(port, policy),
-                        template.schedule)
-        paths: dict[int, list[_Hop]] = {
+        if not run_fixed_point(states, ports,
+                               lambda port: self._port_delays(port, policy),
+                               template.schedule):
+            # An unsettled run may end on an accumulation that came
+            # after the ports' last evaluations: partition afresh.
+            for port in ports:
+                port.levels = port_levels(port, policy)
+        paths: dict[int, list[_Hop | None]] = {
             id(state): [None] * len(state.hops) for state in states}
+        keys: dict[tuple[str, ...], tuple[str, ...]] = {}
         for port in ports:
-            for group, members in self._level_groups(port, policy):
-                for position, (state, index) in enumerate(members):
-                    paths[id(state)][index] = (group, position)
+            for level in port.levels:
+                higher_burst = math.fsum(level.higher_bursts)
+                rate = port.capacity - math.fsum(level.higher_rates)
+                if not (rate > 0 and math.isfinite(higher_burst)
+                        and math.isfinite(level.blocking)):
+                    continue  # unbounded: the hop stays ``None``
+                latency = (port.capacity * port.technology_delay
+                           + level.blocking + higher_burst) / rate
+                members = [port.members[position]
+                           for position in level.positions]
+                key = tuple([state.name for state, _ in members])
+                key = keys.setdefault(key, key)
+                rates, bursts = level.rates, level.bursts
+                for own, (state, index) in enumerate(members):
+                    paths[id(state)][index] = (
+                        key, rate, latency,
+                        math.fsum(rates[:own] + rates[own + 1:]),
+                        math.fsum(bursts[:own] + bursts[own + 1:]))
         mapping: dict[PriorityClass, float] = {}
         for state in states:
             delay = self._end_to_end(state, paths[id(state)])
@@ -132,93 +140,60 @@ class TrajectoryEngine(ScenarioBoundEngine):
         monotone; the segment concatenation below only sharpens the
         final composition, never the iterated state.
         """
+        port.levels = port_levels(port, policy)
         for (state, index), (_, _, delay) in zip(
-                port.members, port_leftovers(port, policy)):
+                port.members, port_leftovers(port, port.levels)):
             state.delays[index] = delay
 
     # -- final composition ---------------------------------------------------
 
     @staticmethod
-    def _level_groups(port: PortContext, policy: str
-                      ) -> list[tuple[_LevelGroup, list]]:
-        """Every level's group at one port, with its ``(state, hop)``s.
+    def _end_to_end(state: RoutedFlowState,
+                    path: "list[_Hop | None]") -> float:
+        """Segment-concatenated trajectory bound for one routed flow.
 
-        Under FIFO every flow at the port is same-class, so the port
-        holds a single group with no higher or blocking traffic.
+        Over each segment the hop left-overs concatenate (minimum rate,
+        summed latencies) for the same-class aggregate, and the constant
+        companion set is charged as cross traffic once, at the segment
+        entrance.
         """
-        groups = []
-        for level in port_levels(port, policy):
-            higher_burst = math.fsum(level.higher_bursts)
-            rate = port.capacity - math.fsum(level.higher_rates)
-            leftover = None
-            if rate > 0 and math.isfinite(higher_burst) \
-                    and math.isfinite(level.blocking):
-                leftover = (rate, (port.capacity * port.technology_delay
-                                   + level.blocking + higher_burst) / rate)
-            members = [port.members[position] for position in level.positions]
-            groups.append((_LevelGroup(
-                leftover=leftover,
-                names=frozenset(state.name for state, _ in members),
-                rates=level.rates, bursts=level.bursts), members))
-        return groups
-
-    def _end_to_end(self, state: RoutedFlowState,
-                    path: list[_Hop]) -> float:
-        """Segment-concatenated trajectory bound for one routed flow."""
-        if state.diverged:
+        if state.diverged or None in path:
             return math.inf
-        if any(group.leftover is None for group, _ in path):
-            return math.inf
-
         total_latency = 0.0
         slowest_segment = math.inf
+        count = len(path)
         start = 0
-        while start < len(path):
-            stop = start
-            while stop + 1 < len(path) and \
-                    path[stop + 1][0].names == path[start][0].names:
+        while start < count:
+            key, rate, latency, companion_rate, companion_burst = path[start]
+            stop = start + 1
+            while stop < count and path[stop][0] is key:
                 stop += 1
-            segment_rate, segment_latency = self._segment(
-                path[start:stop + 1])
-            if segment_rate <= 0 or not math.isfinite(segment_latency):
+            if stop > start + 1:  # else the entrance's own rate and latency
+                segment = path[start:stop]
+                rate = min(hop[1] for hop in segment)
+                latency = math.fsum(hop[2] for hop in segment)
+            segment_rate = rate - companion_rate
+            if not math.isfinite(companion_burst) or segment_rate <= 0 \
+                    or not math.isfinite(latency):
+                return math.inf
+            segment_latency = latency + (companion_burst
+                                         + companion_rate * latency) \
+                / segment_rate
+            if not math.isfinite(segment_latency):
                 return math.inf
             total_latency += segment_latency
             slowest_segment = min(slowest_segment, segment_rate)
-            start = stop + 1
+            start = stop
         if state.rate > slowest_segment:
             return math.inf
 
         # Store-and-forward: each relaying hop re-serialises the burst.
         packetisation = 0.0
-        for group, position in path[:-1]:
-            local_rate = group.leftover[0] - math.fsum(
-                _without(group.rates, position))
+        for _, rate, _, companion_rate, _ in path[:-1]:
+            local_rate = rate - companion_rate
             if local_rate <= 0:
                 return math.inf
             packetisation += state.burst / local_rate
         propagation = math.fsum(state.propagation)
         return (total_latency + state.burst / slowest_segment
                 + packetisation + propagation)
-
-    @staticmethod
-    def _segment(segment: list[_Hop]) -> tuple[float, float]:
-        """(rate, latency) of the flow's left-over over one segment.
-
-        The hop left-overs concatenate (minimum rate, summed latencies)
-        for the same-class aggregate; the constant companion set is then
-        charged as cross traffic once, at the segment entrance.
-        """
-        rate = min(group.leftover[0] for group, _ in segment)
-        latency = math.fsum(group.leftover[1] for group, _ in segment)
-        entrance, position = segment[0]
-        companion_rate = math.fsum(_without(entrance.rates, position))
-        companion_burst = math.fsum(_without(entrance.bursts, position))
-        if not math.isfinite(companion_burst):
-            return 0.0, math.inf
-        segment_rate = rate - companion_rate
-        if segment_rate <= 0 or not math.isfinite(latency):
-            return 0.0, math.inf
-        segment_latency = latency + (companion_burst
-                                     + companion_rate * latency) \
-            / segment_rate
-        return segment_rate, segment_latency

@@ -194,6 +194,11 @@ class GraphPathAnalysis:
             raise EmptyAggregateError("no flow to analyse")
         converged = run_fixed_point(states, ports, self._leftover,
                                     template.schedule)
+        if not converged:
+            # An unsettled run may end on an accumulation that came
+            # after the ports' last evaluations: partition afresh.
+            for port in ports:
+                port.levels = port_levels(port, self.policy)
 
         flow_bounds = []
         for state in states:
@@ -224,9 +229,13 @@ class GraphPathAnalysis:
         return link.rate, self.spec.technology_delay(node), link.latency
 
     def _leftover(self, port: PortContext) -> None:
-        """Left-over service and delay of every flow at one port."""
+        """Left-over service and delay of every flow at one port.
+
+        The port's partition is kept for :meth:`_backlogs`.
+        """
+        port.levels = port_levels(port, self.policy)
         for (state, index), (rate, latency, delay) in zip(
-                port.members, port_leftovers(port, self.policy)):
+                port.members, port_leftovers(port, port.levels)):
             state.details[index] = (rate, latency)
             state.delays[index] = delay
 
@@ -262,7 +271,8 @@ class GraphPathAnalysis:
         The class-``p`` queue holds class-``p`` traffic served by the
         link's residual after the strictly higher classes (plus the
         blocking term); under FCFS every class shares the single queue,
-        so each gets the aggregate bound.
+        so each gets the aggregate bound.  Each port's bursts are those
+        of the partition its last evaluation kept.
         """
         contexts = {(port.node, port.toward): port for port in ports}
         port_bounds = []
@@ -275,7 +285,7 @@ class GraphPathAnalysis:
                      for successor in successors}
         for (node, toward) in sorted(all_ports):
             port = contexts.get((node, toward))
-            levels = [] if port is None else port_levels(port, self.policy)
+            levels = [] if port is None else port.levels
             capacity = self.spec.edge(node, toward).rate
             latency0 = self.spec.technology_delay(node)
             total_rate = math.fsum(rate for level in levels

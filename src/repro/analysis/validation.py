@@ -6,7 +6,9 @@ site that does so (this experiment, buffer dimensioning, fuzz cells, the
 Monte-Carlo campaign, the report's multi-hop and engine exhibits) runs:
 
 1. :func:`lower` — the unsized messages, their wire-level copies and the
-   network (the scenario's graph, else the single-switch star),
+   network (the scenario's graph, else the single-switch star); it is
+   defined beside :class:`~repro.analysis.engines.base.ScenarioInputs`,
+   away from the simulator, and re-exported here,
 2. :func:`engine_bounds` — every selected engine's verdict on the
    wire-level messages, ``calculus`` first,
 3. :func:`simulate` — the simulator on the unsized messages of the same
@@ -20,19 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from repro import units
 from repro.analysis.engines import DEFAULT_ENGINE, DEFAULT_ENGINES, get_engine
-from repro.analysis.engines.base import NetworkBounds, ScenarioInputs
-from repro.ethernet.frame import wire_burst
+from repro.analysis.engines.base import (NetworkBounds, ScenarioInputs,
+                                         lower, star_for_stations,
+                                         wire_level_messages)
 from repro.ethernet.network_sim import (EthernetNetworkSimulator,
                                         SimulationResults)
 from repro.flows.message_set import MessageSet
-from repro.flows.messages import Message
 from repro.flows.priorities import PriorityClass
-from repro.topology.graph import GraphLink, GraphNode, GraphTopologySpec
-from repro.topology.network import Network
 
 __all__ = [
     "TOLERANCE",
@@ -72,52 +71,6 @@ def tightness_of(observed: float, bound: float) -> float:
     if not math.isfinite(bound) or bound <= 0 or math.isnan(observed):
         return math.nan
     return observed / bound
-
-
-def wire_level_messages(message_set: "Iterable[Message]") -> list[Message]:
-    """Copies of the messages sized on their on-wire burst.
-
-    The simulator transmits Ethernet frames (padding, headers, preamble and
-    inter-frame gap included), so the analytic side of the validation must
-    use the same on-wire sizes; otherwise the simulated delays of very small
-    messages (padded to the 64-byte Ethernet minimum) could exceed a bound
-    computed from their 2-byte payload.
-    """
-    return [message.with_size(wire_burst(message)) for message in message_set]
-
-
-def star_for_stations(stations: "list[str] | tuple[str, ...]",
-                      capacity: float,
-                      technology_delay: float) -> Network:
-    """A single-switch star over arbitrary station names (``-rk``
-    replica suffixes included): :func:`lower`'s network without a graph."""
-    nodes = [GraphNode("switch-0", "switch",
-                       technology_delay=float(technology_delay))]
-    nodes.extend(GraphNode(station, "end-system") for station in stations)
-    links = tuple(GraphLink(station, "switch-0", rate=capacity)
-                  for station in stations)
-    return GraphTopologySpec(name=f"fuzz-star-{len(stations)}",
-                             nodes=tuple(nodes), links=links).to_network()
-
-
-def lower(message_set: MessageSet, *, capacity: float,
-          technology_delay: float,
-          graph_spec: GraphTopologySpec | None = None) -> ScenarioInputs:
-    """The one lowering of a workload, shared by its bounds and simulations.
-
-    The network is ``graph_spec``'s, else the star over the message set's
-    stations.  The engines bound the wire-level messages; the simulator
-    runs the unsized ones and frames them itself (wire-level sizes would
-    pay the framing overhead twice).
-    """
-    if graph_spec is not None:
-        network = graph_spec.to_network()
-    else:
-        network = star_for_stations(message_set.stations(), capacity,
-                                    technology_delay)
-    return ScenarioInputs(message_set.messages,
-                          wire_level_messages(message_set), network,
-                          graph_spec)
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from repro.analysis.engines.iteration import (PortContext, route_template,
-                                              run_fixed_point)
+from repro.analysis.engines.iteration import (PortContext, port_levels,
+                                              route_template, run_fixed_point)
 from repro.core.multiplexer import (
     FcfsMultiplexerAnalysis,
     MultiplexerBound,
@@ -241,13 +241,14 @@ class EndToEndAnalysis:
         """
         analysis = (FcfsMultiplexerAnalysis if self.policy == "fcfs"
                     else StrictPriorityMultiplexerAnalysis)
+        # The FIFO partition: one level, the inflated bursts in member order.
+        bursts = port_levels(port, "fcfs")[0].bursts
         bounds = analysis(
             capacity=port.capacity, technology_delay=port.technology_delay
-        ).class_bounds([_EffectiveFlow(name=state.name,
-                                       burst=state.burst_at(index),
+        ).class_bounds([_EffectiveFlow(name=state.name, burst=burst,
                                        rate=state.rate,
                                        priority=state.priority)
-                        for state, index in port.members])
+                        for (state, _), burst in zip(port.members, bursts)])
         for state, index in port.members:
             bound = bounds[state.priority]
             state.details[index] = bound

@@ -56,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.analysis.engines.base import ScenarioInputs
+from repro.analysis.engines.base import ScenarioInputs, wire_level_messages
 from repro.analysis.engines.calculus import scenario_rows
 from repro.campaigns.scenario import Scenario
 from repro.core.multiplexer import ClassAggregate, aggregate_flows
@@ -561,8 +561,6 @@ class AdmissionEngine:
 
     def _lowering(self, messages: list[Message]) -> ScenarioInputs:
         """A flow table on the graph scenario's long-lived network."""
-        from repro.analysis.validation import wire_level_messages
-
         return ScenarioInputs(messages, wire_level_messages(messages),
                               self._network, self._graph_spec)
 

@@ -45,10 +45,8 @@ SUBSYSTEMS: dict[str, tuple[str, ...]] = {
                 _MULTIHOP),
     "topology": ("repro.topology.graph", "repro.topology.routing"),
     # The serve engine's cached snapshots embed the campaign closed forms
-    # and the multi-hop fallback, so its roots cover both; the fallback
-    # sizes its flows at wire level through repro.analysis.validation,
-    # which it imports lazily.
-    "serve": ("repro.serve.engine", _MULTIHOP, "repro.analysis.validation"),
+    # and the multi-hop fallback, so its roots cover both.
+    "serve": ("repro.serve.engine", _MULTIHOP),
     "engines": ("repro.analysis.engines", _MULTIHOP),
 }
 

@@ -22,7 +22,7 @@ from repro.analysis.engines import HolisticEngine, TrajectoryEngine, get_engine
 from repro.analysis.engines.base import scenario_inputs
 from repro.analysis.engines.iteration import (MAX_ITERATIONS,
                                               network_template,
-                                              port_leftovers,
+                                              port_leftovers, port_levels,
                                               run_fixed_point)
 from repro.analysis.validation import wire_level_messages
 from repro.campaigns import builtin_scenarios
@@ -126,7 +126,7 @@ def every_port_fixed_point(states, ports, rule, schedule=None) -> bool:
 def leftover_rule(policy):
     def rule(port):
         for (state, index), (rate, latency, delay) in zip(
-                port.members, port_leftovers(port, policy)):
+                port.members, port_leftovers(port, port_levels(port, policy))):
             state.details[index] = (rate, latency)
             state.delays[index] = delay
     return rule

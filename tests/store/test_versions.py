@@ -3,6 +3,8 @@
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.store import (
     SUBSYSTEMS,
     ModuleGraph,
@@ -14,15 +16,39 @@ from repro.store import (
 _SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+#: The simulator: the Ethernet models and the event kernel.
+#: ``repro.simulation.statistics`` is not among them: it is plain summary
+#: statistics, which the campaign closed forms also use.
+SIMULATOR_MODULES = (
+    "repro.ethernet.network_sim", "repro.ethernet.station",
+    "repro.ethernet.switch", "repro.ethernet.link", "repro.ethernet.traffic",
+    "repro.simulation.campaign", "repro.simulation.engine",
+    "repro.simulation.events", "repro.simulation.randomness",
+    "repro.simulation.trace")
+
+
 class TestClosures:
     def test_campaigns_excludes_the_simulators(self):
         graph = ModuleGraph(_SRC)
         closure = graph.closure(SUBSYSTEMS["campaigns"])
         assert "repro.campaigns.runner" in closure
         assert "repro.core.multiplexer" in closure
-        assert not any(module.startswith("repro.ethernet")
+        assert all(graph.module_file(module) is not None
+                   for module in SIMULATOR_MODULES)
+        assert not set(SIMULATOR_MODULES) & set(closure)
+        assert not any(module.startswith("repro.simulation.")
+                       and module != "repro.simulation.statistics"
                        for module in closure)
-        assert "repro.simulation.engine" not in closure
+
+    @pytest.mark.parametrize("subsystem", ["campaigns", "engines"])
+    def test_lowering_and_framing_are_in_the_bound_closures(self, subsystem):
+        # Stored ``--engine all`` cells and graph campaign rows bound
+        # the wire-level lowering: the framing and the lowering must move
+        # their tokens, while the simulator stays out.
+        closure = ModuleGraph(_SRC).closure(SUBSYSTEMS[subsystem])
+        assert "repro.ethernet.frame" in closure
+        assert "repro.analysis.engines.base" in closure
+        assert not set(SIMULATOR_MODULES) & set(closure)
 
     def test_simulation_includes_the_event_kernel(self):
         closure = ModuleGraph(_SRC).closure(SUBSYSTEMS["simulation"])
@@ -93,6 +119,16 @@ class TestEditSensitivity:
         assert after["simulation"] != before["simulation"]
         assert after["reports"] != before["reports"]
         assert after["campaigns"] == before["campaigns"]
+
+    def test_editing_the_framing_moves_the_bound_tokens(self, tmp_path):
+        copy = tmp_path / "src"
+        shutil.copytree(_SRC / "repro", copy / "repro")
+        before = self._tokens(copy)
+        frame = copy / "repro" / "ethernet" / "frame.py"
+        frame.write_text(frame.read_text() + "\n# edited\n")
+        after = self._tokens(copy)
+        assert after["campaigns"] != before["campaigns"]
+        assert after["engines"] != before["engines"]
 
     def test_editing_the_campaign_cache_spares_the_simulation(
             self, tmp_path):

@@ -75,3 +75,43 @@ def test_a_missing_serve_table_is_reported(tmp_path, monkeypatch):
     report = bench_report.build_report()
     assert "serve_throughput" not in report
     assert "serve_throughput.csv" in report["missing"]
+
+
+def test_report_carries_the_engine_sweep(tmp_path, capsys):
+    output = tmp_path / "BENCH_report.json"
+    assert bench_report.main(["--output", str(output)]) == 0
+    assert "engines" in capsys.readouterr().out
+    engines = json.loads(output.read_text())["engines"]
+    assert sorted(engines) == ["best_run_ms", "engine_rows", "rows_per_sec",
+                               "scenarios"]
+    with (bench_report.RESULTS_DIR / "engines.csv").open() as handle:
+        row = next(line for line in handle
+                   if line.startswith("--engine all,"))
+    scenarios, rows, best_run, rate = row.strip().split(",")[1:]
+    assert engines["scenarios"] == float(scenarios)
+    assert engines["engine_rows"] == float(rows)
+    assert engines["best_run_ms"] == float(best_run.removesuffix(" ms"))
+    assert engines["rows_per_sec"] == float(rate)
+    assert engines["rows_per_sec"] > 0
+
+
+def test_report_carries_the_routing_throughput(tmp_path, capsys):
+    output = tmp_path / "BENCH_report.json"
+    assert bench_report.main(["--output", str(output)]) == 0
+    assert "routing_throughput" in capsys.readouterr().out
+    routing = json.loads(output.read_text())["routing_throughput"]
+    assert sorted(routing) == ["cells_per_sec", "multihop_cells", "routes",
+                               "routes_per_sec", "violations"]
+    committed = bench_report._metric_rows("routing_throughput")
+    for name, value in routing.items():
+        assert value == float(committed[name].replace(",", "")), name
+    assert routing["routes_per_sec"] > 0
+
+
+def test_missing_engine_and_routing_tables_are_reported(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.setattr(bench_report, "RESULTS_DIR", tmp_path)
+    report = bench_report.build_report()
+    assert "engines" not in report and "routing_throughput" not in report
+    assert "engines.csv" in report["missing"]
+    assert "routing_throughput.csv" in report["missing"]

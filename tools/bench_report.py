@@ -6,8 +6,9 @@ under ``benchmarks/results/``; CI wants one machine-readable summary it
 can upload as an artifact and plot across runs.  This script distils the
 key performance trajectory — simulation kernel events/second, Monte-Carlo
 grid wall time, analytic sweep wall time, campaign memoization speedup,
-result-store warm-run numbers, fuzz cell and scenario-generation rates
-and the admission service's warm-server throughput — from those
+result-store warm-run numbers, fuzz cell and scenario-generation rates,
+the admission service's warm-server throughput, the cross-engine
+(``--engine all``) campaign rate and the routing rates — from those
 committed CSVs into a single JSON document.
 
 Run after the benchmarks (``pytest benchmarks -q``)::
@@ -59,6 +60,24 @@ def _sim_throughput() -> dict:
             "events_per_sec": _number(row["events_per_sec"]),
             "speedup_over_pre_rewrite": _number(row["speedup"]),
         } for row in csv.DictReader(handle)}
+
+
+def _engine_sweep() -> dict:
+    """The ``--engine all`` row of ``engines.csv`` (empty if absent)."""
+    path = RESULTS_DIR / "engines.csv"
+    if not path.is_file():
+        return {}
+    with path.open(newline="") as handle:
+        for row in csv.DictReader(handle):
+            if row["mode"] == "--engine all":
+                return {
+                    "scenarios": _number(row["scenarios"]),
+                    "engine_rows": _number(row["engine rows"]),
+                    "best_run_ms": _number(
+                        row["best run"].removesuffix(" ms")),
+                    "rows_per_sec": _number(row["rows/s"]),
+                }
+    return {}
 
 
 def build_report() -> dict:
@@ -135,6 +154,24 @@ def build_report() -> dict:
         }
     else:
         report["missing"].append("serve_throughput.csv")
+
+    engines = _engine_sweep()
+    if engines:
+        report["engines"] = engines
+    else:
+        report["missing"].append("engines.csv")
+
+    routing = _metric_rows("routing_throughput")
+    if routing:
+        report["routing_throughput"] = {
+            "routes": _number(routing.get("routes", "")),
+            "routes_per_sec": _number(routing.get("routes_per_sec", "")),
+            "multihop_cells": _number(routing.get("multihop_cells", "")),
+            "cells_per_sec": _number(routing.get("cells_per_sec", "")),
+            "violations": _number(routing.get("violations", "")),
+        }
+    else:
+        report["missing"].append("routing_throughput.csv")
 
     return report
 
