@@ -117,7 +117,7 @@ def test_bench_engines(benchmark, report, monkeypatch):
     original_fixed_point = iteration.run_fixed_point
     for module in ("repro.analysis.engines.holistic",
                    "repro.analysis.engines.trajectory",
-                   "repro.analysis.multihop", "repro.core.endtoend"):
+                   "repro.core.endtoend"):
         monkeypatch.setattr(f"{module}.run_fixed_point",
                             counting_fixed_point)
     route_calls = {}

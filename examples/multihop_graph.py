@@ -6,10 +6,9 @@ repository's generalisation to arbitrary multi-hop graphs.  It loads the
 diamond topology document from ``examples/topologies/diamond.json`` (two
 equal-cost two-switch branches between the entry and exit switches),
 routes the synthetic case-study traffic with the deterministic shortest
--path engine, and computes per-flow end-to-end delay bounds by
-concatenating the per-hop left-over service curves — the blind
--multiplexing generalisation of the paper's single-point formula, with
-the store-and-forward packetisation terms added per hop.
+-path engine, and computes per-flow end-to-end delay bounds by summing
+the paper's multiplexer bound over every egress port on the route, each
+flow's burst inflated by the delay it may have gathered upstream.
 
 Run with::
 
@@ -18,8 +17,8 @@ Run with::
 
 from pathlib import Path
 
-from repro.analysis.multihop import GraphPathAnalysis
 from repro.analysis.validation import wire_level_messages
+from repro.core.endtoend import EndToEndAnalysis
 from repro.reporting import format_ms, render_table
 from repro.topology import RoutingEngine, load_topology_file
 from repro.workloads import RealCaseParameters, generate_real_case
@@ -43,10 +42,11 @@ def main() -> None:
     message_set = generate_real_case(RealCaseParameters(station_count=8),
                                      seed=7)
     wire = wire_level_messages(message_set)
+    network = spec.to_network()
     for policy in ("fcfs", "strict-priority"):
-        outcome = GraphPathAnalysis(spec, policy=policy).analyze(wire)
-        rows = [(cls.label, format_ms(bound.delay), len(bound.hops),
-                 " -> ".join(bound.path))
+        outcome = EndToEndAnalysis(network, policy=policy).analyze(wire)
+        rows = [(cls.label, format_ms(bound.total_delay), len(bound.hops),
+                 " -> ".join(bound.flow.path))
                 for cls, bound in sorted(outcome.worst_per_class().items())]
         print(render_table(
             ["class", "worst bound", "hops", "worst path"], rows,

@@ -11,9 +11,11 @@ analysis paths and is **bit-identical** to them by construction:
   on the scenario's lowered network,
 * network-level bounds (:meth:`CalculusEngine.network_bounds`, the
   floor of every bound-vs-simulation check) are
-  :class:`repro.core.endtoend.EndToEndAnalysis` on stars and
-  ``GraphPathAnalysis`` over the lowering's routed template on graphs,
-  with the graph's port and per-class backlogs.  A lowering keeps each
+  :class:`repro.core.endtoend.EndToEndAnalysis`, the one network-calculus
+  composition, over the lowering's routed template, star or graph; a
+  graph lowering also gets its port and per-class backlogs.  An
+  overloaded port or a diverged fixed point leaves the flows it cannot
+  bound with infinite bounds; nothing is raised.  A lowering keeps each
   policy's verdict on first use, so the campaign rows, the cross-engine
   table and the soundness check of one lowering share one evaluation.
 
@@ -23,19 +25,16 @@ reference both for soundness regressions and for the tightness ranking.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.analysis.engines.base import (EngineResult, NetworkBounds,
-                                         ScenarioBoundEngine,
-                                         present_classes, scenario_inputs)
+                                         ScenarioBoundEngine, scenario_inputs)
+from repro.analysis.engines.iteration import RoutedTemplate, network_template
 from repro.core.multiplexer import aggregate_flows, single_point_rows
-from repro.errors import UnstableSystemError
 from repro.flows.priorities import PriorityClass
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engines.base import ScenarioInputs, ScenarioRows
-    from repro.analysis.engines.iteration import RoutedTemplate
     from repro.campaigns.scenario import Scenario
     from repro.core.multiplexer import ClassAggregate
     from repro.flows.messages import Message
@@ -100,8 +99,7 @@ class CalculusEngine(ScenarioBoundEngine):
         verdict = inputs.verdicts.get(policy)
         if verdict is None:
             verdict = inputs.verdicts[policy] = self._bounds(
-                inputs.messages, policy, inputs.network, inputs.graph_spec,
-                inputs.template if inputs.graph_spec is not None else None)
+                policy, inputs.network, inputs.graph_spec, inputs.template)
         return verdict
 
     def network_class_bounds(self, messages: "Iterable[Message]",
@@ -109,47 +107,34 @@ class CalculusEngine(ScenarioBoundEngine):
                              graph_spec: "GraphTopologySpec | None" = None,
                              template: "RoutedTemplate | None" = None
                              ) -> dict[PriorityClass, float]:
-        """The class bounds of :meth:`_bounds` on ``network``."""
-        return self._bounds(list(messages), policy, network, graph_spec,
-                            template).classes
+        """The class bounds of :meth:`_bounds` on ``network``; the
+        messages are routed here unless ``template`` holds their routes."""
+        if template is None:
+            template = network_template(network, messages)
+        return self._bounds(policy, network, graph_spec, template).classes
 
     @staticmethod
-    def _bounds(messages: "list[Message]", policy: str, network: "Network",
+    def _bounds(policy: str, network: "Network",
                 graph_spec: "GraphTopologySpec | None",
-                template: "RoutedTemplate | None") -> NetworkBounds:
-        """Network-level bounds of ``messages`` on ``network``.
+                template: "RoutedTemplate") -> NetworkBounds:
+        """Network-level bounds of ``template``'s flows on ``network``.
 
-        The one place that picks the network calculus composition: a
-        graph lowering is bounded path by path by
-        :class:`~repro.analysis.multihop.GraphPathAnalysis` (over
-        ``template``, the messages' routes on ``network``, when given),
-        which also bounds every port's and every class's backlog and
-        reports the worst flow's switch hops; a star by
-        :class:`~repro.core.endtoend.EndToEndAnalysis`, which routes for
-        itself and reads an overloaded star as unbounded classes.
+        One call of the network-calculus composition,
+        :class:`~repro.core.endtoend.EndToEndAnalysis`, on the routed
+        template.  A graph lowering also reports every port's and every
+        class's backlog bound and the hop count of each class's worst
+        flow; a star reports its class bounds only.
         """
-        if graph_spec is not None:
-            from repro.analysis.multihop import GraphPathAnalysis
-
-            outcome = GraphPathAnalysis(graph_spec, policy=policy).analyze(
-                messages if template is None else template)
-            worst = outcome.worst_per_class()
-            return NetworkBounds(
-                {cls: bound.delay for cls, bound in worst.items()},
-                {(port.node, port.toward): port.backlog_bits
-                 for port in outcome.ports},
-                {cls: len(bound.hops) for cls, bound in worst.items()},
-                outcome.class_backlogs)
         from repro.core.endtoend import EndToEndAnalysis
 
-        try:
-            analytic = EndToEndAnalysis(
-                network, policy=policy).analyze(messages)
-        except UnstableSystemError:
-            return NetworkBounds(
-                {cls: math.inf for cls in present_classes(messages)},
-                {}, {}, {})
+        outcome = EndToEndAnalysis(network, policy=policy).analyze(template)
+        worst = outcome.worst_per_class()
+        classes = {cls: bound.total_delay for cls, bound in worst.items()}
+        if graph_spec is None:
+            return NetworkBounds(classes, {}, {}, {})
         return NetworkBounds(
-            {cls: bound.total_delay
-             for cls, bound in analytic.worst_per_class().items()},
-            {}, {}, {})
+            classes,
+            {(port.node, port.toward): port.backlog_bits
+             for port in outcome.ports},
+            {cls: len(bound.hops) for cls, bound in worst.items()},
+            outcome.class_backlogs)

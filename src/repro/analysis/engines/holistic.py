@@ -20,8 +20,9 @@ FIFO).  The sequence is monotone from zero, so it either settles, or
 delay is the limit plus the relaying latency ``t_techno``.
 
 Because the denominator ``C - R_{<=p}`` also pays the class' *own*
-aggregate rate (which the calculus left-over service keeps), each hop
-bound dominates the calculus hop bound — the engine is sound wherever
+aggregate rate (which the paper's multiplexer bound, the calculus
+per-hop rule, does not), each hop bound dominates the calculus hop
+bound — the engine is sound wherever
 the calculus engine is, and the tightness ranking shows what that extra
 interference term costs.
 """

@@ -9,12 +9,11 @@ on delays, so the per-hop bounds are iterated to a fixed point.
 
 This module is the only place that runs that loop.  It routes the flows,
 holds their per-hop state, groups them by directed port and iterates;
-:class:`~repro.analysis.multihop.GraphPathAnalysis`,
-:class:`~repro.core.endtoend.EndToEndAnalysis` and the holistic and
-trajectory engines each supply only their per-port delay rule.  A rule
-is a pure function of its members' bursts at the port's hop, and
-upstream delay accumulates hop by hop as ``(acc + delay) +
-propagation``.
+:class:`~repro.core.endtoend.EndToEndAnalysis` (the one network-calculus
+composition) and the holistic and trajectory engines each supply only
+their per-port delay rule.  A rule is a pure function of its members'
+bursts at the port's hop, and upstream delay accumulates hop by hop as
+``(acc + delay) + propagation``.
 
 **Feed-forward schedule.**  A port ``q`` depends on a port ``p`` when
 some flow crosses ``p`` at hop *k* and ``q`` at hop *k + 1*.  When that
@@ -50,10 +49,9 @@ first).  Those templates, and every run without a template, iterate:
   (``inf`` is absorbing, so this terminates), and the fixed point
   reports non-convergence.
 
-A rule that raises an :class:`~repro.errors.AnalysisError` (an
-overloaded multiplexer) during a scheduled run is re-run pass by pass
-from fresh state, so the error is the one the loop meets first,
-whatever the schedule's order.
+No rule raises on overload: a port that cannot serve a flow gives it an
+infinite delay, and the infinity travels downstream in its burst, so
+one overloaded port never stops the bounding of the rest.
 
 Every rule reads the same per-port partition, :func:`port_levels`: the
 members of each priority level with their inflated bursts and rates,
@@ -61,7 +59,7 @@ the bursts and rates of the strictly more urgent members, and the
 largest less urgent burst (the non-preemptive blocking term).  Each
 port evaluation partitions its members once.  A rule whose engine
 composes a final result from the partition (the trajectory segments,
-the graph path's backlogs) keeps it on the port as
+the calculus backlogs) keeps it on the port as
 :attr:`PortContext.levels`, and the composition reads it there instead
 of partitioning again: a port's last evaluation saw the final upstream
 values, the same argument the schedule rests on.  Only a run that did
@@ -92,7 +90,6 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
                     Sequence)
 
-from repro.errors import AnalysisError
 from repro.flows.flow import Flow
 from repro.flows.priorities import PriorityClass
 
@@ -100,8 +97,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.network import Network
 
 __all__ = ["RoutedFlowState", "PortContext", "RoutedTemplate",
-           "PortLevel", "route_template", "network_template", "port_levels",
-           "port_leftovers", "run_fixed_point", "MAX_ITERATIONS"]
+           "PortLevel", "route_template", "network_port", "network_template",
+           "port_levels", "port_leftovers", "run_fixed_point",
+           "MAX_ITERATIONS"]
 
 #: Burst-inflation passes before the divergence check.
 MAX_ITERATIONS = 16
@@ -279,9 +277,8 @@ def _port_schedule(paths: list[list[int]], count: int
     return tuple(order)
 
 
-def network_template(network: "Network", messages: Iterable
-                     ) -> RoutedTemplate:
-    """:func:`route_template` over a :class:`Network`, flows in name order.
+def network_port(network: "Network") -> PortAttributes:
+    """The :data:`PortAttributes` of a :class:`Network`'s directed ports.
 
     Stations relay nothing, so their ports carry no ``t_techno``.
     """
@@ -291,8 +288,14 @@ def network_template(network: "Network", messages: Iterable
                             if network.is_switch(node) else 0.0)
         return link.rate, technology_delay, link.latency
 
+    return port
+
+
+def network_template(network: "Network", messages: Iterable
+                     ) -> RoutedTemplate:
+    """:func:`route_template` over a :class:`Network`, flows in name order."""
     return route_template(sorted(messages, key=lambda message: message.name),
-                          network.route_flow, port)
+                          network.route_flow, network_port(network))
 
 
 class PortLevel(NamedTuple):
@@ -355,7 +358,8 @@ def port_levels(port: PortContext, policy: str) -> list[PortLevel]:
 
 def port_leftovers(port: PortContext, levels: list[PortLevel]
                    ) -> list[tuple[float, float, float]]:
-    """Calculus left-over ``(rate, latency, delay)`` of every port member.
+    """Blind-multiplexing left-over ``(rate, latency, delay)`` of every
+    port member (the trajectory engine's per-hop rule).
 
     For each member, every other flow at the port is cross traffic,
     except that under strict priority a lower-priority flow only blocks
@@ -432,24 +436,16 @@ def run_fixed_point(states: list[RoutedFlowState],
     docstring describes.
     """
     if schedule is not None:
-        try:
-            for position in schedule:
-                port = ports[position]
-                rule(port)
-                for state, index in port.members:
-                    upstream = state.upstream
-                    if index + 1 < len(upstream):
-                        upstream[index + 1] = (upstream[index]
-                                               + state.delays[index]) \
-                            + state.propagation[index]
-            return True
-        except AnalysisError:
-            # Raise what the pass-by-pass loop would raise first.
-            for state in states:
-                hops = len(state.hops)
-                state.upstream = [0.0] * hops
-                state.delays = [0.0] * hops
-                state.details = [None] * hops
+        for position in schedule:
+            port = ports[position]
+            rule(port)
+            for state, index in port.members:
+                upstream = state.upstream
+                if index + 1 < len(upstream):
+                    upstream[index + 1] = (upstream[index]
+                                           + state.delays[index]) \
+                        + state.propagation[index]
+        return True
     # ``{id(state): [position of the port at each hop]}``.
     ports_of = {id(state): [0] * len(state.hops) for state in states}
     for position, port in enumerate(ports):

@@ -21,8 +21,9 @@ delay the trajectory.  Adapted to this reproduction's models:
 
 Upstream burst inflation reuses the shared fixed-point scaffolding
 (:mod:`repro.analysis.engines.iteration`): during the iteration each
-hop's delay is the plain per-hop left-over bound (as in the multi-hop
-calculus), and the segment concatenation is applied in the final
+hop's delay is the plain per-hop blind-multiplexing left-over bound
+(:func:`~repro.analysis.engines.iteration.port_leftovers`), and the
+segment concatenation is applied in the final
 end-to-end composition only — the iteration stays monotone and either
 settles or flags the flow unstable.
 
@@ -135,8 +136,8 @@ class TrajectoryEngine(ScenarioBoundEngine):
     def _port_delays(port: PortContext, policy: str) -> None:
         """Per-hop left-over delays used for upstream burst inflation.
 
-        The iterated state uses the calculus per-hop left-over (every
-        competitor paid at the hop), which keeps the fixed point
+        The iterated state uses the per-hop blind-multiplexing left-over
+        (every competitor paid at the hop), which keeps the fixed point
         monotone; the segment concatenation below only sharpens the
         final composition, never the iterated state.
         """

@@ -193,8 +193,8 @@ def validate_bounds(message_set: MessageSet,
                     ) -> list[BoundValidationRow]:
     """Run the bound-vs-simulation validation (experiment E5).
 
-    An overloaded link leaves its classes unbounded (``inf`` bound,
-    ``nan`` tightness); the simulation still runs.
+    An overloaded link leaves the classes it cannot serve unbounded
+    (``inf`` bound, ``nan`` tightness); the simulation still runs.
     """
     inputs = lower(message_set, capacity=capacity,
                    technology_delay=technology_delay)

@@ -112,8 +112,9 @@ class TopologySpec:
     of :mod:`repro.topology.graph` (``graph_family`` = ``"diamond"``,
     ``"ring"``, ``"star"`` or ``"random"``); those scenarios are analysed
     per flow along their routed paths by
-    :class:`repro.analysis.multihop.GraphPathAnalysis` instead of the
-    single-multiplexer composition.
+    :class:`repro.core.endtoend.EndToEndAnalysis` (the paper's multiplexer
+    bound summed over every egress port, bursts inflated hop by hop)
+    instead of the single-multiplexer closed form.
     """
 
     #: ``"single-switch-star"``, ``"dual-switch"``, ``"tree"`` or

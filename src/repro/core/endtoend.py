@@ -15,6 +15,9 @@ Switch egress ports additionally pay the switch's relaying-delay bound
 the tagged packet (its own burst is part of the burst term), so no separate
 transmission term is added.
 
+This is the reproduction's one network-calculus composition: every
+lowering, star or multi-hop graph, is bounded by it.
+
 Because a flow's burst grows as it accumulates jitter upstream (a token
 bucket ``(b, r)`` delayed by at most ``D`` is constrained by
 ``(b + r D, r)`` downstream), the analysis propagates bursts hop by hop:
@@ -22,6 +25,25 @@ the multiplexer formula is the per-port rule of the routed fixed-point
 core shared with every other multi-hop analysis
 (:mod:`repro.analysis.engines.iteration`), which iterates it until the
 inflated bursts settle.
+
+**Overload.**  Nothing is raised for the network as a whole.  A flow
+whose class an egress port cannot serve (the aggregate rate under FCFS,
+or the rate of its class and every more urgent one under strict
+priority, exceeds the link) gets an infinite delay at that hop; its
+burst is then infinite downstream, so every bound it takes part in is
+infinite too.  Cyclic topologies can diverge even below nominal
+capacity: when the fixed point does not settle, the flows still moving
+are reported with infinite bounds in the same way, and the result says
+it did not converge.
+
+**Backlogs.**  Each port evaluation keeps its partition by priority
+level on the port (``PortContext.levels``).  From it the analysis
+bounds every topology port's aggregate queue (all classes: the inflated
+bursts plus the rates times the port's relaying latency), directly
+comparable with the simulator's per-port queue maximum, and each
+class's worst per-port queue: the class is served by the link's
+residual after the strictly more urgent classes and the non-preemptive
+blocking term.
 """
 
 from __future__ import annotations
@@ -30,13 +52,12 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from repro.analysis.engines.iteration import (PortContext, port_levels,
-                                              route_template, run_fixed_point)
-from repro.core.multiplexer import (
-    FcfsMultiplexerAnalysis,
-    MultiplexerBound,
-    StrictPriorityMultiplexerAnalysis,
-)
+from repro.analysis.engines.iteration import (PortContext, PortLevel,
+                                              RoutedTemplate, network_port,
+                                              port_levels, route_template,
+                                              run_fixed_point)
+from repro.core.multiplexer import (ClassAggregate, MultiplexerBound,
+                                    compute_class_bounds)
 from repro.errors import AnalysisError, InvalidFlowError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
@@ -46,6 +67,7 @@ from repro.topology.network import Network
 __all__ = [
     "HopBound",
     "FlowBound",
+    "PortBacklogBound",
     "NetworkAnalysisResult",
     "EndToEndAnalysis",
 ]
@@ -61,12 +83,14 @@ class HopBound:
     node: str
     #: Next node on the path (identifies the egress port).
     toward: str
-    #: Queuing + relaying bound at this multiplexer (seconds).
+    #: Queuing + relaying bound at this multiplexer (seconds; ``inf``
+    #: when the port cannot bound the flow).
     queuing_delay: float
     #: Propagation delay of the link (seconds).
     propagation_delay: float
-    #: Full multiplexer bound with its breakdown.
-    multiplexer_bound: MultiplexerBound
+    #: Full multiplexer bound with its breakdown; ``None`` when the port
+    #: is overloaded for the flow's class.
+    multiplexer_bound: MultiplexerBound | None
 
     @property
     def total(self) -> float:
@@ -98,7 +122,8 @@ class FlowBound:
 
     @property
     def total_delay(self) -> float:
-        """End-to-end worst-case delay bound (seconds)."""
+        """End-to-end worst-case delay bound (seconds; ``inf`` when
+        unbounded)."""
         return math.fsum(hop.total for hop in self.hops)
 
     @property
@@ -116,12 +141,39 @@ class FlowBound:
         return self.deadline - self.total_delay
 
 
+@dataclass(frozen=True)
+class PortBacklogBound:
+    """Aggregate backlog bound of one directed egress port.
+
+    Bounds the *total* occupancy of the egress queue (all classes), so
+    it is directly comparable with the simulator's per-port
+    ``max_queue_bits`` observation under any scheduling policy.
+    """
+
+    #: Upstream node owning the egress queue.
+    node: str
+    #: Downstream neighbour the port leads to.
+    toward: str
+    #: Number of flows sharing the port.
+    flow_count: int
+    #: Backlog bound in bits (``inf`` when the port is overloaded).
+    backlog_bits: float
+
+
 @dataclass
 class NetworkAnalysisResult:
-    """The per-flow bounds produced by one run of the analysis."""
+    """The per-flow and per-port bounds produced by one run of the analysis."""
 
     policy: str
     flow_bounds: list[FlowBound] = field(default_factory=list)
+    #: Aggregate backlog bound of every directed port of the topology,
+    #: sorted by ``(node, toward)``.
+    ports: tuple[PortBacklogBound, ...] = ()
+    #: Worst per-port queue bound of every class present (bits), by class.
+    class_backlogs: dict[PriorityClass, float] = field(default_factory=dict)
+    #: True when the burst-propagation fixed point settled; when False
+    #: the flows it could not settle have infinite bounds.
+    converged: bool = True
 
     def __iter__(self):
         return iter(self.flow_bounds)
@@ -146,7 +198,8 @@ class NetworkAnalysisResult:
         return not self.violations()
 
     def worst_per_class(self) -> dict[PriorityClass, FlowBound]:
-        """For every class with at least one flow, the flow with the largest bound."""
+        """For every class with at least one flow, the flow with the
+        largest bound (the first one, in flow order, on a tie)."""
         worst: dict[PriorityClass, FlowBound] = {}
         for bound in self.flow_bounds:
             current = worst.get(bound.priority)
@@ -189,34 +242,43 @@ class EndToEndAnalysis:
 
     # -- public API ---------------------------------------------------------
 
-    def analyze(self, flows: Iterable[Flow | Message]
+    def analyze(self, flows: "Iterable[Flow | Message] | RoutedTemplate"
                 ) -> NetworkAnalysisResult:
-        """Compute the end-to-end bound of every flow.
+        """Compute the end-to-end bound of every flow and port.
 
-        Messages are routed automatically through the network; flows that
-        already carry a path keep it.
+        Messages are routed through the network in the order given;
+        flows that already carry a path keep it.  A
+        :class:`RoutedTemplate` of this network (``network_template``)
+        comes already routed and is used as it is.
 
         Raises
         ------
         InvalidFlowError
             If a flow's path does not exist in the network.
-        UnstableSystemError
-            If some multiplexing point is overloaded.
         """
-        template = route_template(flows, self._route_flow, self._port)
+        template = flows if isinstance(flows, RoutedTemplate) else \
+            route_template(flows, self._route_flow,
+                           network_port(self.network))
         states, ports = template.instantiate()
-        run_fixed_point(states, ports, self._port_bounds, template.schedule)
-
-        result = NetworkAnalysisResult(policy=self.policy)
-        for state in states:
-            result.flow_bounds.append(FlowBound(flow=state.flow, hops=tuple(
-                HopBound(node=node, toward=toward,
-                         queuing_delay=bound.delay,
+        converged = run_fixed_point(states, ports, self._port_bounds,
+                                    template.schedule)
+        if not converged:
+            # An unsettled run may end on an accumulation that came
+            # after the ports' last evaluations: partition afresh.
+            for port in ports:
+                port.levels = port_levels(port, self.policy)
+        port_bounds, class_backlogs = self._backlogs(ports)
+        return NetworkAnalysisResult(
+            policy=self.policy,
+            flow_bounds=[FlowBound(flow=state.flow, hops=tuple(
+                HopBound(node=node, toward=toward, queuing_delay=delay,
                          propagation_delay=propagation,
                          multiplexer_bound=bound)
-                for (node, toward), propagation, bound
-                in zip(state.hops, state.propagation, state.details))))
-        return result
+                for (node, toward), propagation, delay, bound
+                in zip(state.hops, state.propagation, state.delays,
+                       state.details))) for state in states],
+            ports=port_bounds, class_backlogs=class_backlogs,
+            converged=converged)
 
     # -- the per-port rule ----------------------------------------------------
 
@@ -226,40 +288,95 @@ class EndToEndAnalysis:
                 f"cannot analyse a {type(flow).__name__}")
         return self.network.route_flow(flow)
 
-    def _port(self, node: str, toward: str) -> tuple[float, float, float]:
-        link = self.network.link(node, toward)
-        technology_delay = (self.network.technology_delay(node)
-                            if self.network.is_switch(node) else 0.0)
-        return link.rate, technology_delay, link.latency
-
     def _port_bounds(self, port: PortContext) -> None:
         """The paper's multiplexer bound of every flow at one port.
 
-        The multiplexer sees the members' (possibly inflated) bursts.  The
-        FCFS multiplexer reports its single bound under every class
-        present.
+        The multiplexer sees the members' (possibly inflated) bursts, read
+        from the port's partition, which is kept for :meth:`_backlogs`.
+        The FCFS multiplexer reports its single bound under every class
+        present; a class the port cannot serve gets ``inf``.
         """
-        analysis = (FcfsMultiplexerAnalysis if self.policy == "fcfs"
-                    else StrictPriorityMultiplexerAnalysis)
-        # The FIFO partition: one level, the inflated bursts in member order.
-        bursts = port_levels(port, "fcfs")[0].bursts
-        bounds = analysis(
-            capacity=port.capacity, technology_delay=port.technology_delay
-        ).class_bounds([_EffectiveFlow(name=state.name, burst=burst,
-                                       rate=state.rate,
-                                       priority=state.priority)
-                        for (state, _), burst in zip(port.members, bursts)])
-        for state, index in port.members:
+        port.levels = port_levels(port, self.policy)
+        members = port.members
+        # The per-class aggregates of the members' inflated bursts, as
+        # :func:`~repro.core.multiplexer.aggregate_flows` sums them.
+        classes: dict[PriorityClass, tuple[list[float], list[float]]] = {}
+        for level in port.levels:
+            for position, burst, rate in zip(level.positions, level.bursts,
+                                             level.rates):
+                bursts, rates = classes.setdefault(
+                    members[position][0].priority, ([], []))
+                bursts.append(burst)
+                rates.append(rate)
+        bounds = compute_class_bounds(
+            {cls: ClassAggregate(burst=math.fsum(bursts),
+                                 rate=math.fsum(rates),
+                                 max_burst=max(bursts), count=len(bursts))
+             for cls, (bursts, rates) in sorted(classes.items())},
+            port.capacity, port.technology_delay, self.policy)
+        for state, index in members:
             bound = bounds[state.priority]
-            state.details[index] = bound
-            state.delays[index] = bound.delay
+            if bound is None or bound.details["unstable"]:
+                state.details[index] = None
+                state.delays[index] = math.inf
+            else:
+                state.details[index] = bound
+                state.delays[index] = bound.delay
+
+    # -- backlogs -------------------------------------------------------------
+
+    def _backlogs(self, ports: list[PortContext]
+                  ) -> tuple[tuple[PortBacklogBound, ...],
+                             dict[PriorityClass, float]]:
+        """Every topology port's aggregate bound and each class's worst.
+
+        The class-``p`` queue holds class-``p`` traffic served by the
+        link's residual after the strictly more urgent classes (plus the
+        blocking term); under FCFS every class shares the single queue,
+        so each gets the aggregate bound.  Each port's bursts are those
+        of the partition its last evaluation kept.
+        """
+        contexts = {(port.node, port.toward): port for port in ports}
+        port_bounds = []
+        class_backlogs: dict[PriorityClass, float] = {}
+        # Every directed port of the topology gets a bound: the simulator
+        # reports an (empty) queue maximum even for ports no flow crosses.
+        for node, successors in sorted(self.network.spec.successors().items()):
+            for toward in successors:
+                port = contexts.get((node, toward))
+                if port is None:
+                    port_bounds.append(PortBacklogBound(node, toward, 0, 0.0))
+                    continue
+                total_rate = math.fsum(rate for level in port.levels
+                                       for rate in level.rates)
+                total_burst = math.fsum(burst for level in port.levels
+                                        for burst in level.bursts)
+                if total_rate > port.capacity or math.isinf(total_burst):
+                    aggregate = math.inf
+                else:
+                    aggregate = total_burst \
+                        + total_rate * port.technology_delay
+                port_bounds.append(PortBacklogBound(
+                    node, toward, len(port.members), aggregate))
+                for level in port.levels:
+                    backlog = _level_backlog(level, port)
+                    for position in level.positions:
+                        priority = port.members[position][0].priority
+                        class_backlogs[priority] = max(
+                            class_backlogs.get(priority, 0.0), backlog)
+        return tuple(port_bounds), dict(sorted(class_backlogs.items()))
 
 
-@dataclass(frozen=True)
-class _EffectiveFlow:
-    """A flow as seen at one multiplexing point (burst possibly inflated)."""
+def _level_backlog(level: PortLevel, port: PortContext) -> float:
+    """Queue bound of one priority level at a port (``inf`` if unbounded)."""
+    own_burst = math.fsum(level.bursts)
+    own_rate = math.fsum(level.rates)
+    cross_burst = math.fsum(level.higher_bursts)
+    rate = port.capacity - math.fsum(level.higher_rates)
+    if rate <= 0.0 or own_rate > rate or math.isinf(cross_burst) or \
+            math.isinf(own_burst) or math.isinf(level.blocking):
+        return math.inf
+    latency = (port.capacity * port.technology_delay + level.blocking
+               + cross_burst) / rate
+    return own_burst + own_rate * latency
 
-    name: str
-    burst: float
-    rate: float
-    priority: PriorityClass

@@ -25,8 +25,10 @@ plus one maximal lower-priority packet already in transmission
 classes.
 
 Both analyses also expose the *residual service curve* equivalent to their
-bound, so the end-to-end composition in :mod:`repro.core.endtoend` can chain
-several multiplexing points with the standard network-calculus machinery.
+bound, which the scenario-level closed form (:func:`single_point_rows`)
+chains over a route's extra multiplexing points.  The network-level
+composition, :mod:`repro.core.endtoend`, instead evaluates the bounds of
+:func:`compute_class_bounds` at every egress port a flow crosses.
 """
 
 from __future__ import annotations

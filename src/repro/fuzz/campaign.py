@@ -12,9 +12,10 @@ soundness claim rests on:
    campaign bound dominates the single-point bound by construction, so the
    star is a valid floor for every legacy topology kind); ``"graph"``
    scenarios are simulated on their actual routed topology instead and
-   checked against the per-path bounds of
-   :class:`~repro.analysis.multihop.GraphPathAnalysis`, including the
-   per-port backlog bounds vs the simulator's observed queue peaks,
+   checked against the per-hop bounds of
+   :class:`~repro.core.endtoend.EndToEndAnalysis` on that topology,
+   including the per-port backlog bounds vs the simulator's observed
+   queue peaks,
 2. **stability consistency** — a campaign row is ``stable`` iff its delay
    and backlog bounds are finite (and a stable delay bound is
    non-negative),
@@ -497,8 +498,6 @@ def evaluate_scenario(scenario: Scenario, *,
 _WORKER_STORE: ResultStore | None = None
 #: Whether stored cells may be reused (the ``--resume`` mode).
 _WORKER_RESUME: bool = False
-#: Per-process memoized campaign runner, shared across the worker's cells.
-_MEMO_RUNNER: CampaignRunner | None = None
 #: Engines validated per cell (the campaign's resolved ``--engine``).
 _WORKER_ENGINES: tuple[str, ...] = DEFAULT_ENGINES
 
@@ -506,22 +505,13 @@ _WORKER_ENGINES: tuple[str, ...] = DEFAULT_ENGINES
 def _init_worker(store_root: str | None = None, resume: bool = False,
                  engines: tuple[str, ...] = DEFAULT_ENGINES, *,
                  store: ResultStore | None = None) -> None:
-    """Process-pool initializer: stash the store handle, reset the cache."""
-    global _WORKER_STORE, _WORKER_RESUME, _MEMO_RUNNER, _WORKER_ENGINES
+    """Process-pool initializer: stash the store handle and engines."""
+    global _WORKER_STORE, _WORKER_RESUME, _WORKER_ENGINES
     if store is None and store_root is not None:
         store = ResultStore(store_root)
     _WORKER_STORE = store
     _WORKER_RESUME = bool(resume)
-    _MEMO_RUNNER = None
     _WORKER_ENGINES = tuple(engines)
-
-
-def _memoized_runner() -> CampaignRunner:
-    """The worker's shared memoized campaign runner (built lazily)."""
-    global _MEMO_RUNNER
-    if _MEMO_RUNNER is None:
-        _MEMO_RUNNER = CampaignRunner(memoize=True)
-    return _MEMO_RUNNER
 
 
 def _evaluate_cell(cell: FuzzCell) -> FuzzOutcome:
@@ -635,9 +625,14 @@ def _invariant_violations(campaign_rows: Iterable[CampaignRow],
 
 def _compute_cell(cell: FuzzCell,
                   engines: tuple[str, ...] = DEFAULT_ENGINES) -> FuzzOutcome:
-    """Evaluate one cell twice and check every invariant."""
+    """Evaluate one cell twice and check every invariant.
+
+    The memoized runner is the cell's own: generated cells never share a
+    workload, so a cache kept across cells would only grow.
+    """
     started = time.perf_counter()
-    first, engine_rows = _measure(cell, _memoized_runner(), engines)
+    first, engine_rows = _measure(cell, CampaignRunner(memoize=True),
+                                  engines)
     # Second evaluation from scratch: a fresh naive runner (no shared
     # cache, no arithmetic replication shortcuts) with its own fresh
     # lowering, and a fresh simulator.  Byte-equality of the two

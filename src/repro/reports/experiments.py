@@ -794,10 +794,11 @@ def _build_multihop() -> ExperimentResult:
         },
         notes="The paper's single-multiplexer analysis generalised to "
               "arbitrary graphs: flows are routed by the deterministic "
-              "shortest-path engine and their end-to-end bounds are the "
-              "concatenation of per-hop blind-multiplexing left-over "
-              "curves, validated against the discrete-event simulation of "
-              "the same routed network.")
+              "shortest-path engine and their end-to-end bounds sum the "
+              "paper's multiplexer bound over every egress port of the "
+              "route, each burst inflated by its upstream delay, validated "
+              "against the discrete-event simulation of the same routed "
+              "network.")
 
 
 # ---------------------------------------------------------------------------

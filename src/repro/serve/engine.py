@@ -25,7 +25,7 @@ O(classes).
 sharing a port through the burst-propagation fixed point, so the
 per-class-aggregate invariant cannot be preserved across a mutation;
 the engine falls back to a full
-:class:`~repro.analysis.multihop.GraphPathAnalysis` recompute over
+:class:`~repro.core.endtoend.EndToEndAnalysis` recompute over
 wire-level copies of the flow table — the lowering every campaign row
 of a graph scenario bounds — reusing the scenario's network, whose
 routing engine's per-destination route caches persist across

@@ -349,10 +349,10 @@ class SimulationCampaign:
         stores stay valid.  A campaign
         :class:`~repro.campaigns.scenario.TopologySpec` (any kind) or an
         explicit :class:`~repro.topology.graph.GraphTopologySpec` runs
-        the grid on that multi-hop network instead, with the analytic
-        side switched to
-        :class:`~repro.analysis.multihop.GraphPathAnalysis` on the same
-        spec.  An explicit graph spec fixes the station names, so it
+        the grid on that multi-hop network instead, and the analytic
+        side bounds the same network, as on the star
+        (:class:`~repro.core.endtoend.EndToEndAnalysis`).  An explicit
+        graph spec fixes the station names, so it
         only supports ``size_factors=(1,)``.
     engines:
         Bound-engine selection (``repro simulate --engine ...``), as

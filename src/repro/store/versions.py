@@ -30,24 +30,24 @@ __all__ = ["ModuleGraph", "SUBSYSTEMS", "code_version", "all_code_versions",
 #: Entry modules whose import closure defines each subsystem's token.
 #: The closures are intentionally overlapping: a report experiment runs
 #: campaigns and simulations, so its token must cover both.
-#: ``repro.analysis.multihop`` is an explicit root of every subsystem
-#: that reaches the ``calculus`` engine: the engine imports it lazily
-#: (cycle break) and lazy imports are outside the closure walk, so
-#: without it editing the multi-hop analysis would not invalidate stored
-#: graph-scenario cells.
-_MULTIHOP = "repro.analysis.multihop"
+#: ``repro.core.endtoend`` is an explicit root of every subsystem that
+#: reaches the ``calculus`` engine: the engine imports it lazily (cycle
+#: break) and lazy imports are outside the closure walk, so without it
+#: editing the network-calculus composition would not invalidate stored
+#: cells bounded by it.
+_CALCULUS = "repro.core.endtoend"
 SUBSYSTEMS: dict[str, tuple[str, ...]] = {
     "campaigns": ("repro.campaigns.runner", "repro.campaigns.registry",
-                  _MULTIHOP),
-    "simulation": ("repro.simulation.campaign", _MULTIHOP),
-    "fuzz": ("repro.fuzz.campaign", "repro.fuzz.generator", _MULTIHOP),
+                  _CALCULUS),
+    "simulation": ("repro.simulation.campaign", _CALCULUS),
+    "fuzz": ("repro.fuzz.campaign", "repro.fuzz.generator", _CALCULUS),
     "reports": ("repro.reports.pipeline", "repro.reports.experiments",
-                _MULTIHOP),
+                _CALCULUS),
     "topology": ("repro.topology.graph", "repro.topology.routing"),
     # The serve engine's cached snapshots embed the campaign closed forms
-    # and the multi-hop fallback, so its roots cover both.
-    "serve": ("repro.serve.engine", _MULTIHOP),
-    "engines": ("repro.analysis.engines", _MULTIHOP),
+    # and the calculus verdict of graph scenarios, so its roots cover both.
+    "serve": ("repro.serve.engine", _CALCULUS),
+    "engines": ("repro.analysis.engines", _CALCULUS),
 }
 
 

@@ -18,11 +18,11 @@ from repro import PriorityClass, units
 from repro.analysis import validate_bounds
 from repro.analysis.buffers import validate_buffer_requirements
 from repro.analysis.engines import engine_names, get_engine, scenario_inputs
-from repro.analysis.multihop import GraphPathAnalysis
 from repro.analysis.validation import (TOLERANCE, check, engine_bounds,
                                        lower, simulate, tightness_of,
                                        wire_level_messages, within_bound)
 from repro.campaigns import builtin_scenarios
+from repro.core.endtoend import EndToEndAnalysis
 from repro.ethernet.network_sim import EthernetNetworkSimulator
 from repro.reports.experiments import (MULTIHOP_FAMILIES,
                                        case_study_message_set,
@@ -91,10 +91,12 @@ def test_multihop_families_check_paths_and_ports(family, policy):
     inputs = lower(message_set, capacity=units.mbps(10),
                    technology_delay=units.us(16), graph_spec=spec)
     result = check(inputs, policy, engines=ENGINES, duration=DURATION)
-    outcome = GraphPathAnalysis(spec, policy=policy).analyze(
-        wire_level_messages(message_set))
+    outcome = EndToEndAnalysis(spec.to_network(), policy=policy).analyze(
+        sorted(wire_level_messages(message_set),
+               key=lambda message: message.name))
     assert result.bounds["calculus"].classes == {
-        cls: bound.delay for cls, bound in outcome.worst_per_class().items()}
+        cls: bound.total_delay
+        for cls, bound in outcome.worst_per_class().items()}
     assert [(port.node, port.toward, port.backlog_bound)
             for port in result.ports] == [
         (port.node, port.toward, port.backlog_bits)

@@ -15,14 +15,14 @@ import builtins
 
 import pytest
 
-from repro.analysis.multihop import GraphPathAnalysis
+from repro.core.endtoend import EndToEndAnalysis
 from repro.fuzz import load_entries, verify_entry
 from repro.store import fingerprint
 
 from tests.analysis.test_fixed_point_golden import (
     DIVERGING_DIGESTS, ENGINE_DIGESTS, GRAPH_DIGESTS, LATENCY_GRAPH_DIGESTS,
-    NETWORK_DIGESTS, GRAPHS, diverging_ring, engine_bounds, graph_digest,
-    network_digest, real_case_messages, with_latency)
+    NETWORK_DIGESTS, PROPAGATION, diverging_ring, engine_bounds,
+    graph_digest, network_digest)
 
 #: The fuzz corpus entry replayed under the compensated ``sum``.
 CORPUS_ENTRY = "near-tight-0022b9a5cf4a.json"
@@ -85,10 +85,8 @@ def test_fixed_point_goldens_hold_under_a_compensated_sum(compensated):
     for (name, policy), digest in GRAPH_DIGESTS.items():
         assert graph_digest(name, policy) == digest, (name, policy)
     for (name, policy), digest in LATENCY_GRAPH_DIGESTS.items():
-        result = GraphPathAnalysis(with_latency(GRAPHS[name]()),
-                                   policy=policy).analyze(
-            real_case_messages())
-        assert fingerprint(result) == digest, (name, policy)
+        assert graph_digest(name, policy, PROPAGATION) == digest, \
+            (name, policy)
     for (name, policy), digest in NETWORK_DIGESTS.items():
         assert network_digest(name, policy) == digest, (name, policy)
     for (engine, topology, policy), digest in ENGINE_DIGESTS.items():
@@ -96,8 +94,10 @@ def test_fixed_point_goldens_hold_under_a_compensated_sum(compensated):
             digest, (engine, topology, policy)
     spec, messages = diverging_ring()
     for policy in ("fcfs", "strict-priority"):
-        result = GraphPathAnalysis(spec, policy=policy).analyze(messages)
-        assert fingerprint(result) == DIVERGING_DIGESTS[("graph", policy)]
+        result = EndToEndAnalysis(spec.to_network(),
+                                  policy=policy).analyze(messages)
+        assert fingerprint(result) == \
+            DIVERGING_DIGESTS[("calculus", policy)]
 
 
 def test_a_corpus_entry_replays_under_a_compensated_sum(compensated,

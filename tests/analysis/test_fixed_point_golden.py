@@ -1,22 +1,24 @@
 """Golden per-flow output of the routed fixed-point analyses.
 
-``GraphPathAnalysis``, ``EndToEndAnalysis`` and the holistic and
-trajectory engines all bound a multi-hop route by applying a per-port
-delay rule at every egress port and inflating each burst by its upstream
-delay until the bounds settle.  The digests below are canonical-JSON
-SHA-256 values of their complete output — per-hop rate, latency and
-delay, port and class backlogs, ``converged``, per-flow hop bounds and
-per-class engine bounds.  They were recorded before the four analyses
-shared one fixed-point core and refreshed once, when sums over port
-members became correctly rounded (``math.fsum``); any other change to
-that core must reproduce them byte for byte.  One ring is loaded so that burst inflation never settles,
-which pins the divergence path (``converged=False``, unstable flows)
-as well.
+``EndToEndAnalysis`` (the network-calculus composition) and the
+holistic and trajectory engines all bound a multi-hop route by applying
+a per-port delay rule at every egress port and inflating each burst by
+its upstream delay until the bounds settle.  The digests below are
+canonical-JSON SHA-256 values of their complete output — per-hop
+multiplexer bounds, port and class backlogs, ``converged`` and
+per-class engine bounds.  They were recorded before the analyses shared
+one fixed-point core and refreshed when sums over port members became
+correctly rounded (``math.fsum``), and the calculus digests again when
+``EndToEndAnalysis`` replaced the left-over-curve composition on graphs
+and gained its port and class backlogs; any other change to that core
+must reproduce them byte for byte.  One ring is loaded so that burst
+inflation never settles, which pins the divergence path
+(``converged=False``, unstable flows) as well.
 
 Links with a non-zero propagation delay are pinned separately: the
-graph analysis stays byte-identical there, while the other three
-accumulate upstream delay in a different addition order than they once
-did and are held to ``rel=1e-12``.
+calculus analysis on graphs stays byte-identical there, while the
+other results accumulate upstream delay in a different addition order
+than they once did and are held to ``rel=1e-12``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import pytest
 
 from repro import units
 from repro.analysis.engines import get_engine
-from repro.analysis.multihop import GraphPathAnalysis
 from repro.analysis.validation import wire_level_messages
 from repro.core.endtoend import EndToEndAnalysis
 from repro.flows.messages import Message, MessageKind
@@ -99,10 +100,12 @@ def with_latency(spec):
         for link in spec.links))
 
 
-def graph_digest(name: str, policy: str) -> str:
+def graph_digest(name: str, policy: str, propagation: float = 0.0) -> str:
     spec = GRAPHS[name]()
-    return fingerprint(GraphPathAnalysis(spec, policy=policy).analyze(
-        real_case_messages()))
+    if propagation:
+        spec = with_latency(spec)
+    return fingerprint(EndToEndAnalysis(spec.to_network(), policy=policy)
+                       .analyze(real_case_messages()))
 
 
 def network_digest(name: str, policy: str) -> str:
@@ -151,9 +154,9 @@ GRAPH_DIGESTS = {
 }
 
 DIVERGING_DIGESTS = {
-    ("graph", "fcfs"):
+    ("calculus", "fcfs"):
         "fc6cdcef66e4bd534d9d1e9936009b4bfb9ac4d3382af62dea739f46e1938443",
-    ("graph", "strict-priority"):
+    ("calculus", "strict-priority"):
         "fc6cdcef66e4bd534d9d1e9936009b4bfb9ac4d3382af62dea739f46e1938443",
     ("holistic", "fcfs"):
         "041a3eff954d3b32eb1665093672989cac58c0807156afe32b4db22a111e9272",
@@ -330,14 +333,15 @@ def test_graph_analysis_matches_golden(name, policy):
 @pytest.mark.parametrize("policy", POLICIES)
 def test_diverging_ring_matches_golden(policy):
     spec, messages = diverging_ring()
-    result = GraphPathAnalysis(spec, policy=policy).analyze(messages)
-    assert not result.converged
-    stable = {bound.name for bound in result.flows if bound.stable}
-    assert stable and stable != {bound.name for bound in result.flows}
-    assert all(math.isinf(bound.delay) for bound in result.flows
-               if bound.name.startswith("ring-"))
-    assert fingerprint(result) == DIVERGING_DIGESTS[("graph", policy)]
     network = spec.to_network()
+    result = EndToEndAnalysis(network, policy=policy).analyze(messages)
+    assert not result.converged
+    stable = {bound.name for bound in result
+              if math.isfinite(bound.total_delay)}
+    assert stable and stable != {bound.name for bound in result}
+    assert all(math.isinf(bound.total_delay) for bound in result
+               if bound.name.startswith("ring-"))
+    assert fingerprint(result) == DIVERGING_DIGESTS[("calculus", policy)]
     for engine in ITERATIVE_ENGINES:
         mapping = get_engine(engine).network_class_bounds(
             messages, policy, network=network, graph_spec=spec)
@@ -359,10 +363,8 @@ def test_engine_class_bounds_match_golden(engine, topology, policy):
 
 @pytest.mark.parametrize("name,policy", sorted(LATENCY_GRAPH_DIGESTS))
 def test_graph_analysis_with_latency_is_byte_identical(name, policy):
-    spec = with_latency(GRAPHS[name]())
-    result = GraphPathAnalysis(spec, policy=policy).analyze(
-        real_case_messages())
-    assert fingerprint(result) == LATENCY_GRAPH_DIGESTS[(name, policy)]
+    assert graph_digest(name, policy, PROPAGATION) == \
+        LATENCY_GRAPH_DIGESTS[(name, policy)]
 
 
 @pytest.mark.parametrize("analysis,topology,policy", sorted(LATENCY_VALUES))

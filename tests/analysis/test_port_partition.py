@@ -2,13 +2,13 @@
 
 Every port evaluation of the fixed point partitions the port's members
 once (:func:`~repro.analysis.engines.iteration.port_levels`); the
-trajectory composition and the graph path's backlogs read the partition
+trajectory composition and the calculus backlogs read the partition
 kept from each port's last evaluation instead of building it again.
 
 Two properties pin that:
 
 * **Reference equality.**  The holistic and trajectory engines and
-  ``GraphPathAnalysis`` give, bit for bit, what a straightforward
+  ``EndToEndAnalysis`` give, bit for bit, what a straightforward
   reference gives: a fresh partition for every use, the blocking term
   found by scanning every member once per level, and every companion
   sum rebuilt from list slices at every hop.  The reference below is
@@ -16,14 +16,14 @@ Two properties pin that:
 * **Partition handoff.**  After ``run_fixed_point`` the partition each
   rule kept equals a fresh ``port_levels`` on every port, on every path
   the fixed point can take: a scheduled star, a ring iterated pass by
-  pass, a ring that diverges, and a scheduled run re-run pass by pass
-  after an ``AnalysisError``.
+  pass and a ring that diverges.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from typing import NamedTuple
 
 import pytest
 
@@ -32,10 +32,10 @@ from repro.analysis.engines import HolisticEngine, TrajectoryEngine, get_engine
 from repro.analysis.engines.base import scenario_inputs
 from repro.analysis.engines.iteration import (network_template, port_levels,
                                               run_fixed_point)
-from repro.analysis.multihop import GraphPathAnalysis, PortBacklogBound
 from repro.analysis.validation import lower
 from repro.campaigns import builtin_scenarios
-from repro.errors import AnalysisError
+from repro.core.endtoend import EndToEndAnalysis, PortBacklogBound
+from repro.core.multiplexer import aggregate_flows, compute_class_bounds
 from repro.flows.message_set import MessageSet
 from repro.fuzz.generator import GeneratorConfig, ScenarioGenerator
 from repro.topology.builders import single_switch_star
@@ -230,28 +230,38 @@ def _reference_segment(segment):
     return segment_rate, segment_latency
 
 
-class ReferenceGraphPathAnalysis(GraphPathAnalysis):
-    """``GraphPathAnalysis`` with the reference rule and fresh backlogs."""
+class ReferenceEndToEndAnalysis(EndToEndAnalysis):
+    """``EndToEndAnalysis`` with member bursts read without a partition
+    and fresh backlog partitions."""
 
-    def _leftover(self, port):
-        for (state, index), (rate, latency, delay) in zip(
-                port.members, reference_leftovers(port, self.policy)):
-            state.details[index] = (rate, latency)
-            state.delays[index] = delay
+    def _port_bounds(self, port):
+        bounds = compute_class_bounds(aggregate_flows(
+            Effective(burst_at(state, index), state.rate, state.priority)
+            for state, index in port.members),
+            port.capacity, port.technology_delay, self.policy)
+        for state, index in port.members:
+            bound = bounds[state.priority]
+            if bound is None or bound.details["unstable"]:
+                state.details[index] = None
+                state.delays[index] = math.inf
+            else:
+                state.details[index] = bound
+                state.delays[index] = bound.delay
 
     def _backlogs(self, ports):
         contexts = {(port.node, port.toward): port for port in ports}
         port_bounds = []
         class_backlogs = {}
+        spec = self.network.spec
         all_ports = {(node, successor)
-                     for node, successors in self.spec.successors().items()
+                     for node, successors in spec.successors().items()
                      for successor in successors}
         for (node, toward) in sorted(all_ports):
             port = contexts.get((node, toward))
             levels = [] if port is None else reference_levels(port,
                                                               self.policy)
-            capacity = self.spec.edge(node, toward).rate
-            latency0 = self.spec.technology_delay(node)
+            capacity = spec.edge(node, toward).rate
+            latency0 = spec.technology_delay(node)
             total_rate = math.fsum(rate for level in levels
                                    for rate in level[2])
             total_burst = math.fsum(burst for level in levels
@@ -273,7 +283,15 @@ class ReferenceGraphPathAnalysis(GraphPathAnalysis):
                                  for position in positions}:
                     class_backlogs[priority] = max(
                         class_backlogs.get(priority, 0.0), backlog)
-        return port_bounds, class_backlogs
+        return tuple(port_bounds), dict(sorted(class_backlogs.items()))
+
+
+class Effective(NamedTuple):
+    """A member as the multiplexer sees it: inflated burst, rate, class."""
+
+    burst: float
+    rate: float
+    priority: object
 
 
 def _reference_level_backlog(bursts, rates, higher_bursts, higher_rates,
@@ -346,10 +364,9 @@ def test_engines_equal_the_reference(name, policy):
     trajectory = get_engine("trajectory").network_class_bounds(
         inputs.messages, policy, **kwargs)
     assert exact(trajectory) == exact(reference_trajectory(template, policy))
-    spec = inputs.network.spec
-    graph = GraphPathAnalysis(spec, policy).analyze(template)
-    assert exact(graph) == exact(
-        ReferenceGraphPathAnalysis(spec, policy).analyze(template))
+    calculus = EndToEndAnalysis(inputs.network, policy).analyze(template)
+    assert exact(calculus) == exact(
+        ReferenceEndToEndAnalysis(inputs.network, policy).analyze(template))
 
 
 def test_the_inputs_reach_every_edge_case():
@@ -359,10 +376,9 @@ def test_the_inputs_reach_every_edge_case():
     assert any(rate <= 0.0 for port in ports
                for rate, _, _ in reference_leftovers(port, "fcfs"))
     ring = inputs_of("diverging-ring")
-    result = GraphPathAnalysis(ring.network.spec, "fcfs").analyze(
-        ring.template)
+    result = EndToEndAnalysis(ring.network, "fcfs").analyze(ring.template)
     assert not result.converged
-    assert any(not bound.stable for bound in result.flows)
+    assert any(math.isinf(bound.total_delay) for bound in result)
     single = 0
     for name in INPUTS:
         states, ports = inputs_of(name).template.instantiate()
@@ -377,21 +393,8 @@ def trajectory_rule(policy):
     return lambda port: TrajectoryEngine._port_delays(port, policy)
 
 
-def graph_rule(network, policy):
-    return GraphPathAnalysis(network.spec, policy)._leftover
-
-
-def raising_once(rule, port_count):
-    """``rule`` that raises an ``AnalysisError`` at the last scheduled
-    port of its first pass, and runs normally afterwards."""
-    calls = []
-
-    def wrapped(port):
-        calls.append(port)
-        if len(calls) == port_count:
-            raise AnalysisError("forced re-run")
-        rule(port)
-    return wrapped
+def calculus_rule(network, policy):
+    return EndToEndAnalysis(network, policy)._port_bounds
 
 
 HANDOFF = {
@@ -399,22 +402,18 @@ HANDOFF = {
     "pass-by-pass-ring": wrapping_ring,
     "diverging-ring": lambda: (diverging_ring()[0].to_network(),
                                diverging_ring()[1]),
-    "analysis-error-rerun": lambda: (single_switch_star(8),
-                                     real_case_messages()),
 }
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("rule_name", ["trajectory", "graph"])
+@pytest.mark.parametrize("rule_name", ["trajectory", "calculus"])
 @pytest.mark.parametrize("path", sorted(HANDOFF))
 def test_each_rule_keeps_its_ports_final_partition(path, rule_name, policy):
     network, messages = HANDOFF[path]()
     template = network_template(network, messages)
     states, ports = template.instantiate()
     rule = (trajectory_rule(policy) if rule_name == "trajectory"
-            else graph_rule(network, policy))
-    if path == "analysis-error-rerun":
-        rule = raising_once(rule, len(ports))
+            else calculus_rule(network, policy))
     converged = run_fixed_point(states, ports, rule, template.schedule)
     assert (template.schedule is None) == path.endswith("ring")
     assert converged == (path != "diverging-ring")

@@ -15,6 +15,8 @@ back to.
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import units
@@ -27,7 +29,7 @@ from repro.analysis.engines.iteration import (MAX_ITERATIONS,
 from repro.analysis.validation import wire_level_messages
 from repro.campaigns import builtin_scenarios
 from repro.core.endtoend import EndToEndAnalysis
-from repro.errors import UnstableSystemError
+from repro.store import fingerprint
 from repro.flows.messages import Message, MessageKind
 from repro.topology.builders import single_switch_star
 from repro.topology.graph import (GraphLink, GraphNode, GraphTopologySpec,
@@ -268,7 +270,7 @@ def overloaded_star(switch_name: str):
     """The 8-station case plus one 12 Mbps flow on 10 Mbps links.
 
     The flow overloads its station's egress port and the switch's port
-    toward its destination, and each port reports its own rate.
+    toward its destination.
     """
     network = star_graph_spec(8, switch_name=switch_name).to_network()
     return network, real_case_messages() + [Message(
@@ -278,20 +280,26 @@ def overloaded_star(switch_name: str):
 
 @pytest.mark.parametrize("policy", ["fcfs", "strict-priority"])
 @pytest.mark.parametrize("switch_name", ["switch-0", "a-switch"])
-def test_overloaded_star_raises_the_reference_error(monkeypatch, policy,
-                                                   switch_name):
-    """The scheduled run raises what the every-port passes raise first.
+def test_overloaded_star_bounds_what_it_can(monkeypatch, policy,
+                                            switch_name):
+    """An overloaded port raises nothing: the flows it cannot serve get
+    infinite bounds, flows elsewhere keep finite ones, and the scheduled
+    run equals the every-port passes.
 
     With ``a-switch`` the switch's ports sort before the stations', so
     the pass-by-pass loop meets the overloaded switch port first while
-    the schedule would meet the station port first.
+    the schedule meets the station port first.
     """
     network, messages = overloaded_star(switch_name)
-    with pytest.raises(UnstableSystemError) as scheduled:
-        EndToEndAnalysis(network, policy=policy).analyze(messages)
+    scheduled = EndToEndAnalysis(network, policy=policy).analyze(messages)
     monkeypatch.setattr("repro.core.endtoend.run_fixed_point",
                         every_port_fixed_point)
-    with pytest.raises(UnstableSystemError) as reference:
-        EndToEndAnalysis(network, policy=policy).analyze(messages)
-    assert str(scheduled.value) == str(reference.value)
-    assert scheduled.value.offered_rate == reference.value.offered_rate
+    reference = EndToEndAnalysis(network, policy=policy).analyze(messages)
+    assert fingerprint(scheduled) == fingerprint(reference)
+    assert scheduled.converged
+    assert math.isinf(scheduled.bound_for("overload").total_delay)
+    assert any(math.isfinite(bound.total_delay) for bound in scheduled)
+    backlogs = {(port.node, port.toward): port.backlog_bits
+                for port in scheduled.ports}
+    assert backlogs[("station-00", switch_name)] == math.inf
+    assert backlogs[(switch_name, "station-01")] == math.inf

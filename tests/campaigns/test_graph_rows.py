@@ -17,10 +17,10 @@ import pytest
 
 from repro import units
 from repro.analysis.engines import CalculusEngine, scenario_inputs
-from repro.analysis.multihop import GraphPathAnalysis
 from repro.analysis.validation import check, within_bound
 from repro.campaigns import CampaignRunner, get
 from repro.campaigns import runner as runner_module
+from repro.core.endtoend import EndToEndAnalysis
 from repro.fuzz import evaluate_scenario
 from repro.fuzz import campaign as fuzz_module
 
@@ -82,15 +82,15 @@ class TestRowsAreTheSystemVerdict:
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """Count ``GraphPathAnalysis.analyze`` calls."""
+    """Count ``EndToEndAnalysis.analyze`` calls."""
     calls = []
-    original = GraphPathAnalysis.analyze
+    original = EndToEndAnalysis.analyze
 
     def counting(self, flows):
         calls.append(self.policy)
         return original(self, flows)
 
-    monkeypatch.setattr(GraphPathAnalysis, "analyze", counting)
+    monkeypatch.setattr(EndToEndAnalysis, "analyze", counting)
     return calls
 
 
@@ -134,11 +134,8 @@ class TestFinishedLoweringsAreCollectable:
 
     def test_a_long_lived_fuzz_worker_keeps_no_lowering(self, lowerings):
         fuzz_module._init_worker()
-        runner = fuzz_module._memoized_runner()
         for name in ("graph-diamond", "graph-ring"):
             evaluate_scenario(get(name), duration=units.ms(20))
-        # The worker's memoized runner evaluated both cells and lives on.
-        assert fuzz_module._memoized_runner() is runner
         assert len(lowerings) == 4
         gc.collect()
         assert all(ref() is None for ref in lowerings)

@@ -1,10 +1,13 @@
 """The fuzz campaign: invariants, store resume, shrinking, persistence."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import pytest
 
+from repro.campaigns.cache import AnalysisCache
 from repro.campaigns.scenario import Scenario, TopologySpec, WorkloadSpec
 from repro.errors import ConfigurationError
 from repro.flows.priorities import PriorityClass
@@ -22,6 +25,8 @@ from repro.fuzz import (
 from repro.fuzz.campaign import (
     FuzzCell,
     FuzzOutcome,
+    _evaluate_cell,
+    _init_worker,
     _invariant_violations,
     _outcome_from_payload,
     _outcome_to_payload,
@@ -98,6 +103,30 @@ class TestCampaignRuns:
             FuzzCampaign(count=1, tightness_threshold=0.0)
         with pytest.raises(ConfigurationError):
             FuzzCampaign(count=1, seed=-2)
+
+
+class TestWorkerMemory:
+    def test_a_worker_keeps_no_analysis_cache_of_a_finished_cell(
+            self, monkeypatch):
+        """Generated cells share no workload, so each cell's memoized
+        runner is its own: a worker that moved on holds none of the
+        first cell's cached message sets and aggregates."""
+        caches = []
+        original = AnalysisCache.__init__
+
+        def tracked(self):
+            original(self)
+            caches.append(weakref.ref(self))
+
+        monkeypatch.setattr(AnalysisCache, "__init__", tracked)
+        _init_worker()
+        first, second = _campaign(count=2).cells()
+        _evaluate_cell(first)
+        first_caches = list(caches)
+        _evaluate_cell(second)
+        assert len(caches) > len(first_caches) > 0
+        gc.collect()
+        assert all(ref() is None for ref in first_caches)
 
 
 class TestStoreResume:

@@ -6,9 +6,9 @@ fresh unique name and shuffling the list (same sources, destinations
 and parameters) changes the order in which the flows are stored, and
 therefore the order of every port's members, but not the set.  Every
 bound must come out ``repr``-identical: the holistic, trajectory and
-calculus network bounds, ``GraphPathAnalysis``'s class rows and port
-backlogs, and ``EndToEndAnalysis``'s worst bound per class.  This is a
-metamorphic relation: no oracle is needed, only the original run.
+calculus network bounds, and ``EndToEndAnalysis``'s worst bound and
+queue bound per class and its port backlogs.  This is a metamorphic
+relation: no oracle is needed, only the original run.
 """
 
 import dataclasses
@@ -21,10 +21,8 @@ from hypothesis import strategies as st
 
 from repro.analysis.engines import get_engine
 from repro.analysis.engines.base import scenario_inputs
-from repro.analysis.multihop import GraphPathAnalysis
 from repro.campaigns import builtin_scenarios
 from repro.core.endtoend import EndToEndAnalysis
-from repro.errors import AnalysisError
 
 SCENARIOS = {scenario.name: scenario for scenario in builtin_scenarios()}
 POLICIES = ("fcfs", "strict-priority")
@@ -33,14 +31,10 @@ ENGINES = ("calculus", "holistic", "trajectory")
 
 @functools.lru_cache(maxsize=None)
 def lowered(name: str):
-    """Wire messages, network, graph spec and topology of one scenario.
-
-    Star-family scenarios have no graph spec; ``GraphPathAnalysis``
-    bounds them on the topology behind their lowered network.
-    """
+    """Wire messages, network and graph spec of one scenario (star-family
+    scenarios have no graph spec)."""
     inputs = scenario_inputs(SCENARIOS[name])
-    return (tuple(inputs.messages), inputs.network, inputs.graph_spec,
-            inputs.network.spec)
+    return tuple(inputs.messages), inputs.network, inputs.graph_spec
 
 
 def renamed(messages, seed: int) -> list:
@@ -56,30 +50,17 @@ def renamed(messages, seed: int) -> list:
     return fresh
 
 
-def outcome(run):
-    """``repr`` of ``run()``'s sorted items, or of the error it raises."""
-    try:
-        return repr(sorted(run().items()))
-    except AnalysisError as error:
-        return f"{type(error).__name__}: {error}"
-
-
 def bounds(name: str, policy: str, messages) -> dict:
     """Every name-free bound of one scenario's flows under ``policy``."""
-    _, network, graph_spec, spec = lowered(name)
-    results = {engine: outcome(lambda engine=engine: get_engine(
-        engine).network_class_bounds(messages, policy, network=network,
-                                     graph_spec=graph_spec))
+    _, network, graph_spec = lowered(name)
+    results = {engine: repr(sorted(get_engine(engine).network_class_bounds(
+        messages, policy, network=network, graph_spec=graph_spec).items()))
                for engine in ENGINES}
-    graph = GraphPathAnalysis(spec, policy=policy).analyze(messages)
-    results["graph-rows"] = repr({
-        cls: (bound.delay, graph.class_backlogs[cls])
-        for cls, bound in sorted(graph.worst_per_class().items())})
-    results["graph-ports"] = repr(graph.ports)
-    results["end-to-end"] = outcome(lambda: {
-        cls: bound.total_delay for cls, bound in EndToEndAnalysis(
-            network, policy=policy).analyze(messages)
-        .worst_per_class().items()})
+    analysis = EndToEndAnalysis(network, policy=policy).analyze(messages)
+    results["end-to-end"] = repr({
+        cls: (bound.total_delay, analysis.class_backlogs[cls])
+        for cls, bound in sorted(analysis.worst_per_class().items())})
+    results["ports"] = repr(analysis.ports)
     return results
 
 

@@ -130,6 +130,24 @@ class TestEditSensitivity:
         assert after["campaigns"] != before["campaigns"]
         assert after["engines"] != before["engines"]
 
+    def test_editing_the_calculus_composition_moves_the_bound_tokens(
+            self, tmp_path):
+        # The calculus engine imports the composition lazily; every
+        # subsystem that reports a calculus verdict must still cover it.
+        bound = ("campaigns", "simulation", "fuzz", "reports", "serve",
+                 "engines")
+        graph = ModuleGraph(_SRC)
+        assert all("repro.core.endtoend" in graph.closure(SUBSYSTEMS[name])
+                   for name in bound)
+        copy = tmp_path / "src"
+        shutil.copytree(_SRC / "repro", copy / "repro")
+        before = self._tokens(copy)
+        composition = copy / "repro" / "core" / "endtoend.py"
+        composition.write_text(composition.read_text() + "\n# edited\n")
+        after = self._tokens(copy)
+        assert all(after[name] != before[name] for name in bound)
+        assert after["topology"] == before["topology"]
+
     def test_editing_the_campaign_cache_spares_the_simulation(
             self, tmp_path):
         copy = tmp_path / "src"

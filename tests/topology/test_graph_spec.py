@@ -307,7 +307,7 @@ class TestStructuralValidation:
         assert calls
 
     def test_lowering_validates_each_spec_once(self, monkeypatch):
-        from repro.analysis.multihop import GraphPathAnalysis
+        from repro.core.endtoend import EndToEndAnalysis
 
         runs = []
         checks = GraphTopologySpec.__dict__["_local_problems"]
@@ -317,7 +317,7 @@ class TestStructuralValidation:
         spec = diamond_graph_spec(6)
         network = spec.to_network()
         network.route("station-00", "station-05")
-        GraphPathAnalysis(spec)
+        EndToEndAnalysis(network).analyze([])
         assert runs == [spec]
 
     def test_validated_mentions_remaining_problem_count(self):
