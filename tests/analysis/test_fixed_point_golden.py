@@ -140,24 +140,24 @@ def endtoend_worst(topology: str, policy: str) -> dict:
 
 GRAPH_DIGESTS = {
     ("graph-diamond", "fcfs"):
-        "17db36212b5e8e62281672913d9351c9fcdcde61f7b314d66863635c9847634c",
+        "4c5bf42330b38a67277101a1b1c3b306b2074b2d7a220df2365a6f822e070272",
     ("graph-diamond", "strict-priority"):
-        "0737c206c564c8bfbbb6f7e0217d60b1e45baaa0802b42692674f65405d1fb64",
+        "21be0a91a0054c38a14fe3479de699387e7549e309afb362c8f086a003158195",
     ("graph-random", "fcfs"):
-        "f275169fd327723e40adf5efa07bb8642308a71fa101d5e2885f6684a295cff7",
+        "017b7f90f22af748e7b09655d628ff55b06c06f41694c2fd71121e36ecc440d4",
     ("graph-random", "strict-priority"):
-        "835e016cf0759d0bc1cbdc305920fa1c7e9ec8a7b1364efc0f8b7368f37773e7",
+        "ec7f83e6ea4135a88a992ce62fb99d887999726de9bba019acaffe7afb34262c",
     ("graph-ring", "fcfs"):
-        "cc46130327b7e54aeae79cca0c4e50c938626942a0a021e852b9a95f8b9eb9dd",
+        "03adb60b1e400a8d533a16fc26496796e67f61948b00918167166fcc674b9f70",
     ("graph-ring", "strict-priority"):
-        "cc13f34b0ad5e1f43006af6309d11cf27d60878805cee156e4d30f4b3b890932",
+        "6820207be2d9ff820481228b3a277c22a8076a42e7a615136eae267622fbecb3",
 }
 
 DIVERGING_DIGESTS = {
     ("calculus", "fcfs"):
-        "fc6cdcef66e4bd534d9d1e9936009b4bfb9ac4d3382af62dea739f46e1938443",
+        "562392e93daa3e10f68246d96bdd248205b4dd4d2d8d224e953a0dc18c479b97",
     ("calculus", "strict-priority"):
-        "fc6cdcef66e4bd534d9d1e9936009b4bfb9ac4d3382af62dea739f46e1938443",
+        "7593a4fba226e49f57811094ca7a14041e60254d85d5196e9420e23813c7e206",
     ("holistic", "fcfs"):
         "041a3eff954d3b32eb1665093672989cac58c0807156afe32b4db22a111e9272",
     ("holistic", "strict-priority"):
@@ -170,17 +170,17 @@ DIVERGING_DIGESTS = {
 
 NETWORK_DIGESTS = {
     ("dual-switch", "fcfs"):
-        "e9549bc9dc5e73f346d8ade9b585ff734e01b239bc45f6c358080daec2b91939",
+        "03561ca0835dee1fd01932a68a16e3331078ff86819301ea77dd96ffc4c7d74c",
     ("dual-switch", "strict-priority"):
-        "22307727d3f63f8b03882e3dfa07a2e1ab05a9a28a0645e08fb6029841a32933",
+        "2078ad9ea03642c63d7c74cb06fe7258738adcd4c291e6a012f9ce5a95fdd716",
     ("star", "fcfs"):
-        "1786baf86d3db92a515935c3883572cc04cde97e338aca9ae5d87ec37977197c",
+        "2e3c38b3d2eaff64ff9a12389e2dde15b3e6c84a5c7b80a39bd867c64b687306",
     ("star", "strict-priority"):
-        "e431fdd9e12988d07659bc48cf5b8133280e58f00647d728d44e64883050e30c",
+        "3968003c36d0283d427edc46eab158cacb27461a15f1b5322758f5c16c1f922c",
     ("tree", "fcfs"):
-        "7a2b44dfb6a84a3bf810d2f1434cecc4128b1890848cd8c6533f98c99c395c98",
+        "1d9098f56483cad4c8e5e0ab133d2cfd6f1a6b24302068f7a3c481fb8f7d26b4",
     ("tree", "strict-priority"):
-        "d3e9b70210f88623effb23aafd1108b05abadef88251ccbf31b7e307b216fb5e",
+        "88a7a8f958eb6f183397d86072970efab0c05ba56f78a704c39f5c03cf90d7d3",
 }
 
 ENGINE_DIGESTS = {
@@ -236,17 +236,17 @@ ENGINE_DIGESTS = {
 
 LATENCY_GRAPH_DIGESTS = {
     ("graph-diamond", "fcfs"):
-        "4e04f59cca73fb264270823c506da4bda5b071ee662c9033b66c90bee6e107b3",
+        "7dc9085470e7464d1122bd783502627e7d759b79602be4cbf7f11b97631d2a92",
     ("graph-diamond", "strict-priority"):
-        "dadcd6300b590a1dbd85bc35d44ae97c19a8d4e9e291af60aea5f36cc2fc3c9f",
+        "0b54e3a403453c423faecf4c0848a49bafe5a3db71b4f2cf1043ad080a1b7d60",
     ("graph-random", "fcfs"):
-        "800af8de6d8f240eead7718ab13f8a04caec8cc96f9a43985241500bdae77eab",
+        "a940d2debdf565f76aa757fb1ffb03feb039d4e1e0053b5a1d96229c5da22982",
     ("graph-random", "strict-priority"):
-        "5bfd15bc1c4d9a94d2cf346f7c1539df8f7aa25345d5a4862e5412405c9c9104",
+        "a4939f7902954daf942dc5219f114da2f4b7744f2a5bffa11bc72f0780e15111",
     ("graph-ring", "fcfs"):
-        "e6c48ca3aed80160a7f3fb5dc78206ee6500b5d57b07ed86c54e6a3cfc4e9553",
+        "733611a2c365ab380135289aabc4a69d566d4e77c332e64c3123e4da823587fb",
     ("graph-ring", "strict-priority"):
-        "9ab4b79410c07b35536191d47fa174811d9e82547e644962966264e1215e696c",
+        "819c7818bd7a5fb4d93a8d8166d77590032be27c2095da01c7626de030b75f75",
 }
 
 LATENCY_VALUES = {

@@ -4,10 +4,11 @@
 template and the runner's own calculus rows between every engine ×
 policy evaluation of a scenario.  The digest below is the
 canonical-JSON SHA-256 of every engine row of the full catalogue,
-recorded before any of that sharing existed and refreshed twice: when
-sums over port members became correctly rounded (``math.fsum``), and
-when the graph calculus rows became the verdict on the lowered
-network.  The shared path must reproduce the per-engine, per-policy
+recorded before any of that sharing existed and refreshed three times:
+when sums over port members became correctly rounded (``math.fsum``),
+when the graph calculus rows became the verdict on the lowered network,
+and when that verdict became the per-hop multiplexer sum of
+``EndToEndAnalysis`` instead of concatenated left-over curves.  The shared path must reproduce the per-engine, per-policy
 recomputation byte for byte — memoized and naive alike.
 """
 
@@ -21,7 +22,7 @@ from repro.store import fingerprint
 #: ``fingerprint([[scenario, engine, policy, class, repr(bound), stable]
 #: ...])`` over the 360 engine rows of ``select("all")``.
 ENGINE_ROWS_DIGEST = (
-    "4eadf0242142a5f47df36d55d4cdb79cca67f7735af3da679160ebedf409e081")
+    "3b6163800db003cf151bea92e34a3cc3d556da82de0e5cfaa91b19a7034646fa")
 
 
 @pytest.mark.parametrize("memoize", [True, False],

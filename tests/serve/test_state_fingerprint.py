@@ -35,10 +35,10 @@ PRELOADED = {
         "961684a3e98b66a0e0b4817a6520c184ca8c640c3bb02b0020ea6d5b1d1d02ac"),
     ("graph-diamond", "fcfs"): (
         "0e13969eab52bbcc524837a998ebc89538663ca59d2e044a9a888927dc1bbf2d",
-        "8620b0a38b59939824aafe061fc961fcdc3e783378d284557fd02483a5547302"),
+        "425087b4967444eccc63e34c393c2d4fd4f5f3252df08806d0dac0d9cc307579"),
     ("graph-diamond", "strict-priority"): (
         "2bd68e37162cd193c8f1b8d9bef5c11087b58641c04413640fa5592e7eb2897d",
-        "060e5f1e187eb34cf4b5f5cfdb811fd74e7c17fda570ec1d1c856266442e77ee"),
+        "82c81e4028df85b99eaf1a001094d30fc90c2cb3e8544fc21aeb660ae1a20f41"),
 }
 
 
