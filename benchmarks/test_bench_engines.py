@@ -7,10 +7,12 @@ Three regressions the engine sweep must never see:
 2. the sweep lowers and routes each scenario **once**: every engine ×
    policy evaluation shares one network and one routed template, and
    the calculus engine reuses the rows the runner just computed.  This
-   is pinned deterministically by counting ``scenario_inputs``,
-   ``RoutingEngine.route_flow`` and ``scenario_rows`` calls; and every
-   fixed point over a template with a feed-forward schedule runs each
-   port's rule exactly once, pinned by counting rule calls per
+   is pinned deterministically by counting ``scenario_inputs`` and
+   ``scenario_rows`` calls, and routing calls: the template asks
+   ``RoutingEngine.shortest_path`` once per distinct (source,
+   destination) pair and never calls ``RoutingEngine.route_flow``; and
+   every fixed point over a template with a feed-forward schedule runs
+   each port's rule exactly once, pinned by counting rule calls per
    ``run_fixed_point``,
 3. the default (``calculus``-only) campaign path must stay the
    pre-engine path — the engine hook is a single tuple comparison per
@@ -75,9 +77,9 @@ def test_bench_engines(benchmark, report, monkeypatch):
 
     lowered = []
 
-    def counting_inputs(scenario):
+    def counting_inputs(scenario, *args, **kwargs):
         lowered.append(scenario.name)
-        return original_inputs(scenario)
+        return original_inputs(scenario, *args, **kwargs)
 
     row_calls = []
 
@@ -91,41 +93,60 @@ def test_bench_engines(benchmark, report, monkeypatch):
         routed.append(flow.name)
         return original_route_flow(self, flow)
 
+    looked_up = []
+
+    def counting_shortest_path(self, source, destination):
+        looked_up.append((source, destination))
+        return original_shortest_path(self, source, destination)
+
     # (ports, has a schedule, rule calls) of every fixed point.
     fixed_points = []
 
-    def counting_fixed_point(states, ports, rule, schedule=None):
+    def counting_fixed_point(template, run, rule, schedule=None):
         calls = []
 
-        def counted(port):
+        def counted(template, run, port):
             calls.append(port)
-            rule(port)
+            return rule(template, run, port)
 
-        converged = original_fixed_point(states, ports, counted, schedule)
-        fixed_points.append((len(ports), schedule is not None, len(calls)))
+        converged = original_fixed_point(template, run, counted, schedule)
+        fixed_points.append((len(template.ports), schedule is not None,
+                             len(calls)))
         return converged
 
     original_inputs = runner_module.scenario_inputs
     original_rows = runner_module.scenario_rows
     original_route_flow = RoutingEngine.route_flow
+    original_shortest_path = RoutingEngine.shortest_path
     monkeypatch.setattr(runner_module, "scenario_inputs", counting_inputs)
     monkeypatch.setattr("repro.analysis.engines.base.scenario_inputs",
                         counting_inputs)
     monkeypatch.setattr(runner_module, "scenario_rows", counting_rows)
     monkeypatch.setattr(calculus_module, "scenario_rows", counting_rows)
     monkeypatch.setattr(RoutingEngine, "route_flow", counting_route_flow)
+    monkeypatch.setattr(RoutingEngine, "shortest_path",
+                        counting_shortest_path)
     original_fixed_point = iteration.run_fixed_point
     for module in ("repro.analysis.engines.holistic",
                    "repro.analysis.engines.trajectory",
                    "repro.core.endtoend"):
         monkeypatch.setattr(f"{module}.run_fixed_point",
                             counting_fixed_point)
-    route_calls = {}
+    lookups = {}
     for scenario in scenarios:
-        routed.clear()
+        looked_up.clear()
         CampaignRunner(engines=all_engines).run([scenario])
-        route_calls[scenario.name] = len(routed)
+        lookups[scenario.name] = list(looked_up)
     monkeypatch.undo()
+    # The default path's lookups, for the table.
+    monkeypatch.setattr(RoutingEngine, "shortest_path",
+                        counting_shortest_path)
+    looked_up.clear()
+    CampaignRunner().run(scenarios)
+    default_lookups = len(looked_up)
+    monkeypatch.undo()
+    flows = {scenario.name: scenario.workload.build().messages
+             for scenario in scenarios}
 
     # 2. the default path, engines machinery live (the shipped code) but
     # the registry lookup the runner binds made to fail if it is ever
@@ -148,13 +169,16 @@ def test_bench_engines(benchmark, report, monkeypatch):
         lambda: CampaignRunner(engines=all_engines).run(scenarios),
         rounds=3, iterations=1)
 
+    flow_count = sum(len(messages) for messages in flows.values())
     report(
         "engines", "Bound engines: cross-engine campaign throughput",
-        ["mode", "scenarios", "engine rows", "best run", "rows/s"],
-        [("--engine all", len(scenarios), len(engine_rows),
+        ["mode", "scenarios", "flows", "route lookups", "engine rows",
+         "best run", "rows/s"],
+        [("--engine all", len(scenarios), flow_count,
+          sum(len(pairs) for pairs in lookups.values()), len(engine_rows),
           f"{all_time * 1e3:.2f} ms", f"{engine_rate:,.0f}"),
-         ("default (calculus)", len(scenarios), 0,
-          f"{default_time * 1e3:.2f} ms", "-")])
+         ("default (calculus)", len(scenarios), flow_count, default_lookups,
+          0, f"{default_time * 1e3:.2f} ms", "-")])
 
     # The cross-engine run covers every engine on every scenario ...
     assert {row.engine for row in engine_rows} == set(all_engines)
@@ -164,11 +188,15 @@ def test_bench_engines(benchmark, report, monkeypatch):
     assert sorted(row_calls) == sorted(
         (scenario.name, policy) for scenario in scenarios
         for policy in scenario.policies)
-    # ... and routes each flow once: only the template routes, and the
+    # ... and looks each distinct (source, destination) pair up once:
+    # only the template routes, it routes no flow one by one, and the
     # graph rows of every policy analyse that template too.
+    assert not routed
     for scenario in scenarios:
-        flows = len(scenario.workload.build().messages)
-        assert route_calls[scenario.name] == flows, scenario.name
+        pairs = {(message.source, message.destination)
+                 for message in flows[scenario.name]}
+        assert sorted(lookups[scenario.name]) == sorted(pairs), scenario.name
+        assert len(pairs) < len(flows[scenario.name]), scenario.name
     # ... and runs each port's rule once wherever the template has a
     # feed-forward schedule (every template of this campaign).
     scheduled = [(ports, calls) for ports, has_schedule, calls

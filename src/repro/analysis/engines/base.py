@@ -299,15 +299,23 @@ def lower(message_set: "MessageSet", *, capacity: float,
                           graph_spec)
 
 
-def scenario_inputs(scenario: "Scenario") -> ScenarioInputs:
+def scenario_inputs(scenario: "Scenario",
+                    message_set: "MessageSet | None" = None
+                    ) -> ScenarioInputs:
     """The :func:`lower` of one scenario: its graph topology, or the
-    single-switch star for every other kind."""
+    single-switch star for every other kind.
+
+    ``message_set`` is the scenario's workload when the caller already
+    holds it built; otherwise the workload is built here.
+    """
     graph_spec = None
     if scenario.topology.kind == "graph":
         graph_spec = scenario.topology.build_graph(
             scenario.workload.total_stations, scenario.capacity,
             scenario.technology_delay)
-    return lower(scenario.workload.build(), capacity=scenario.capacity,
+    if message_set is None:
+        message_set = scenario.workload.build()
+    return lower(message_set, capacity=scenario.capacity,
                  technology_delay=scenario.technology_delay,
                  graph_spec=graph_spec)
 

@@ -25,6 +25,7 @@ reference both for soundness regressions and for the tightness ranking.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping
 
 from repro.analysis.engines.base import (EngineResult, NetworkBounds,
@@ -119,22 +120,34 @@ class CalculusEngine(ScenarioBoundEngine):
                 template: "RoutedTemplate") -> NetworkBounds:
         """Network-level bounds of ``template``'s flows on ``network``.
 
-        One call of the network-calculus composition,
+        The fixed point of the network-calculus composition,
         :class:`~repro.core.endtoend.EndToEndAnalysis`, on the routed
-        template.  A graph lowering also reports every port's and every
-        class's backlog bound and the hop count of each class's worst
-        flow; a star reports its class bounds only.
+        template.  Each class's bound is its worst flow's total, the
+        first flow in template order on a tie; the totals are read
+        straight from the final per-slot delays.  A graph lowering also
+        reports every port's and every class's backlog bound and the hop
+        count of each class's worst flow; a star reports its class
+        bounds only.
         """
         from repro.core.endtoend import EndToEndAnalysis
 
-        outcome = EndToEndAnalysis(network, policy=policy).analyze(template)
-        worst = outcome.worst_per_class()
-        classes = {cls: bound.total_delay for cls, bound in worst.items()}
+        analysis = EndToEndAnalysis(network, policy=policy)
+        run, _ = analysis.solve(template)
+        starts, propagation = template.starts, template.propagation
+        delays = run.delays
+        worst: dict[PriorityClass, tuple[float, int]] = {}
+        for flow, priority in enumerate(template.priorities):
+            slots = range(starts[flow], starts[flow + 1])
+            total = math.fsum(delays[slot] + propagation[slot]
+                              for slot in slots)
+            current = worst.get(priority)
+            if current is None or total > current[0]:
+                worst[priority] = (total, len(slots))
+        classes = {cls: total for cls, (total, _) in worst.items()}
         if graph_spec is None:
             return NetworkBounds(classes, {}, {}, {})
+        ports, backlogs = analysis.backlogs(template, run)
         return NetworkBounds(
             classes,
-            {(port.node, port.toward): port.backlog_bits
-             for port in outcome.ports},
-            {cls: len(bound.hops) for cls, bound in worst.items()},
-            outcome.class_backlogs)
+            {(port.node, port.toward): port.backlog_bits for port in ports},
+            {cls: hops for cls, (_, hops) in worst.items()}, backlogs)

@@ -33,8 +33,8 @@ import math
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
-from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              RoutedTemplate,
+from repro.analysis.engines.iteration import (PortLevel, RoutedPort,
+                                              RoutedRun, RoutedTemplate,
                                               network_template,
                                               port_levels, run_fixed_point)
 from repro.flows.priorities import PriorityClass
@@ -84,44 +84,52 @@ class HolisticEngine(ScenarioBoundEngine):
         """Per-class worst of the per-flow holistic fixed points."""
         if template is None:
             template = network_template(network, messages)
-        states, ports = template.instantiate()
-        if not states:
+        if not template.flows:
             return {}
-        run_fixed_point(states, ports,
-                        lambda port: self._port_delays(port, policy),
+        run = template.instantiate()
+        run_fixed_point(template, run,
+                        lambda template, run, port: self._port_delays(
+                            template, run, port, policy),
                         template.schedule)
         mapping: dict[PriorityClass, float] = {}
-        for state in states:
-            delay = self._end_to_end(state)
-            previous = mapping.get(state.priority, 0.0)
-            mapping[state.priority] = max(previous, delay)
+        for flow, priority in enumerate(template.priorities):
+            delay = self._end_to_end(template, run, flow)
+            previous = mapping.get(priority, 0.0)
+            mapping[priority] = max(previous, delay)
         return mapping
 
     # -- internals -----------------------------------------------------------
 
-    def _port_delays(self, port: PortContext, policy: str) -> None:
+    @staticmethod
+    def _port_delays(template: RoutedTemplate, run: RoutedRun,
+                     port: RoutedPort, policy: str) -> list[PortLevel]:
         """Refresh every member's delay at one port from current bursts.
 
         A level's busy period covers the more urgent members and the
         level itself; every member of the level gets its delay.
         """
-        for level in port_levels(port, policy):
+        levels = port_levels(template, run, port, policy)
+        members, delays = port.members, run.delays
+        for level in levels:
             work = math.fsum(level.higher_bursts + level.bursts)
             rate = math.fsum(level.higher_rates + level.rates)
             delay = _busy_period(work + level.blocking, rate,
                                  port.capacity) + port.technology_delay
             for position in level.positions:
-                state, index = port.members[position]
-                state.delays[index] = delay
+                delays[members[position]] = delay
+        return levels
 
-    def _end_to_end(self, state: RoutedFlowState) -> float:
-        """Sum of per-hop busy-period delays plus propagation."""
-        if state.diverged:
+    @staticmethod
+    def _end_to_end(template: RoutedTemplate, run: RoutedRun,
+                    flow: int) -> float:
+        """Sum of a flow's per-hop busy-period delays plus propagation."""
+        if run.diverged[flow]:
             return math.inf
+        delays, propagation = run.delays, template.propagation
         total = 0.0
-        for index in range(len(state.hops)):
-            delay = state.delays[index]
+        for slot in range(template.starts[flow], template.starts[flow + 1]):
+            delay = delays[slot]
             if not math.isfinite(delay):
                 return math.inf
-            total += delay + state.propagation[index]
+            total += delay + propagation[slot]
         return total

@@ -15,36 +15,53 @@ their per-port delay rule.  A rule is a pure function of its members'
 bursts at the port's hop, and upstream delay accumulates hop by hop as
 ``(acc + delay) + propagation``.
 
+**Slots.**  A *slot* is one (flow, hop) pair.  Each flow's slots are
+contiguous, in hop order, and flows keep the order they were routed
+in, so ``slot + 1`` is a flow's next hop unless ``slot`` is its last.
+:func:`route_template` routes a flow set once into a
+:class:`RoutedTemplate`: the fixed data of every slot (its port, the
+flow's token-bucket rate and burst and priority level, the link's
+propagation) in flat per-slot tuples, each port's members as slots,
+and the feed-forward schedule.  Every analysis run calls
+:meth:`RoutedTemplate.instantiate` for its own :class:`RoutedRun`: fresh
+per-slot ``upstream``, ``delays`` and ``details`` lists, a per-flow
+``diverged`` list and a per-port ``partitions`` list, and no object per
+flow or per port.  Neither the policy nor the rule changes a route, so
+one template serves every engine and policy of a scenario.  The
+template groups flows by ``(source, destination)`` and asks the routing
+engine once per distinct pair.
+
 **Feed-forward schedule.**  A port ``q`` depends on a port ``p`` when
 some flow crosses ``p`` at hop *k* and ``q`` at hop *k + 1*.  When that
 graph is acyclic (every star, tree and most meshes), one pass in
 topological order reaches the fixed point (Le Boudec & Thiran,
 *Network Calculus*, 2001): each port runs once, after every port
 upstream of it, and then extends its members' upstream prefix by its
-own delay.  :func:`route_template` computes that order once per
-template (Kahn's algorithm, lowest port position first, so on a star
-the station egress ports run before the switch's, as the pass-by-pass
-loop ran them) and stores it as :attr:`RoutedTemplate.schedule`.  The
-result is the pass-by-pass loop's, bit for bit: when that loop
-converges, each port's last evaluation saw the final upstream values,
-and that is the one evaluation the schedule makes.
+own delay, in place at ``slot + 1``.  :func:`route_template` computes
+that order once per template (Kahn's algorithm, lowest port position
+first, so on a star the station egress ports run before the switch's,
+as the pass-by-pass loop ran them) and stores it as
+:attr:`RoutedTemplate.schedule`.  The result is the pass-by-pass loop's,
+bit for bit: when that loop converges, each port's last evaluation saw
+the final upstream values, and that is the one evaluation the schedule
+makes.
 
 **Pass-by-pass loop.**  The schedule is ``None`` when the dependency
 graph has a cycle (rings can feed their own growth), or when its
 longest chain is more than :data:`MAX_ITERATIONS` dependencies deep
 (the loop below needs one pass per level plus one, and would give up
-first).  Those templates, and every run without a template, iterate:
+first).  Those templates, and every run given no schedule, iterate:
 
 * a flow has settled only when its upstream values are exactly equal
   between two passes;
 * after the first pass the loop re-runs a port only when some member's
-  upstream *at that port's hop index* changed in the last accumulation
-  (a flow that moved at another hop leaves the port's inputs, and
+  upstream *at that port's slot* changed in the last accumulation (a
+  flow that moved at another hop leaves the port's inputs, and
   therefore its outputs, unchanged);
 * after :data:`MAX_ITERATIONS` passes one extra pass runs, and the flows
   still moving are then marked *diverged* (their bursts become
   infinite);
-* at most ``len(states) + 1`` further passes, each over every port, let
+* at most ``flow count + 1`` further passes, each over every port, let
   those infinities reach every flow sharing a port with a diverged one
   (``inf`` is absorbing, so this terminates), and the fixed point
   reports non-convergence.
@@ -57,29 +74,18 @@ Every rule reads the same per-port partition, :func:`port_levels`: the
 members of each priority level with their inflated bursts and rates,
 the bursts and rates of the strictly more urgent members, and the
 largest less urgent burst (the non-preemptive blocking term).  Each
-port evaluation partitions its members once.  A rule whose engine
-composes a final result from the partition (the trajectory segments,
-the calculus backlogs) keeps it on the port as
-:attr:`PortContext.levels`, and the composition reads it there instead
-of partitioning again: a port's last evaluation saw the final upstream
-values, the same argument the schedule rests on.  Only a run that did
-not settle can end on an accumulation after some port's last
+port evaluation partitions its members once, and the rule returns that
+partition; :func:`run_fixed_point` keeps it in the run's
+``partitions``.  A composition that reads the partition after the fixed
+point (the trajectory segments, the calculus backlogs) reads it there
+instead of partitioning again: a port's last evaluation saw the final
+upstream values, the same argument the schedule rests on.  Only a run
+that did not settle can end on an accumulation after some port's last
 evaluation, so those compositions partition afresh when
 :func:`run_fixed_point` returns ``False``.  Sums over members go through
 :func:`math.fsum`, which rounds the exact sum once (Shewchuk's
 algorithm), so a bound depends on the set of flows at a port and not on
 the order they are listed in, and is the same on every Python version.
-
-Routing happens once per flow set: :func:`route_template` builds a
-:class:`RoutedTemplate` (routed flows, hops, propagation, each port's
-members as ``(flow position, hop index)`` and the schedule), and every
-analysis run instantiates fresh per-hop state from it.  Neither the
-policy nor the rule changes a route, so one template serves every
-engine and policy of a scenario.  The flows' token-bucket parameters
-and priority levels are copied onto the template once; the rules run
-once per member pair per port evaluation, so they read those plain
-fields instead of going through ``Flow`` → ``Message`` properties and
-the priority enum on every access.
 """
 
 from __future__ import annotations
@@ -90,14 +96,16 @@ from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Any, Callable, Iterable, NamedTuple,
                     Sequence)
 
+from repro.errors import InvalidFlowError
 from repro.flows.flow import Flow
-from repro.flows.priorities import PriorityClass
+from repro.flows.messages import Message
+from repro.flows.priorities import PriorityClass, assign_priority
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.network import Network
 
-__all__ = ["RoutedFlowState", "PortContext", "RoutedTemplate",
-           "PortLevel", "route_template", "network_port", "network_template",
+__all__ = ["RoutedPort", "RoutedRun", "RoutedTemplate", "PortLevel",
+           "route_template", "network_port", "network_template",
            "port_levels", "port_leftovers", "run_fixed_point",
            "MAX_ITERATIONS"]
 
@@ -108,144 +116,187 @@ MAX_ITERATIONS = 16
 PortAttributes = Callable[[str, str], "tuple[float, float, float]"]
 
 
-@dataclass
-class RoutedFlowState:
-    """One routed flow plus the per-hop state of the iteration."""
-
-    flow: Flow
-    priority: PriorityClass
-    #: The flow's name, token-bucket rate ``r`` (bits per second) and
-    #: burst ``b`` (bits), and ``priority.value`` (0 = most urgent):
-    #: copies of the frozen flow's values, so the per-port rules read
-    #: plain attributes in their inner loops.
-    name: str
-    rate: float
-    burst: float
-    level: int
-    hops: tuple[tuple[str, str], ...]
-    #: Propagation delay of each hop's link.
-    propagation: tuple[float, ...]
-    #: Sum of bound delays (and propagation) accumulated before each hop.
-    upstream: list[float]
-    #: Current per-hop delay bound (queuing + relaying, no propagation).
-    delays: list[float]
-    #: Per-hop by-product of the delay rule (a left-over service, a
-    #: multiplexer bound...), or ``None`` where the rule keeps none.
-    details: list[Any]
-    #: Set when the fixed point failed to settle for this flow; its
-    #: bursts (and therefore every bound involving it) become infinite.
-    diverged: bool = False
-
-
-@dataclass(eq=False)
-class PortContext:
-    """One directed output port and the routed flows crossing it."""
+class RoutedPort(NamedTuple):
+    """A directed output port and the slots of the flows crossing it."""
 
     node: str
     toward: str
     capacity: float
     #: ``t_techno`` of the relaying node.
     technology_delay: float
-    #: ``(state, hop index)`` of every flow using this port, in the
-    #: order the flows were passed to :func:`route_template`.
-    members: tuple[tuple[RoutedFlowState, int], ...]
-    #: The :func:`port_levels` of the port's last evaluation, set by the
-    #: rules whose final composition reads it; ``None`` until then.
-    levels: "list[PortLevel] | None" = None
+    #: The slot of every flow crossing the port, in flow order.
+    members: tuple[int, ...]
+    #: The members whose flow goes on past the port (to ``slot + 1``).
+    onward: tuple[int, ...]
 
 
-class _RoutedFlow(NamedTuple):
-    """A routed flow's fixed fields, in :class:`RoutedFlowState` order."""
+class PortLevel(NamedTuple):
+    """One priority level of one port, at the members' current bursts."""
 
-    flow: Flow
-    priority: PriorityClass
-    name: str
-    rate: float
-    burst: float
-    level: int
-    hops: tuple[tuple[str, str], ...]
-    propagation: tuple[float, ...]
+    #: Positions in ``port.members`` of the level's members.
+    positions: list[int]
+    #: The level's inflated bursts and rates, one per position.
+    bursts: list[float]
+    rates: list[float]
+    #: Inflated bursts and rates of every strictly more urgent member.
+    higher_bursts: list[float]
+    higher_rates: list[float]
+    #: Largest inflated burst of a less urgent member (0 when none).
+    blocking: float
 
 
-class _TemplatePort(NamedTuple):
-    """A directed port with its members as ``(flow position, hop index)``."""
+class RoutedRun(NamedTuple):
+    """The state of one fixed-point run over a :class:`RoutedTemplate`."""
 
-    node: str
-    toward: str
-    capacity: float
-    technology_delay: float
-    members: tuple[tuple[int, int], ...]
+    #: Per slot: bound delays (and propagation) accumulated before it.
+    upstream: list[float]
+    #: Per slot: delay bound (queuing + relaying, no propagation).
+    delays: list[float]
+    #: Per slot: by-product of the delay rule (a multiplexer bound...),
+    #: or ``None`` where the rule keeps none.
+    details: list[Any]
+    #: Per flow: set when the fixed point failed to settle for the flow;
+    #: its bursts (and therefore every bound involving it) are infinite.
+    diverged: list[bool]
+    #: Per port: the :func:`port_levels` of its last evaluation.
+    partitions: "list[list[PortLevel] | None]"
+
+
+#: A per-port delay rule: refreshes the ``delays`` (and optionally the
+#: ``details``) of every member of one port from the members' current
+#: bursts, and returns the port's :func:`port_levels` it read.
+PortRule = Callable[["RoutedTemplate", RoutedRun, RoutedPort],
+                    "list[PortLevel]"]
 
 
 @dataclass(frozen=True)
 class RoutedTemplate:
-    """The routes of one flow set, grouped by directed port, built once.
+    """The routes of one flow set, as flat per-slot data, built once.
 
     Nothing in it changes during an analysis, so every run over the same
     flows on the same network shares one template and calls
-    :meth:`instantiate` for its own per-hop state.
+    :meth:`instantiate` for its own state.  Flow ``f`` owns the slots
+    ``starts[f]`` to ``starts[f + 1] - 1``.
     """
 
-    flows: tuple[_RoutedFlow, ...]
+    #: Per flow: the flow or message as routed.
+    flows: "tuple[Flow | Message, ...]"
+    names: tuple[str, ...]
+    priorities: tuple[PriorityClass, ...]
+    #: The node names of the flow's route.
+    paths: tuple[tuple[str, ...], ...]
+    #: The flow's first slot, followed by the slot count.
+    starts: tuple[int, ...]
+    #: Per slot: the flow, the position of its port in :attr:`ports`,
+    #: the flow's token-bucket rate ``r`` (bits per second) and burst
+    #: ``b`` (bits), its ``priority.value`` (0 = most urgent) and the
+    #: propagation delay of the hop's link.
+    flow_of: tuple[int, ...]
+    port_of: tuple[int, ...]
+    rates: tuple[float, ...]
+    bursts: tuple[float, ...]
+    levels: tuple[int, ...]
+    propagation: tuple[float, ...]
     #: Sorted by ``(node, toward)``.
-    ports: tuple[_TemplatePort, ...]
+    ports: tuple[RoutedPort, ...]
     #: Port positions in feed-forward order, or ``None`` when the ports
     #: must be iterated pass by pass (see the module docstring).
     schedule: tuple[int, ...] | None
 
-    def instantiate(self) -> tuple[list[RoutedFlowState], list[PortContext]]:
-        """Fresh states (zero upstream and delays) and their ports."""
-        states = [RoutedFlowState(*flow, [0.0] * len(flow.hops),
-                                  [0.0] * len(flow.hops),
-                                  [None] * len(flow.hops))
-                  for flow in self.flows]
-        ports = [PortContext(
-            node=port.node, toward=port.toward, capacity=port.capacity,
-            technology_delay=port.technology_delay,
-            members=tuple((states[position], index)
-                          for position, index in port.members))
-            for port in self.ports]
-        return states, ports
+    def instantiate(self) -> RoutedRun:
+        """Fresh run state: zero upstream and delays, nothing diverged."""
+        slots = len(self.flow_of)
+        return RoutedRun([0.0] * slots, [0.0] * slots, [None] * slots,
+                         [False] * len(self.flows),
+                         [None] * len(self.ports))
 
 
-def route_template(flows: Iterable, route_flow: Callable[[Any], Flow],
+def route_template(flows: "Iterable[Flow | Message]",
+                   shortest_path: Callable[[str, str], Sequence[str]],
                    port: PortAttributes) -> RoutedTemplate:
-    """Route every flow and group the routed hops by directed port.
+    """Route every flow and group the slots by directed port.
 
-    ``route_flow`` turns each item into a routed :class:`Flow` and
-    ``port`` describes a directed port.  Flows keep the input order;
-    ports come back sorted by ``(node, toward)``, with their
-    feed-forward schedule.
+    Messages, and flows without a path, take ``shortest_path(source,
+    destination)``, asked once per distinct pair; flows that carry a
+    path keep it.  ``port`` describes a directed port.  Flows keep the
+    input order; ports come back sorted by ``(node, toward)``, with
+    their feed-forward schedule.
+
+    Raises
+    ------
+    InvalidFlowError
+        If an item is neither a :class:`Flow` nor a :class:`Message`.
     """
-    membership: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    items = tuple(flows)
+    pair_paths: dict[tuple[str, str], tuple[str, ...]] = {}
+    path_hops: dict[tuple[str, ...], tuple[tuple[str, str], ...]] = {}
     attributes: dict[tuple[str, str], tuple[float, float, float]] = {}
-    routed: list[_RoutedFlow] = []
-    for position, item in enumerate(flows):
-        flow = route_flow(item)
-        hops = tuple(flow.hops())
-        for index, hop in enumerate(hops):
-            if hop not in attributes:
-                attributes[hop] = port(*hop)
-            membership.setdefault(hop, []).append((position, index))
-        routed.append(_RoutedFlow(
-            flow=flow, priority=flow.priority, name=flow.name,
-            rate=flow.rate, burst=flow.burst, level=flow.priority.value,
-            hops=hops,
-            propagation=tuple(attributes[hop][2] for hop in hops)))
-    keys = sorted(membership)
+    names, priorities, paths, starts, routes = [], [], [], [], []
+    flow_of: list[int] = []
+    rates: list[float] = []
+    bursts: list[float] = []
+    levels: list[int] = []
+    propagation: list[float] = []
+    for position, item in enumerate(items):
+        if isinstance(item, Message):
+            message, priority, path = item, assign_priority(item), None
+        elif isinstance(item, Flow):
+            message, priority, path = item.message, item.priority, item.path
+        else:
+            raise InvalidFlowError(
+                f"cannot analyse a {type(item).__name__}")
+        if not path:
+            pair = (message.source, message.destination)
+            path = pair_paths.get(pair)
+            if path is None:
+                path = pair_paths[pair] = tuple(shortest_path(*pair))
+        hops = path_hops.get(path)
+        if hops is None:
+            hops = path_hops[path] = tuple(zip(path, path[1:]))
+            for hop in hops:
+                if hop not in attributes:
+                    attributes[hop] = port(*hop)
+        count = len(hops)
+        names.append(message.name)
+        priorities.append(priority)
+        paths.append(path)
+        starts.append(len(flow_of))
+        routes.append(hops)
+        flow_of.extend([position] * count)
+        rates.extend([message.rate] * count)
+        bursts.extend([message.burst] * count)
+        levels.extend([priority.value] * count)
+        propagation.extend(attributes[hop][2] for hop in hops)
+    starts.append(len(flow_of))
+    keys = sorted(attributes)
     positions = {key: position for position, key in enumerate(keys)}
+    route_ports = {hops: tuple(positions[hop] for hop in hops)
+                   for hops in path_hops.values()}
+    port_of: list[int] = []
+    members: list[list[int]] = [[] for _ in keys]
+    onward: list[list[int]] = [[] for _ in keys]
+    for hops in routes:
+        route = route_ports[hops]
+        last = len(route) - 1
+        for index, position in enumerate(route):
+            slot = len(port_of)
+            port_of.append(position)
+            members[position].append(slot)
+            if index < last:
+                onward[position].append(slot)
     return RoutedTemplate(
-        flows=tuple(routed),
-        ports=tuple(_TemplatePort(node, toward,
-                                  *attributes[(node, toward)][:2],
-                                  tuple(membership[(node, toward)]))
-                    for node, toward in keys),
-        schedule=_port_schedule(
-            [[positions[hop] for hop in flow.hops] for flow in routed],
-            len(keys)))
+        flows=items, names=tuple(names), priorities=tuple(priorities),
+        paths=tuple(paths), starts=tuple(starts), flow_of=tuple(flow_of),
+        port_of=tuple(port_of), rates=tuple(rates), bursts=tuple(bursts),
+        levels=tuple(levels), propagation=tuple(propagation),
+        ports=tuple(RoutedPort(node, toward, *attributes[(node, toward)][:2],
+                               tuple(members[position]),
+                               tuple(onward[position]))
+                    for position, (node, toward) in enumerate(keys)),
+        schedule=_port_schedule(route_ports.values(), len(keys)))
 
 
-def _port_schedule(paths: list[list[int]], count: int
+def _port_schedule(paths: Iterable[Sequence[int]], count: int
                    ) -> tuple[int, ...] | None:
     """Feed-forward order of ``count`` ports crossed along ``paths``.
 
@@ -295,48 +346,39 @@ def network_template(network: "Network", messages: Iterable
                      ) -> RoutedTemplate:
     """:func:`route_template` over a :class:`Network`, flows in name order."""
     return route_template(sorted(messages, key=lambda message: message.name),
-                          network.route_flow, network_port(network))
+                          network.routing.shortest_path,
+                          network_port(network))
 
 
-class PortLevel(NamedTuple):
-    """One priority level of one port, at the members' current bursts."""
-
-    #: Positions in ``port.members`` of the level's members.
-    positions: list[int]
-    #: The level's inflated bursts and rates, one per position.
-    bursts: list[float]
-    rates: list[float]
-    #: Inflated bursts and rates of every strictly more urgent member.
-    higher_bursts: list[float]
-    higher_rates: list[float]
-    #: Largest inflated burst of a less urgent member (0 when none).
-    blocking: float
-
-
-def port_levels(port: PortContext, policy: str) -> list[PortLevel]:
+def port_levels(template: RoutedTemplate, run: RoutedRun, port: RoutedPort,
+                policy: str) -> list[PortLevel]:
     """Partition a port's members by priority level, most urgent first.
 
     Under FIFO (``"fcfs"``) every member shares one level, with nothing
     more urgent and no blocking.  Each member's burst is inflated once,
-    ``b + r * upstream`` at its hop (``inf`` once the flow diverged or
+    ``b + r * upstream`` at its slot (``inf`` once the flow diverged or
     its upstream is infinite), and a level's blocking is the largest of
     the per-level maxima below it: bursts are never negative, so that is
     the largest less urgent burst, exactly.
     """
     members = port.members
+    upstream, diverged = run.upstream, run.diverged
+    flow_of, slot_rates = template.flow_of, template.rates
+    slot_bursts = template.bursts
     inf = math.inf
     bursts = []
-    for state, index in members:
-        upstream = state.upstream[index]
-        bursts.append(inf if state.diverged or upstream == inf
-                      else state.burst + state.rate * upstream)
-    rates = [state.rate for state, _ in members]
+    for slot in members:
+        delay = upstream[slot]
+        bursts.append(inf if diverged[flow_of[slot]] or delay == inf
+                      else slot_bursts[slot] + slot_rates[slot] * delay)
+    rates = [slot_rates[slot] for slot in members]
     if policy == "fcfs":
         return [PortLevel(list(range(len(members))), bursts, rates,
                           [], [], 0.0)]
     grouped: dict[int, list[int]] = {}
-    for position, (state, _) in enumerate(members):
-        grouped.setdefault(state.level, []).append(position)
+    slot_levels = template.levels
+    for position, slot in enumerate(members):
+        grouped.setdefault(slot_levels[slot], []).append(position)
     own = [grouped[level] for level in sorted(grouped)]
     own_bursts = [[bursts[position] for position in positions]
                   for positions in own]
@@ -356,7 +398,7 @@ def port_levels(port: PortContext, policy: str) -> list[PortLevel]:
     return levels
 
 
-def port_leftovers(port: PortContext, levels: list[PortLevel]
+def port_leftovers(port: RoutedPort, levels: list[PortLevel]
                    ) -> list[tuple[float, float, float]]:
     """Blind-multiplexing left-over ``(rate, latency, delay)`` of every
     port member (the trajectory engine's per-hop rule).
@@ -392,78 +434,71 @@ def port_leftovers(port: PortContext, levels: list[PortLevel]
     return leftovers
 
 
-def _accumulate(states: Iterable[RoutedFlowState],
-                ports_of: dict[int, list[int]]
-                ) -> tuple[list[RoutedFlowState], set[int]]:
-    """Refresh upstream prefix sums.
+def _accumulate(template: RoutedTemplate, run: RoutedRun
+                ) -> tuple[list[int], set[int]]:
+    """Refresh every flow's upstream prefix sums in place.
 
-    Returns the states whose upstream moved and the positions of the
-    ports at whose hop some member's upstream moved.
+    Returns the flows whose upstream moved and the positions of the
+    ports at whose slot some member's upstream moved.
     """
+    upstream, delays = run.upstream, run.delays
+    starts, port_of = template.starts, template.port_of
+    propagation = template.propagation
     moved = []
     dirty: set[int] = set()
-    for state in states:
+    for flow in range(len(starts) - 1):
         cumulative = 0.0
-        upstream = []
-        for delay, propagation in zip(state.delays, state.propagation):
-            upstream.append(cumulative)
-            cumulative += delay
-            cumulative += propagation
-        if upstream != state.upstream:
-            ports = ports_of[id(state)]
-            for index, (new, old) in enumerate(zip(upstream, state.upstream)):
-                if new != old:
-                    dirty.add(ports[index])
-            state.upstream = upstream
-            moved.append(state)
+        changed = False
+        for slot in range(starts[flow], starts[flow + 1]):
+            if upstream[slot] != cumulative:
+                dirty.add(port_of[slot])
+                changed = True
+            upstream[slot] = cumulative
+            cumulative += delays[slot]
+            cumulative += propagation[slot]
+        if changed:
+            moved.append(flow)
     return moved, dirty
 
 
-def run_fixed_point(states: list[RoutedFlowState],
-                    ports: list[PortContext],
-                    rule: Callable[[PortContext], None],
+def run_fixed_point(template: RoutedTemplate, run: RoutedRun,
+                    rule: PortRule,
                     schedule: Sequence[int] | None = None) -> bool:
-    """Apply ``rule`` to the ports and accumulate until settled.
+    """Apply ``rule`` to the template's ports and accumulate until settled.
 
-    ``rule`` refreshes ``delays`` (and optionally ``details``) of every
-    member of one port from the members' current bursts at that port.
-    With a ``schedule`` (the template's, for these ``ports``) every port
+    Every evaluation's partition, the rule's return value, is kept in
+    ``run.partitions``.  With a ``schedule`` (the template's) every port
     runs once, in that order, and the result is ``True``.  Without one
     the first pass runs every port, later passes only the ports whose
-    members' upstream at that hop moved.  Returns ``True`` when every
+    members' upstream at that slot moved.  Returns ``True`` when every
     flow settled; otherwise the flows still moving are marked diverged
     and their infinite bursts propagated over every port, as the module
     docstring describes.
     """
+    ports, partitions = template.ports, run.partitions
     if schedule is not None:
+        upstream, delays = run.upstream, run.delays
+        propagation = template.propagation
         for position in schedule:
             port = ports[position]
-            rule(port)
-            for state, index in port.members:
-                upstream = state.upstream
-                if index + 1 < len(upstream):
-                    upstream[index + 1] = (upstream[index]
-                                           + state.delays[index]) \
-                        + state.propagation[index]
+            partitions[position] = rule(template, run, port)
+            for slot in port.onward:
+                upstream[slot + 1] = (upstream[slot] + delays[slot]) \
+                    + propagation[slot]
         return True
-    # ``{id(state): [position of the port at each hop]}``.
-    ports_of = {id(state): [0] * len(state.hops) for state in states}
-    for position, port in enumerate(ports):
-        for state, index in port.members:
-            ports_of[id(state)][index] = position
-    pending = ports
+    pending: Iterable[int] = range(len(ports))
     for _ in range(MAX_ITERATIONS + 1):
-        for port in pending:
-            rule(port)
-        moving, dirty = _accumulate(states, ports_of)
+        for position in pending:
+            partitions[position] = rule(template, run, ports[position])
+        moving, dirty = _accumulate(template, run)
         if not moving:
             return True
-        pending = [ports[position] for position in sorted(dirty)]
-    for state in moving:
-        state.diverged = True
-    for _ in range(len(states) + 1):
-        for port in ports:
-            rule(port)
-        if not _accumulate(states, ports_of)[0]:
+        pending = sorted(dirty)
+    for flow in moving:
+        run.diverged[flow] = True
+    for _ in range(len(template.flows) + 1):
+        for position, port in enumerate(ports):
+            partitions[position] = rule(template, run, port)
+        if not _accumulate(template, run)[0]:
             break
     return False

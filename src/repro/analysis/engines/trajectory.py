@@ -28,11 +28,12 @@ end-to-end composition only — the iteration stays monotone and either
 settles or flags the flow unstable.
 
 Each port evaluation partitions its members once
-(:func:`~repro.analysis.engines.iteration.port_levels`), and the rule
-keeps the partition of the port's last evaluation: that evaluation saw
-the final upstream values, the same argument the feed-forward schedule
-rests on.  The final composition reads that partition once per ``(port,
-priority level)``: the strictly-higher sums and the blocking term give
+(:func:`~repro.analysis.engines.iteration.port_levels`), and the run
+keeps the partition the rule returned at the port's last evaluation:
+that evaluation saw the final upstream values, the same argument the
+feed-forward schedule rests on.  The final composition reads that
+partition once per ``(port, priority level)`` into one list indexed by
+slot: the strictly-higher sums and the blocking term give
 the level's left-over ``(rate, latency)``, and the level's own members
 form its same-class group.  None of them depends on which member of the
 level asks, because a flow never interferes with itself as higher or
@@ -55,8 +56,8 @@ import math
 from typing import TYPE_CHECKING, Iterable
 
 from repro.analysis.engines.base import ScenarioBoundEngine
-from repro.analysis.engines.iteration import (PortContext, RoutedFlowState,
-                                              RoutedTemplate,
+from repro.analysis.engines.iteration import (PortLevel, RoutedPort,
+                                              RoutedRun, RoutedTemplate,
                                               network_template,
                                               port_leftovers, port_levels,
                                               run_fixed_point)
@@ -91,21 +92,23 @@ class TrajectoryEngine(ScenarioBoundEngine):
         """Per-class worst of the per-flow trajectory compositions."""
         if template is None:
             template = network_template(network, messages)
-        states, ports = template.instantiate()
-        if not states:
+        if not template.flows:
             return {}
-        if not run_fixed_point(states, ports,
-                               lambda port: self._port_delays(port, policy),
+        run = template.instantiate()
+        if not run_fixed_point(template, run,
+                               lambda template, run, port: self._port_delays(
+                                   template, run, port, policy),
                                template.schedule):
             # An unsettled run may end on an accumulation that came
             # after the ports' last evaluations: partition afresh.
-            for port in ports:
-                port.levels = port_levels(port, policy)
-        paths: dict[int, list[_Hop | None]] = {
-            id(state): [None] * len(state.hops) for state in states}
+            run.partitions[:] = [port_levels(template, run, port, policy)
+                                 for port in template.ports]
+        # Each slot's share of its level group (``None``: unbounded).
+        hops: list[_Hop | None] = [None] * len(template.flow_of)
         keys: dict[tuple[str, ...], tuple[str, ...]] = {}
-        for port in ports:
-            for level in port.levels:
+        names, flow_of = template.names, template.flow_of
+        for port, levels in zip(template.ports, run.partitions):
+            for level in levels:
                 higher_burst = math.fsum(level.higher_bursts)
                 rate = port.capacity - math.fsum(level.higher_rates)
                 if not (rate > 0 and math.isfinite(higher_burst)
@@ -115,25 +118,30 @@ class TrajectoryEngine(ScenarioBoundEngine):
                            + level.blocking + higher_burst) / rate
                 members = [port.members[position]
                            for position in level.positions]
-                key = tuple([state.name for state, _ in members])
+                key = tuple([names[flow_of[slot]] for slot in members])
                 key = keys.setdefault(key, key)
                 rates, bursts = level.rates, level.bursts
-                for own, (state, index) in enumerate(members):
-                    paths[id(state)][index] = (
+                for own, slot in enumerate(members):
+                    hops[slot] = (
                         key, rate, latency,
                         math.fsum(rates[:own] + rates[own + 1:]),
                         math.fsum(bursts[:own] + bursts[own + 1:]))
+        starts = template.starts
         mapping: dict[PriorityClass, float] = {}
-        for state in states:
-            delay = self._end_to_end(state, paths[id(state)])
-            previous = mapping.get(state.priority, 0.0)
-            mapping[state.priority] = max(previous, delay)
+        for flow, priority in enumerate(template.priorities):
+            first, end = starts[flow], starts[flow + 1]
+            delay = math.inf if run.diverged[flow] else self._end_to_end(
+                template.rates[first], template.bursts[first],
+                hops[first:end], template.propagation[first:end])
+            previous = mapping.get(priority, 0.0)
+            mapping[priority] = max(previous, delay)
         return mapping
 
     # -- upstream iteration --------------------------------------------------
 
     @staticmethod
-    def _port_delays(port: PortContext, policy: str) -> None:
+    def _port_delays(template: RoutedTemplate, run: RoutedRun,
+                     port: RoutedPort, policy: str) -> list[PortLevel]:
         """Per-hop left-over delays used for upstream burst inflation.
 
         The iterated state uses the per-hop blind-multiplexing left-over
@@ -141,24 +149,30 @@ class TrajectoryEngine(ScenarioBoundEngine):
         monotone; the segment concatenation below only sharpens the
         final composition, never the iterated state.
         """
-        port.levels = port_levels(port, policy)
-        for (state, index), (_, _, delay) in zip(
-                port.members, port_leftovers(port, port.levels)):
-            state.delays[index] = delay
+        levels = port_levels(template, run, port, policy)
+        delays = run.delays
+        for slot, (_, _, delay) in zip(port.members,
+                                       port_leftovers(port, levels)):
+            delays[slot] = delay
+        return levels
 
     # -- final composition ---------------------------------------------------
 
     @staticmethod
-    def _end_to_end(state: RoutedFlowState,
-                    path: "list[_Hop | None]") -> float:
-        """Segment-concatenated trajectory bound for one routed flow.
+    def _end_to_end(flow_rate: float, flow_burst: float,
+                    path: "list[_Hop | None]",
+                    propagation: "tuple[float, ...]") -> float:
+        """Segment-concatenated trajectory bound of one settled flow.
 
+        ``flow_rate`` and ``flow_burst`` are the flow's token bucket,
+        ``path`` and ``propagation`` its hops' group shares and link
+        propagation delays.
         Over each segment the hop left-overs concatenate (minimum rate,
         summed latencies) for the same-class aggregate, and the constant
         companion set is charged as cross traffic once, at the segment
         entrance.
         """
-        if state.diverged or None in path:
+        if None in path:
             return math.inf
         total_latency = 0.0
         slowest_segment = math.inf
@@ -185,7 +199,7 @@ class TrajectoryEngine(ScenarioBoundEngine):
             total_latency += segment_latency
             slowest_segment = min(slowest_segment, segment_rate)
             start = stop
-        if state.rate > slowest_segment:
+        if flow_rate > slowest_segment:
             return math.inf
 
         # Store-and-forward: each relaying hop re-serialises the burst.
@@ -194,7 +208,6 @@ class TrajectoryEngine(ScenarioBoundEngine):
             local_rate = rate - companion_rate
             if local_rate <= 0:
                 return math.inf
-            packetisation += state.burst / local_rate
-        propagation = math.fsum(state.propagation)
-        return (total_latency + state.burst / slowest_segment
-                + packetisation + propagation)
+            packetisation += flow_burst / local_rate
+        return (total_latency + flow_burst / slowest_segment
+                + packetisation + math.fsum(propagation))

@@ -18,7 +18,8 @@ verdict on the scenario's lowered network
 evaluation lowers at most once, on first need: the graph rows of every
 policy, the cross-engine table and a fuzz cell's soundness check
 (:meth:`CampaignRunner.evaluate`) all read that one lowering, and nothing
-keeps it once the evaluation's caller lets it go.
+keeps it once the evaluation's caller lets it go.  The memoized runner
+lowers from the base message set its cache already built.
 
 Large campaigns can opt into process-level fan-out with ``jobs=N`` (the CLI
 flag ``repro campaign --jobs N``): scenarios are distributed over worker
@@ -54,6 +55,7 @@ from repro.reporting import (
     yes_no,
 )
 from repro.store import ResultStore, StoreStats
+from repro.workloads.sweeps import scale_station_count
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.analysis.engines.base import ScenarioInputs
@@ -392,7 +394,7 @@ class CampaignRunner:
         the fuzz harness checks a cell's rows against a simulation of
         exactly this network.  The runner keeps no reference to it.
         """
-        lowering = _lowering(scenario)
+        lowering = self._lowering(scenario)
         return self._compute_scenario(scenario, lowering), lowering()
 
     def _compute_scenario(self, scenario: Scenario,
@@ -410,7 +412,7 @@ class CampaignRunner:
         """
         started = time.perf_counter()
         if lowering is None:
-            lowering = _lowering(scenario)
+            lowering = self._lowering(scenario)
         spec = scenario.workload
         if self.memoize:
             aggregates = self.cache.aggregates(spec)
@@ -439,6 +441,20 @@ class CampaignRunner:
         return ScenarioResult(scenario=scenario, rows=rows,
                               elapsed=time.perf_counter() - started,
                               engine_rows=engine_rows)
+
+    def _lowering(self, scenario: Scenario
+                  ) -> "Callable[[], ScenarioInputs]":
+        """:func:`scenario_inputs` of ``scenario``, lowered on the first
+        call and kept by the returned callable only.
+
+        Memoized mode lowers the workload from the base message set the
+        cache already holds; naive mode builds it afresh.
+        """
+        if not self.memoize:
+            return cache(partial(scenario_inputs, scenario))
+        spec = scenario.workload
+        return cache(lambda: scenario_inputs(scenario, scale_station_count(
+            self.cache.base_message_set(spec), spec.replication)))
 
     def _engine_rows(self, scenario: Scenario,
                      rows_by_policy: dict[str, dict[PriorityClass,
@@ -477,12 +493,6 @@ class CampaignRunner:
                         bound=bound.bound,
                         stable=bound.stable))
         return rows
-
-
-def _lowering(scenario: Scenario) -> "Callable[[], ScenarioInputs]":
-    """:func:`scenario_inputs` of ``scenario``, lowered on the first call
-    and kept by the returned callable only."""
-    return cache(partial(scenario_inputs, scenario))
 
 
 # ---------------------------------------------------------------------------

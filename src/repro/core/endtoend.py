@@ -36,14 +36,20 @@ capacity: when the fixed point does not settle, the flows still moving
 are reported with infinite bounds in the same way, and the result says
 it did not converge.
 
-**Backlogs.**  Each port evaluation keeps its partition by priority
-level on the port (``PortContext.levels``).  From it the analysis
-bounds every topology port's aggregate queue (all classes: the inflated
-bursts plus the rates times the port's relaying latency), directly
-comparable with the simulator's per-port queue maximum, and each
-class's worst per-port queue: the class is served by the link's
+**Backlogs.**  The run keeps each port's partition by priority level
+from its last evaluation (``RoutedRun.partitions``).  From it the
+analysis bounds every topology port's aggregate queue (all classes:
+the inflated bursts plus the rates times the port's relaying latency),
+directly comparable with the simulator's per-port queue maximum, and
+each class's worst per-port queue: the class is served by the link's
 residual after the strictly more urgent classes and the non-preemptive
 blocking term.
+
+:meth:`EndToEndAnalysis.solve` and :meth:`EndToEndAnalysis.backlogs`
+are the two halves of :meth:`~EndToEndAnalysis.analyze` that work on
+the routed template's per-slot state; a caller that needs only some of
+the bounds (the ``calculus`` engine) reads them without building a
+:class:`FlowBound` per flow.
 """
 
 from __future__ import annotations
@@ -52,13 +58,13 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
-from repro.analysis.engines.iteration import (PortContext, PortLevel,
-                                              RoutedTemplate, network_port,
-                                              port_levels, route_template,
-                                              run_fixed_point)
+from repro.analysis.engines.iteration import (PortLevel, RoutedPort,
+                                              RoutedRun, RoutedTemplate,
+                                              network_port, port_levels,
+                                              route_template, run_fixed_point)
 from repro.core.multiplexer import (ClassAggregate, MultiplexerBound,
                                     compute_class_bounds)
-from repro.errors import AnalysisError, InvalidFlowError
+from repro.errors import AnalysisError
 from repro.flows.flow import Flow
 from repro.flows.messages import Message
 from repro.flows.priorities import PriorityClass
@@ -254,58 +260,72 @@ class EndToEndAnalysis:
         Raises
         ------
         InvalidFlowError
+            If an item is neither a flow nor a message.
+        RoutingError, InvalidTopologyError
             If a flow's path does not exist in the network.
         """
         template = flows if isinstance(flows, RoutedTemplate) else \
-            route_template(flows, self._route_flow,
+            route_template(flows, self.network.routing.shortest_path,
                            network_port(self.network))
-        states, ports = template.instantiate()
-        converged = run_fixed_point(states, ports, self._port_bounds,
+        run, converged = self.solve(template)
+        port_bounds, class_backlogs = self.backlogs(template, run)
+        starts, delays, details = template.starts, run.delays, run.details
+        propagation = template.propagation
+        flow_bounds = []
+        for flow, (item, path) in enumerate(zip(template.flows,
+                                                template.paths)):
+            start = starts[flow]
+            flow_bounds.append(FlowBound(
+                flow=_routed(item, path), hops=tuple(
+                    HopBound(node=node, toward=toward,
+                             queuing_delay=delays[slot],
+                             propagation_delay=propagation[slot],
+                             multiplexer_bound=details[slot])
+                    for slot, node, toward in zip(
+                        range(start, starts[flow + 1]), path, path[1:]))))
+        return NetworkAnalysisResult(
+            policy=self.policy, flow_bounds=flow_bounds, ports=port_bounds,
+            class_backlogs=class_backlogs, converged=converged)
+
+    def solve(self, template: RoutedTemplate) -> tuple[RoutedRun, bool]:
+        """The fixed point of the multiplexer rule over ``template``.
+
+        Returns the final run, whose ``partitions`` hold every port's
+        partition at the final bursts, and whether it settled.
+        """
+        run = template.instantiate()
+        converged = run_fixed_point(template, run, self._port_bounds,
                                     template.schedule)
         if not converged:
             # An unsettled run may end on an accumulation that came
             # after the ports' last evaluations: partition afresh.
-            for port in ports:
-                port.levels = port_levels(port, self.policy)
-        port_bounds, class_backlogs = self._backlogs(ports)
-        return NetworkAnalysisResult(
-            policy=self.policy,
-            flow_bounds=[FlowBound(flow=state.flow, hops=tuple(
-                HopBound(node=node, toward=toward, queuing_delay=delay,
-                         propagation_delay=propagation,
-                         multiplexer_bound=bound)
-                for (node, toward), propagation, delay, bound
-                in zip(state.hops, state.propagation, state.delays,
-                       state.details))) for state in states],
-            ports=port_bounds, class_backlogs=class_backlogs,
-            converged=converged)
+            run.partitions[:] = [
+                port_levels(template, run, port, self.policy)
+                for port in template.ports]
+        return run, converged
 
     # -- the per-port rule ----------------------------------------------------
 
-    def _route_flow(self, flow: Flow | Message) -> Flow:
-        if not isinstance(flow, (Flow, Message)):
-            raise InvalidFlowError(
-                f"cannot analyse a {type(flow).__name__}")
-        return self.network.route_flow(flow)
-
-    def _port_bounds(self, port: PortContext) -> None:
+    def _port_bounds(self, template: RoutedTemplate, run: RoutedRun,
+                     port: RoutedPort) -> list[PortLevel]:
         """The paper's multiplexer bound of every flow at one port.
 
         The multiplexer sees the members' (possibly inflated) bursts, read
-        from the port's partition, which is kept for :meth:`_backlogs`.
+        from the port's partition, which is returned for :meth:`backlogs`.
         The FCFS multiplexer reports its single bound under every class
         present; a class the port cannot serve gets ``inf``.
         """
-        port.levels = port_levels(port, self.policy)
+        levels = port_levels(template, run, port, self.policy)
         members = port.members
+        priorities, flow_of = template.priorities, template.flow_of
         # The per-class aggregates of the members' inflated bursts, as
         # :func:`~repro.core.multiplexer.aggregate_flows` sums them.
         classes: dict[PriorityClass, tuple[list[float], list[float]]] = {}
-        for level in port.levels:
+        for level in levels:
             for position, burst, rate in zip(level.positions, level.bursts,
                                              level.rates):
                 bursts, rates = classes.setdefault(
-                    members[position][0].priority, ([], []))
+                    priorities[flow_of[members[position]]], ([], []))
                 bursts.append(burst)
                 rates.append(rate)
         bounds = compute_class_bounds(
@@ -314,42 +334,45 @@ class EndToEndAnalysis:
                                  max_burst=max(bursts), count=len(bursts))
              for cls, (bursts, rates) in sorted(classes.items())},
             port.capacity, port.technology_delay, self.policy)
-        for state, index in members:
-            bound = bounds[state.priority]
-            if bound is None or bound.details["unstable"]:
-                state.details[index] = None
-                state.delays[index] = math.inf
-            else:
-                state.details[index] = bound
-                state.delays[index] = bound.delay
+        outcomes = {cls: (None, math.inf)
+                    if bound is None or bound.details["unstable"]
+                    else (bound, bound.delay)
+                    for cls, bound in bounds.items()}
+        delays, details = run.delays, run.details
+        for slot in members:
+            details[slot], delays[slot] = outcomes[priorities[flow_of[slot]]]
+        return levels
 
     # -- backlogs -------------------------------------------------------------
 
-    def _backlogs(self, ports: list[PortContext]
-                  ) -> tuple[tuple[PortBacklogBound, ...],
-                             dict[PriorityClass, float]]:
+    def backlogs(self, template: RoutedTemplate, run: RoutedRun
+                 ) -> tuple[tuple[PortBacklogBound, ...],
+                            dict[PriorityClass, float]]:
         """Every topology port's aggregate bound and each class's worst.
 
         The class-``p`` queue holds class-``p`` traffic served by the
         link's residual after the strictly more urgent classes (plus the
         blocking term); under FCFS every class shares the single queue,
         so each gets the aggregate bound.  Each port's bursts are those
-        of the partition its last evaluation kept.
+        of the partition ``run`` (from :meth:`solve`) kept.
         """
-        contexts = {(port.node, port.toward): port for port in ports}
+        contexts = {(port.node, port.toward): (port, levels)
+                    for port, levels in zip(template.ports, run.partitions)}
+        priorities, flow_of = template.priorities, template.flow_of
         port_bounds = []
         class_backlogs: dict[PriorityClass, float] = {}
         # Every directed port of the topology gets a bound: the simulator
         # reports an (empty) queue maximum even for ports no flow crosses.
         for node, successors in sorted(self.network.spec.successors().items()):
             for toward in successors:
-                port = contexts.get((node, toward))
-                if port is None:
+                context = contexts.get((node, toward))
+                if context is None:
                     port_bounds.append(PortBacklogBound(node, toward, 0, 0.0))
                     continue
-                total_rate = math.fsum(rate for level in port.levels
+                port, levels = context
+                total_rate = math.fsum(rate for level in levels
                                        for rate in level.rates)
-                total_burst = math.fsum(burst for level in port.levels
+                total_burst = math.fsum(burst for level in levels
                                         for burst in level.bursts)
                 if total_rate > port.capacity or math.isinf(total_burst):
                     aggregate = math.inf
@@ -358,16 +381,23 @@ class EndToEndAnalysis:
                         + total_rate * port.technology_delay
                 port_bounds.append(PortBacklogBound(
                     node, toward, len(port.members), aggregate))
-                for level in port.levels:
+                for level in levels:
                     backlog = _level_backlog(level, port)
                     for position in level.positions:
-                        priority = port.members[position][0].priority
+                        priority = priorities[flow_of[port.members[position]]]
                         class_backlogs[priority] = max(
                             class_backlogs.get(priority, 0.0), backlog)
         return tuple(port_bounds), dict(sorted(class_backlogs.items()))
 
 
-def _level_backlog(level: PortLevel, port: PortContext) -> float:
+def _routed(item: Flow | Message, path: tuple[str, ...]) -> Flow:
+    """``item`` as the routed flow whose route is ``path``."""
+    if isinstance(item, Message):
+        return Flow(message=item, path=path)
+    return item if item.path else item.with_path(path)
+
+
+def _level_backlog(level: PortLevel, port: RoutedPort) -> float:
     """Queue bound of one priority level at a port (``inf`` if unbounded)."""
     own_burst = math.fsum(level.bursts)
     own_rate = math.fsum(level.rates)

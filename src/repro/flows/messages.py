@@ -165,5 +165,10 @@ class Message:
         return replace(self, deadline=deadline)
 
     def with_size(self, size: float) -> "Message":
-        """Return a copy of this message with a different size (bits)."""
-        return replace(self, size=size)
+        """Return a copy of this message with a different size (bits).
+
+        The copy shares this message's ``metadata``.  Every lowering
+        sizes every message, so this skips :func:`dataclasses.replace`.
+        """
+        return Message(self.name, self.kind, self.period, size, self.source,
+                       self.destination, self.deadline, self.metadata)

@@ -43,7 +43,8 @@ class Network:
         #: The topology this network views.
         self.spec = spec
         self.name = spec.name
-        self._routing = RoutingEngine(spec)
+        #: The engine every route of this network comes from.
+        self.routing = RoutingEngine(spec)
 
     # -- inspection ---------------------------------------------------------
 
@@ -85,15 +86,15 @@ class Network:
         RoutingError
             If either endpoint is unknown or no path exists.
         """
-        return list(self._routing.shortest_path(source, destination))
+        return list(self.routing.shortest_path(source, destination))
 
     def route_flow(self, flow: Flow | Message) -> Flow:
         """Attach a route to a flow (or wrap a message into a routed flow).
 
         A flow that already carries a path keeps it.
         """
-        return self._routing.route_flow(flow)
+        return self.routing.route_flow(flow)
 
     def route_flows(self, flows: Iterable[Flow | Message]) -> list[Flow]:
         """Route every flow of an iterable."""
-        return self._routing.route_flows(flows)
+        return self.routing.route_flows(flows)

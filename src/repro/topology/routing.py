@@ -16,10 +16,12 @@ breadth-first search (exact hop counts to the destination) followed by a
 greedy forward walk that always takes the smallest next hop still on a
 shortest path.  :class:`RoutingEngine` is the one place that applies the
 rule to a :class:`~repro.topology.graph.GraphTopologySpec`: it runs the
-backward search once per destination and the greedy walk once per (source,
-destination) pair, and adds ECMP enumeration plus reachability
-diagnostics.  A :class:`~repro.topology.network.Network` routes through
-the engine of its spec.
+backward search once per destination, keeping every node's next hop
+toward it (the greedy walk's choice, found in the same search), walks
+those next hops once per (source, destination) pair, and adds ECMP
+enumeration plus reachability diagnostics.  A
+:class:`~repro.topology.network.Network` routes through the engine of
+its spec.
 
 Two structural rules are enforced during the search:
 
@@ -67,16 +69,31 @@ def shortest_path_dag_costs(nodes: Iterable[str],
                             ) -> dict[str, float]:
     """Exact hop count from every node to ``destination``.
 
-    Runs a breadth-first search backward over the reversed graph.  ``via`` restricts which nodes may appear as *intermediate*
-    hops (the destination itself is always allowed); nodes that cannot
-    reach the destination are absent from the returned mapping.
+    Runs a breadth-first search backward over the reversed graph.
+    ``via`` restricts which nodes may appear as *intermediate* hops (the
+    destination itself is always allowed); nodes that cannot reach the
+    destination are absent from the returned mapping.
     ``predecessors`` may carry the :func:`predecessor_map` of the graph;
     callers computing many destinations build it once.
     """
     if predecessors is None:
         predecessors = predecessor_map(nodes, successors)
+    return _backward_search(predecessors, destination, via)[0]
 
+
+def _backward_search(predecessors: Mapping[str, Sequence[str]],
+                     destination: str, via: Callable[[str], bool] | None
+                     ) -> tuple[dict[str, float], dict[str, str]]:
+    """Hop counts to ``destination`` and the lexicographic next hops.
+
+    A node's next hop is its smallest successor one hop closer that may
+    relay (or is the destination): the node the greedy walk of
+    :func:`lexicographic_shortest_path` takes from it.  Every such
+    successor is expanded before the BFS leaves the node's level, so
+    keeping the smallest one seen finds it.
+    """
     distances: dict[str, float] = {destination: 0.0}
+    next_hops: dict[str, str] = {}
     queue = deque((destination,))
     while queue:
         node = queue.popleft()
@@ -86,10 +103,14 @@ def shortest_path_dag_costs(nodes: Iterable[str],
             continue
         distance = distances[node] + 1.0
         for predecessor in predecessors.get(node, ()):
-            if predecessor not in distances:
+            known = distances.get(predecessor)
+            if known is None:
                 distances[predecessor] = distance
+                next_hops[predecessor] = node
                 queue.append(predecessor)
-    return distances
+            elif known == distance and node < next_hops[predecessor]:
+                next_hops[predecessor] = node
+    return distances, next_hops
 
 
 def lexicographic_shortest_path(nodes: Iterable[str],
@@ -145,10 +166,12 @@ class RoutingEngine:
         disconnected specs are accepted so the engine can *diagnose* them.
 
     Every link costs one hop, as in the discrete-event simulator.  Each
-    destination's :func:`shortest_path_dag_costs` runs once, on
-    first use, and each ``(source, destination)`` pair's greedy walk
-    runs once; repeated routes are dictionary lookups.  The spec is
-    frozen, so the caches never go stale.
+    destination's backward search runs once, on first use, and keeps
+    the hop counts and every node's next hop toward the destination
+    (the lexicographic rule's choice), so a route costs one table
+    lookup per hop, once per ``(source, destination)`` pair; repeated
+    routes are dictionary lookups.  The spec is frozen, so the caches
+    never go stale.
     """
 
     def __init__(self, spec: GraphTopologySpec) -> None:
@@ -156,7 +179,8 @@ class RoutingEngine:
         self.spec = spec
         self._relay_allowed = frozenset(spec.switches).__contains__
         self._successors = spec.successors()
-        self._distances: dict[str, dict[str, float]] = {}
+        self._searches: dict[str, tuple[dict[str, float],
+                                        dict[str, str]]] = {}
         self._paths: dict[tuple[str, str], tuple[str, ...]] = {}
 
     # -- routing -----------------------------------------------------------
@@ -165,16 +189,18 @@ class RoutingEngine:
     def _predecessors(self) -> dict[str, list[str]]:
         return predecessor_map(self._successors, self._successors)
 
+    def _search(self, destination: str
+                ) -> tuple[dict[str, float], dict[str, str]]:
+        """Hop counts and next hops toward ``destination``."""
+        search = self._searches.get(destination)
+        if search is None:
+            search = self._searches[destination] = _backward_search(
+                self._predecessors, destination, self._relay_allowed)
+        return search
+
     def _distances_to(self, destination: str) -> dict[str, float]:
         """Hop count from every node that can reach ``destination``."""
-        distances = self._distances.get(destination)
-        if distances is None:
-            distances = self._distances[destination] = \
-                shortest_path_dag_costs(
-                    self._successors, self._successors, destination,
-                    via=self._relay_allowed,
-                    predecessors=self._predecessors)
-        return distances
+        return self._search(destination)[0]
 
     def _check_endpoints(self, source: str, destination: str) -> None:
         for node in (source, destination):
@@ -203,11 +229,14 @@ class RoutingEngine:
         path = self._paths.get((source, destination))
         if path is None:
             self._check_endpoints(source, destination)
-            path = self._paths[(source, destination)] = \
-                lexicographic_shortest_path(
-                    self._successors, self._successors, source,
-                    destination, via=self._relay_allowed,
-                    distances=self._distances_to(destination))
+            distances, next_hops = self._search(destination)
+            if source != destination and source not in distances:
+                raise RoutingError(
+                    f"no path between {source!r} and {destination!r}")
+            nodes = [source]
+            while nodes[-1] != destination:
+                nodes.append(next_hops[nodes[-1]])
+            path = self._paths[(source, destination)] = tuple(nodes)
         return path
 
     def ecmp_paths(self, source: str, destination: str,

@@ -13,10 +13,11 @@ Two properties pin that:
   found by scanning every member once per level, and every companion
   sum rebuilt from list slices at every hop.  The reference below is
   that code, kept here only as the yardstick.
-* **Partition handoff.**  After ``run_fixed_point`` the partition each
-  rule kept equals a fresh ``port_levels`` on every port, on every path
-  the fixed point can take: a scheduled star, a ring iterated pass by
-  pass and a ring that diverges.
+* **Partition handoff.**  After ``run_fixed_point`` the partition the
+  run kept for each port (the one its rule returned last) equals a
+  fresh ``port_levels`` on every port, on every path the fixed point
+  can take: a scheduled star, a ring iterated pass by pass and a ring
+  that diverges.
 """
 
 from __future__ import annotations
@@ -48,29 +49,34 @@ from tests.analysis.test_routed_template import (real_case_messages,
 POLICIES = ("fcfs", "strict-priority")
 
 
-# -- the reference -----------------------------------------------------------
+# -- the reference ---------------------------------------------------------
 
-def burst_at(state, index):
-    """A member's token-bucket burst at one hop, inflated by upstream."""
-    if state.diverged:
+def burst_at(template, run, slot):
+    """A member's token-bucket burst at its slot, inflated by upstream."""
+    if run.diverged[template.flow_of[slot]]:
         return math.inf
-    upstream = state.upstream[index]
+    upstream = run.upstream[slot]
     if math.isinf(upstream):
         return math.inf
-    return state.burst + state.rate * upstream
+    return template.bursts[slot] + template.rates[slot] * upstream
 
 
-def reference_levels(port, policy):
+def level_of(template, slot):
+    """The priority level of the flow owning ``slot``."""
+    return template.priorities[template.flow_of[slot]].value
+
+
+def reference_levels(template, run, port, policy):
     """``(positions, bursts, rates, higher_bursts, higher_rates, blocking)``
     of every level, most urgent first; blocking scanned per level."""
     members = port.members
-    bursts = [burst_at(state, index) for state, index in members]
-    rates = [state.rate for state, _ in members]
+    bursts = [burst_at(template, run, slot) for slot in members]
+    rates = [template.rates[slot] for slot in members]
     if policy == "fcfs":
         return [(list(range(len(members))), bursts, rates, [], [], 0.0)]
     grouped = {}
-    for position, (state, _) in enumerate(members):
-        grouped.setdefault(state.level, []).append(position)
+    for position, slot in enumerate(members):
+        grouped.setdefault(level_of(template, slot), []).append(position)
     levels = []
     higher_bursts, higher_rates = [], []
     for level in sorted(grouped):
@@ -79,18 +85,19 @@ def reference_levels(port, policy):
         own_rates = [rates[position] for position in positions]
         levels.append((positions, own_bursts, own_rates, higher_bursts,
                        higher_rates,
-                       max((burst for (state, _), burst in zip(members, bursts)
-                            if state.level > level), default=0.0)))
+                       max((burst for slot, burst in zip(members, bursts)
+                            if level_of(template, slot) > level),
+                           default=0.0)))
         higher_bursts = higher_bursts + own_bursts
         higher_rates = higher_rates + own_rates
     return levels
 
 
-def reference_leftovers(port, policy):
+def reference_leftovers(template, run, port, policy):
     """Left-over ``(rate, latency, delay)`` of every member, by slices."""
     leftovers = [None] * len(port.members)
     for positions, own_bursts, own_rates, higher_bursts, higher_rates, \
-            blocking in reference_levels(port, policy):
+            blocking in reference_levels(template, run, port, policy):
         bursts = higher_bursts + own_bursts
         rates = higher_rates + own_rates
         for own, position in enumerate(positions, len(higher_bursts)):
@@ -111,16 +118,15 @@ def reference_leftovers(port, policy):
 
 
 def reference_holistic_rule(policy):
-    def rule(port):
+    def rule(template, run, port):
         for positions, bursts, rates, higher_bursts, higher_rates, \
-                blocking in reference_levels(port, policy):
+                blocking in reference_levels(template, run, port, policy):
             work = math.fsum(higher_bursts + bursts)
             rate = math.fsum(higher_rates + rates)
             delay = _busy_period(work + blocking, rate,
                                  port.capacity) + port.technology_delay
             for position in positions:
-                state, index = port.members[position]
-                state.delays[index] = delay
+                run.delays[port.members[position]] = delay
     return rule
 
 
@@ -129,16 +135,24 @@ def _busy_period(work, rate, capacity):
     return busy_period(work, rate, capacity)
 
 
+def flow_slots(template, flow):
+    return range(template.starts[flow], template.starts[flow + 1])
+
+
 def reference_holistic(template, policy):
-    """Per-class holistic bounds with the reference partition."""
-    states, ports = template.instantiate()
-    run_fixed_point(states, ports, reference_holistic_rule(policy),
+    """Per-class holistic bounds with the reference partition: each
+    flow's hop delays plus propagation, left to right."""
+    run = template.instantiate()
+    run_fixed_point(template, run, reference_holistic_rule(policy),
                     template.schedule)
     mapping = {}
-    for state in states:
-        delay = HolisticEngine()._end_to_end(state)
-        mapping[state.priority] = max(mapping.get(state.priority, 0.0),
-                                      delay)
+    for flow, priority in enumerate(template.priorities):
+        delay = 0.0
+        for slot in flow_slots(template, flow):
+            delay += run.delays[slot] + template.propagation[slot]
+        if run.diverged[flow] or not math.isfinite(delay):
+            delay = math.inf
+        mapping[priority] = max(mapping.get(priority, 0.0), delay)
     return mapping
 
 
@@ -149,18 +163,20 @@ def _without(values, position):
 def reference_trajectory(template, policy):
     """Per-class trajectory bounds: fresh level groups keyed by name sets,
     companion sums rebuilt from slices at every hop."""
-    states, ports = template.instantiate()
+    run = template.instantiate()
 
-    def rule(port):
-        for (state, index), (_, _, delay) in zip(
-                port.members, reference_leftovers(port, policy)):
-            state.delays[index] = delay
+    def rule(template, run, port):
+        for slot, (_, _, delay) in zip(
+                port.members, reference_leftovers(template, run, port,
+                                                  policy)):
+            run.delays[slot] = delay
 
-    run_fixed_point(states, ports, rule, template.schedule)
-    paths = {id(state): [None] * len(state.hops) for state in states}
-    for port in ports:
+    run_fixed_point(template, run, rule, template.schedule)
+    paths = {flow: [None] * len(flow_slots(template, flow))
+             for flow in range(len(template.flows))}
+    for port in template.ports:
         for positions, bursts, rates, higher_bursts, higher_rates, \
-                blocking in reference_levels(port, policy):
+                blocking in reference_levels(template, run, port, policy):
             higher_burst = math.fsum(higher_bursts)
             rate = port.capacity - math.fsum(higher_rates)
             leftover = None
@@ -169,23 +185,26 @@ def reference_trajectory(template, policy):
                 leftover = (rate, (port.capacity * port.technology_delay
                                    + blocking + higher_burst) / rate)
             members = [port.members[position] for position in positions]
-            group = (leftover, frozenset(state.name for state, _ in members),
+            group = (leftover, frozenset(template.names[template.flow_of[slot]]
+                                         for slot in members),
                      rates, bursts)
-            for position, (state, index) in enumerate(members):
-                paths[id(state)][index] = (group, position)
+            for position, slot in enumerate(members):
+                flow = template.flow_of[slot]
+                paths[flow][slot - template.starts[flow]] = (group, position)
     mapping = {}
-    for state in states:
-        delay = _reference_end_to_end(state, paths[id(state)])
-        mapping[state.priority] = max(mapping.get(state.priority, 0.0),
-                                      delay)
+    for flow, priority in enumerate(template.priorities):
+        delay = _reference_end_to_end(template, run, flow, paths[flow])
+        mapping[priority] = max(mapping.get(priority, 0.0), delay)
     return mapping
 
 
-def _reference_end_to_end(state, path):
-    if state.diverged:
+def _reference_end_to_end(template, run, flow, path):
+    if run.diverged[flow]:
         return math.inf
     if any(group[0] is None for group, _ in path):
         return math.inf
+    first = template.starts[flow]
+    flow_rate, flow_burst = template.rates[first], template.bursts[first]
     total_latency = 0.0
     slowest_segment = math.inf
     start = 0
@@ -201,16 +220,17 @@ def _reference_end_to_end(state, path):
         total_latency += segment_latency
         slowest_segment = min(slowest_segment, segment_rate)
         start = stop + 1
-    if state.rate > slowest_segment:
+    if flow_rate > slowest_segment:
         return math.inf
     packetisation = 0.0
     for group, position in path[:-1]:
         local_rate = group[0][0] - math.fsum(_without(group[2], position))
         if local_rate <= 0:
             return math.inf
-        packetisation += state.burst / local_rate
-    propagation = math.fsum(state.propagation)
-    return (total_latency + state.burst / slowest_segment
+        packetisation += flow_burst / local_rate
+    propagation = math.fsum(template.propagation[slot]
+                            for slot in flow_slots(template, flow))
+    return (total_latency + flow_burst / slowest_segment
             + packetisation + propagation)
 
 
@@ -234,22 +254,26 @@ class ReferenceEndToEndAnalysis(EndToEndAnalysis):
     """``EndToEndAnalysis`` with member bursts read without a partition
     and fresh backlog partitions."""
 
-    def _port_bounds(self, port):
+    def _port_bounds(self, template, run, port):
+        priorities = [template.priorities[template.flow_of[slot]]
+                      for slot in port.members]
         bounds = compute_class_bounds(aggregate_flows(
-            Effective(burst_at(state, index), state.rate, state.priority)
-            for state, index in port.members),
+            Effective(burst_at(template, run, slot), template.rates[slot],
+                      priority)
+            for slot, priority in zip(port.members, priorities)),
             port.capacity, port.technology_delay, self.policy)
-        for state, index in port.members:
-            bound = bounds[state.priority]
+        for slot, priority in zip(port.members, priorities):
+            bound = bounds[priority]
             if bound is None or bound.details["unstable"]:
-                state.details[index] = None
-                state.delays[index] = math.inf
+                run.details[slot] = None
+                run.delays[slot] = math.inf
             else:
-                state.details[index] = bound
-                state.delays[index] = bound.delay
+                run.details[slot] = bound
+                run.delays[slot] = bound.delay
 
-    def _backlogs(self, ports):
-        contexts = {(port.node, port.toward): port for port in ports}
+    def backlogs(self, template, run):
+        contexts = {(port.node, port.toward): port
+                    for port in template.ports}
         port_bounds = []
         class_backlogs = {}
         spec = self.network.spec
@@ -258,8 +282,8 @@ class ReferenceEndToEndAnalysis(EndToEndAnalysis):
                      for successor in successors}
         for (node, toward) in sorted(all_ports):
             port = contexts.get((node, toward))
-            levels = [] if port is None else reference_levels(port,
-                                                              self.policy)
+            levels = [] if port is None else reference_levels(
+                template, run, port, self.policy)
             capacity = spec.edge(node, toward).rate
             latency0 = spec.technology_delay(node)
             total_rate = math.fsum(rate for level in levels
@@ -279,8 +303,9 @@ class ReferenceEndToEndAnalysis(EndToEndAnalysis):
                 backlog = _reference_level_backlog(
                     bursts, rates, higher_bursts, higher_rates, blocking,
                     capacity, latency0)
-                for priority in {port.members[position][0].priority
-                                 for position in positions}:
+                for priority in {template.priorities[
+                        template.flow_of[port.members[position]]]
+                        for position in positions}:
                     class_backlogs[priority] = max(
                         class_backlogs.get(priority, 0.0), backlog)
         return tuple(port_bounds), dict(sorted(class_backlogs.items()))
@@ -372,25 +397,34 @@ def test_engines_equal_the_reference(name, policy):
 def test_the_inputs_reach_every_edge_case():
     """Overloaded ports, infinite bursts and single-member levels."""
     overloaded = inputs_of("overloaded-star").template
-    states, ports = overloaded.instantiate()
-    assert any(rate <= 0.0 for port in ports
-               for rate, _, _ in reference_leftovers(port, "fcfs"))
+    run = overloaded.instantiate()
+    assert any(rate <= 0.0 for port in overloaded.ports
+               for rate, _, _ in reference_leftovers(overloaded, run, port,
+                                                     "fcfs"))
     ring = inputs_of("diverging-ring")
     result = EndToEndAnalysis(ring.network, "fcfs").analyze(ring.template)
     assert not result.converged
     assert any(math.isinf(bound.total_delay) for bound in result)
     single = 0
     for name in INPUTS:
-        states, ports = inputs_of(name).template.instantiate()
-        single += sum(len(level[0]) == 1 for port in ports
-                      for level in reference_levels(port, "strict-priority"))
+        template = inputs_of(name).template
+        run = template.instantiate()
+        single += sum(len(level[0]) == 1 for port in template.ports
+                      for level in reference_levels(template, run, port,
+                                                    "strict-priority"))
     assert single > 0
 
 
 # -- the partition handoff ---------------------------------------------------
 
+def holistic_rule(policy):
+    return lambda template, run, port: HolisticEngine._port_delays(
+        template, run, port, policy)
+
+
 def trajectory_rule(policy):
-    return lambda port: TrajectoryEngine._port_delays(port, policy)
+    return lambda template, run, port: TrajectoryEngine._port_delays(
+        template, run, port, policy)
 
 
 def calculus_rule(network, policy):
@@ -406,18 +440,19 @@ HANDOFF = {
 
 
 @pytest.mark.parametrize("policy", POLICIES)
-@pytest.mark.parametrize("rule_name", ["trajectory", "calculus"])
+@pytest.mark.parametrize("rule_name", ["holistic", "trajectory", "calculus"])
 @pytest.mark.parametrize("path", sorted(HANDOFF))
 def test_each_rule_keeps_its_ports_final_partition(path, rule_name, policy):
     network, messages = HANDOFF[path]()
     template = network_template(network, messages)
-    states, ports = template.instantiate()
-    rule = (trajectory_rule(policy) if rule_name == "trajectory"
-            else calculus_rule(network, policy))
-    converged = run_fixed_point(states, ports, rule, template.schedule)
+    run = template.instantiate()
+    rule = (calculus_rule(network, policy) if rule_name == "calculus"
+            else {"holistic": holistic_rule,
+                  "trajectory": trajectory_rule}[rule_name](policy))
+    converged = run_fixed_point(template, run, rule, template.schedule)
     assert (template.schedule is None) == path.endswith("ring")
     assert converged == (path != "diverging-ring")
     if path == "diverging-ring":
-        assert any(state.diverged for state in states)
-    for port in ports:
-        assert port.levels == port_levels(port, policy)
+        assert any(run.diverged)
+    for port, partition in zip(template.ports, run.partitions, strict=True):
+        assert partition == port_levels(template, run, port, policy)

@@ -22,7 +22,7 @@ import pytest
 from repro import units
 from repro.analysis.engines import HolisticEngine, TrajectoryEngine, get_engine
 from repro.analysis.engines.base import scenario_inputs
-from repro.analysis.engines.iteration import (MAX_ITERATIONS,
+from repro.analysis.engines.iteration import (MAX_ITERATIONS, RoutedRun,
                                               network_template,
                                               port_leftovers, port_levels,
                                               run_fixed_point)
@@ -74,22 +74,32 @@ def test_shared_template_matches_fresh_routing(scenario):
 
 
 def test_instantiate_gives_fresh_state():
+    """Every run gets its own zeroed lists, whatever ran before it."""
     network = single_switch_star(8)
     template = network_template(network, real_case_messages())
-    first_states, first_ports = template.instantiate()
-    second_states, second_ports = template.instantiate()
-    for first, second in zip(first_states, second_states):
-        assert first is not second
-        assert first.upstream is not second.upstream
-        assert first.delays is not second.delays
-        assert first.details is not second.details
-        assert first.hops == second.hops and first.flow is second.flow
-    assert all(first.members[0][0] in first_states for first in first_ports)
+    first, second = template.instantiate(), template.instantiate()
+    for field in RoutedRun._fields:
+        assert getattr(first, field) is not getattr(second, field)
+    slots = len(template.flow_of)
+    assert first.upstream == first.delays == [0.0] * slots
+    assert first.details == [None] * slots
+    assert first.diverged == [False] * len(template.flows)
+    assert first.partitions == [None] * len(template.ports)
+    assert second == first
+    # Running one leaves the next one fresh.
+    assert run_fixed_point(template, first, leftover_rule("fcfs"),
+                           template.schedule)
+    assert any(first.upstream) and all(first.details)
+    assert template.instantiate() == second
+    # Every port member is a slot, and each slot is a member once.
+    members = sorted(slot for port in template.ports
+                     for slot in port.members)
+    assert members == list(range(slots))
 
 
 # -- the fixed point: feed-forward schedule and dirty ports ------------------
 
-def every_port_fixed_point(states, ports, rule, schedule=None) -> bool:
+def every_port_fixed_point(template, run, rule, schedule=None) -> bool:
     """The fixed point re-running every port on every pass (reference).
 
     ``schedule`` is accepted, and ignored, so the reference can stand in
@@ -97,49 +107,55 @@ def every_port_fixed_point(states, ports, rule, schedule=None) -> bool:
     """
     def accumulate():
         moved = []
-        for state in states:
+        for flow in range(len(template.flows)):
+            start, stop = template.starts[flow], template.starts[flow + 1]
             cumulative = 0.0
             upstream = []
-            for delay, propagation in zip(state.delays, state.propagation):
+            for delay, propagation in zip(run.delays[start:stop],
+                                          template.propagation[start:stop]):
                 upstream.append(cumulative)
                 cumulative += delay
                 cumulative += propagation
-            if upstream != state.upstream:
-                state.upstream = upstream
-                moved.append(state)
+            if upstream != run.upstream[start:stop]:
+                run.upstream[start:stop] = upstream
+                moved.append(flow)
         return moved
 
+    def every_port():
+        for position, port in enumerate(template.ports):
+            run.partitions[position] = rule(template, run, port)
+
     for _ in range(MAX_ITERATIONS + 1):
-        for port in ports:
-            rule(port)
+        every_port()
         moving = accumulate()
         if not moving:
             return True
-    for state in moving:
-        state.diverged = True
-    for _ in range(len(states) + 1):
-        for port in ports:
-            rule(port)
+    for flow in moving:
+        run.diverged[flow] = True
+    for _ in range(len(template.flows) + 1):
+        every_port()
         if not accumulate():
             break
     return False
 
 
 def leftover_rule(policy):
-    def rule(port):
-        for (state, index), (rate, latency, delay) in zip(
-                port.members, port_leftovers(port, port_levels(port, policy))):
-            state.details[index] = (rate, latency)
-            state.delays[index] = delay
+    def rule(template, run, port):
+        levels = port_levels(template, run, port, policy)
+        for slot, (rate, latency, delay) in zip(
+                port.members, port_leftovers(port, levels)):
+            run.details[slot] = (rate, latency)
+            run.delays[slot] = delay
+        return levels
     return rule
 
 
 RULES = {
     "leftover": leftover_rule,
-    "holistic": lambda policy: lambda port: HolisticEngine()._port_delays(
-        port, policy),
-    "trajectory": lambda policy: lambda port: TrajectoryEngine._port_delays(
-        port, policy),
+    "holistic": lambda policy: lambda template, run, port:
+        HolisticEngine._port_delays(template, run, port, policy),
+    "trajectory": lambda policy: lambda template, run, port:
+        TrajectoryEngine._port_delays(template, run, port, policy),
 }
 
 
@@ -228,18 +244,16 @@ def test_dirty_ports_match_every_port_passes(topology, rule_name, policy,
     template = network_template(network, messages)
     assert (template.schedule is None) == (topology in UNSCHEDULED)
     rule = RULES[rule_name](policy)
-    states, ports = template.instantiate()
-    reference_states, reference_ports = template.instantiate()
+    run, reference = template.instantiate(), template.instantiate()
     converged = run_fixed_point(
-        states, ports, rule, template.schedule if scheduled else None)
-    assert converged == every_port_fixed_point(
-        reference_states, reference_ports, rule)
+        template, run, rule, template.schedule if scheduled else None)
+    assert converged == every_port_fixed_point(template, reference, rule)
     assert converged == (topology not in DIVERGING)
-    for state, reference in zip(states, reference_states):
-        assert state.upstream == reference.upstream
-        assert state.delays == reference.delays
-        assert state.details == reference.details
-        assert state.diverged == reference.diverged
+    assert run.upstream == reference.upstream
+    assert run.delays == reference.delays
+    assert run.details == reference.details
+    assert run.diverged == reference.diverged
+    assert run.partitions == reference.partitions
 
 
 @pytest.mark.parametrize("policy", ["fcfs", "strict-priority"])
@@ -251,16 +265,17 @@ def test_acyclic_star_runs_each_port_once_in_port_order(policy):
     """
     network = single_switch_star(8)
     template = network_template(network, real_case_messages())
-    states, ports = template.instantiate()
+    ports = template.ports
     calls = []
     rule = leftover_rule(policy)
 
-    def counting(port):
+    def counting(template, run, port):
         calls.append(port)
-        rule(port)
+        return rule(template, run, port)
 
     assert template.schedule == tuple(range(len(ports)))
-    assert run_fixed_point(states, ports, counting, template.schedule)
+    assert run_fixed_point(template, template.instantiate(), counting,
+                           template.schedule)
     assert any(network.is_switch(port.node) for port in ports)
     assert len(calls) == len(ports)
     assert all(call is port for call, port in zip(calls, ports))

@@ -82,15 +82,16 @@ class TestRowsAreTheSystemVerdict:
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """Count ``EndToEndAnalysis.analyze`` calls."""
+    """Count ``EndToEndAnalysis.solve`` calls: the fixed point that both
+    the calculus engine and ``analyze`` run once per evaluation."""
     calls = []
-    original = EndToEndAnalysis.analyze
+    original = EndToEndAnalysis.solve
 
-    def counting(self, flows):
+    def counting(self, template):
         calls.append(self.policy)
-        return original(self, flows)
+        return original(self, template)
 
-    monkeypatch.setattr(EndToEndAnalysis, "analyze", counting)
+    monkeypatch.setattr(EndToEndAnalysis, "solve", counting)
     return calls
 
 
@@ -115,8 +116,8 @@ def lowerings(monkeypatch):
     """Weak references to every lowering the runner builds."""
     refs = []
 
-    def tracked(scenario):
-        inputs = scenario_inputs(scenario)
+    def tracked(scenario, *args, **kwargs):
+        inputs = scenario_inputs(scenario, *args, **kwargs)
         refs.append(weakref.ref(inputs))
         return inputs
 

@@ -70,15 +70,14 @@ def test_scheduled_fixed_point_equals_every_port_passes(rule_name, policy):
     def check(fabric, flows):
         template = network_template(*network_and_messages(fabric, flows))
         cyclic_seen.add(template.schedule is None)
-        states, ports = template.instantiate()
-        reference_states, reference_ports = template.instantiate()
-        assert run_fixed_point(states, ports, rule, template.schedule) == \
-            every_port_fixed_point(reference_states, reference_ports, rule)
-        for state, reference in zip(states, reference_states):
-            assert state.upstream == reference.upstream
-            assert state.delays == reference.delays
-            assert state.details == reference.details
-            assert state.diverged == reference.diverged
+        run, reference = template.instantiate(), template.instantiate()
+        assert run_fixed_point(template, run, rule, template.schedule) == \
+            every_port_fixed_point(template, reference, rule)
+        assert run.upstream == reference.upstream
+        assert run.delays == reference.delays
+        assert run.details == reference.details
+        assert run.diverged == reference.diverged
+        assert run.partitions == reference.partitions
 
     check()
     assert cyclic_seen == {True, False}

@@ -1,5 +1,6 @@
 """``tools/bench_report.py`` distils the committed benchmark CSVs."""
 
+import csv
 import importlib.util
 import json
 import sys
@@ -82,17 +83,23 @@ def test_report_carries_the_engine_sweep(tmp_path, capsys):
     assert bench_report.main(["--output", str(output)]) == 0
     assert "engines" in capsys.readouterr().out
     engines = json.loads(output.read_text())["engines"]
-    assert sorted(engines) == ["best_run_ms", "engine_rows", "rows_per_sec",
-                               "scenarios"]
-    with (bench_report.RESULTS_DIR / "engines.csv").open() as handle:
-        row = next(line for line in handle
-                   if line.startswith("--engine all,"))
-    scenarios, rows, best_run, rate = row.strip().split(",")[1:]
-    assert engines["scenarios"] == float(scenarios)
-    assert engines["engine_rows"] == float(rows)
-    assert engines["best_run_ms"] == float(best_run.removesuffix(" ms"))
-    assert engines["rows_per_sec"] == float(rate)
+    assert sorted(engines) == ["best_run_ms", "engine_rows", "flows",
+                               "route_lookups", "rows_per_sec", "scenarios"]
+    with (bench_report.RESULTS_DIR / "engines.csv").open(
+            newline="") as handle:
+        row = next(row for row in csv.DictReader(handle)
+                   if row["mode"] == "--engine all")
+    assert engines["scenarios"] == float(row["scenarios"])
+    assert engines["flows"] == float(row["flows"])
+    assert engines["route_lookups"] == float(row["route lookups"])
+    assert engines["engine_rows"] == float(row["engine rows"])
+    assert engines["best_run_ms"] == float(
+        row["best run"].removesuffix(" ms"))
+    assert engines["rows_per_sec"] == float(row["rows/s"].replace(",", ""))
     assert engines["rows_per_sec"] > 0
+    # Routing asks once per distinct (source, destination) pair, so a
+    # sweep looks up fewer routes than it bounds flows.
+    assert 0 < engines["route_lookups"] < engines["flows"]
 
 
 def test_report_carries_the_routing_throughput(tmp_path, capsys):

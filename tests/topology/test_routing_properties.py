@@ -35,7 +35,9 @@ from repro.topology.graph import (
     ring_graph_spec,
     star_graph_spec,
 )
-from repro.topology.routing import RoutingEngine, lexicographic_shortest_path
+from repro.topology.routing import (RoutingEngine,
+                                   lexicographic_shortest_path,
+                                   shortest_path_dag_costs)
 
 SRC_ROOT = Path(__file__).resolve().parents[2] / "src"
 
@@ -255,6 +257,33 @@ def test_network_and_routing_engine_pick_the_same_route(spec):
     for source, destination in permutations(spec.end_systems, 2):
         assert network.route(source, destination) == \
             list(engine.shortest_path(source, destination))
+
+
+#: The agreement families plus a wide star: one switch with 128
+#: successors, where a scan of every successor per hop costs most.
+NEXT_HOP_SPECS = AGREEMENT_SPECS + [star_graph_spec(128)]
+
+
+@pytest.mark.parametrize(
+    "spec", NEXT_HOP_SPECS,
+    ids=[f"{spec.name}-{len(spec.end_systems)}es-{index}"
+         for index, spec in enumerate(NEXT_HOP_SPECS)])
+def test_next_hop_walk_equals_the_standalone_helper(spec):
+    """The engine walks its per-destination next-hop table; the helper
+    scans every successor at each node.  Both pick the same route."""
+    engine = RoutingEngine(spec)
+    successors = spec.successors()
+    relay = frozenset(spec.switches).__contains__
+    for destination in spec.end_systems:
+        distances = shortest_path_dag_costs(successors, successors,
+                                            destination, via=relay)
+        for source in spec.end_systems:
+            if source == destination:
+                continue
+            assert engine.shortest_path(source, destination) == \
+                lexicographic_shortest_path(
+                    successors, successors, source, destination, via=relay,
+                    distances=distances)
 
 
 def test_lexicographic_helper_handles_source_equals_destination():

@@ -72,6 +72,8 @@ def _engine_sweep() -> dict:
             if row["mode"] == "--engine all":
                 return {
                     "scenarios": _number(row["scenarios"]),
+                    "flows": _number(row["flows"]),
+                    "route_lookups": _number(row["route lookups"]),
                     "engine_rows": _number(row["engine rows"]),
                     "best_run_ms": _number(
                         row["best run"].removesuffix(" ms")),
